@@ -50,7 +50,7 @@ func BenchmarkProtocolLatency(b *testing.B)     { benchExperiment(b, "latency") 
 // Micro-benchmarks on the public API's hot paths.
 
 func BenchmarkCuckooDirectoryRead(b *testing.B) {
-	dir := NewCuckooDirectory(CuckooConfig{Ways: 4, SetsPerWay: 512}, 32)
+	dir := MustBuild(Spec{Org: OrgCuckoo, NumCaches: 32, Geometry: Geometry{Ways: 4, Sets: 512}})
 	for i := uint64(0); i < 1024; i++ {
 		dir.Read(i, int(i)%32)
 	}
@@ -61,7 +61,7 @@ func BenchmarkCuckooDirectoryRead(b *testing.B) {
 }
 
 func BenchmarkCuckooDirectoryChurn(b *testing.B) {
-	dir := NewCuckooDirectory(CuckooConfig{Ways: 4, SetsPerWay: 512}, 32)
+	dir := MustBuild(Spec{Org: OrgCuckoo, NumCaches: 32, Geometry: Geometry{Ways: 4, Sets: 512}})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		addr := uint64(i*2654435761) & 4095

@@ -244,6 +244,11 @@ type Engine = engine.Engine
 // backpressure policy); the zero value is usable.
 type EngineOptions = engine.Options
 
+// EngineRequest is one engine submission (Engine.Submit): the batch,
+// its QoS class, and whether results come back on a Ticket, through a
+// Done callback, or not at all (Detached).
+type EngineRequest = engine.Request
+
 // Ticket is a pollable completion handle for an engine submission,
 // carrying the per-access Ops once done.
 type Ticket = engine.Ticket
@@ -283,13 +288,12 @@ func NewEngine(dir *ShardedDirectory, o EngineOptions) (*Engine, error) {
 
 // ---- QoS classes & scheduling ----
 
-// QoSClass is a submission's priority class. Every class-less engine
-// API (Submit, SubmitBatch, ...) submits as ClassForeground; the
-// class-taking variants (Engine.SubmitClass, SubmitBatchClass,
-// SubmitDetachedClass, SubmitRetryClass) pick explicitly. Per-class
-// queue depths, drain shares, shed counts and latency percentiles are
-// reported through EngineStats.Classes and EngineHealth.Classes. See
-// DESIGN.md §13.
+// QoSClass is a submission's priority class, set on
+// EngineRequest.Class; the zero value is ClassForeground, which
+// SubmitBatch also uses, and SubmitDetachedClass takes it explicitly.
+// Per-class queue depths, drain shares, shed counts and latency
+// percentiles are reported through EngineStats.Classes and
+// EngineHealth.Classes. See DESIGN.md §13.
 type QoSClass = qos.Class
 
 // The engine's priority classes.
@@ -359,9 +363,9 @@ type DrainerHealth = engine.DrainerHealth
 // (EngineOptions.StallThreshold = 0).
 const DefaultStallThreshold = engine.DefaultStallThreshold
 
-// RetryOptions parameterize Engine.SubmitRetry's capped
-// exponential-backoff retry over ErrEngineQueueFull; the zero value is
-// usable.
+// RetryOptions parameterize Engine.SubmitRetry, which resubmits an
+// EngineRequest with capped exponential backoff over
+// ErrEngineQueueFull; the zero value is usable.
 type RetryOptions = engine.RetryOptions
 
 // Engine fault-containment errors.
@@ -437,54 +441,7 @@ func NewCuckooTable[V any](cfg TableConfig) *core.Table[V] {
 	return core.NewTable[V](cfg)
 }
 
-// ---- deprecated positional constructors ----
-//
-// Thin wrappers kept for source compatibility; all of them delegate to
-// the Spec construction path.
-
-// CuckooConfig sizes a Cuckoo directory slice.
-//
-// Deprecated: declare the geometry in a Spec (Geometry for Ways/Sets,
-// CuckooParams for the rest).
-type CuckooConfig struct {
-	// Ways is d (the paper selects 3 or 4); SetsPerWay the per-way set
-	// count (capacity = Ways*SetsPerWay).
-	Ways       int
-	SetsPerWay int
-	// MaxAttempts bounds the displacement chain (default 32, §5.2).
-	MaxAttempts int
-	// StrongHash selects avalanche-grade hashing instead of the default
-	// Seznec-Bodin skewing family (§5.5).
-	StrongHash bool
-	// BucketSize > 1 enables the Panigrahy bucketized ablation; StashSize
-	// > 0 adds a victim stash (Kirsch et al.).
-	BucketSize int
-	StashSize  int
-}
-
-// spec converts the legacy config to the declarative form.
-func (cfg CuckooConfig) spec(numCaches int) Spec {
-	return Spec{
-		Org:       OrgCuckoo,
-		NumCaches: numCaches,
-		Geometry:  Geometry{Ways: cfg.Ways, Sets: cfg.SetsPerWay},
-		Cuckoo: CuckooParams{
-			MaxAttempts: cfg.MaxAttempts,
-			StrongHash:  cfg.StrongHash,
-			BucketSize:  cfg.BucketSize,
-			StashSize:   cfg.StashSize,
-		},
-	}
-}
-
-// NewCuckooDirectory builds a Cuckoo directory slice tracking numCaches
-// private caches (at most 64).
-//
-// Deprecated: use Build with a Spec{Org: OrgCuckoo, ...} or
-// BuildNamed("cuckoo-WxS", numCaches).
-func NewCuckooDirectory(cfg CuckooConfig, numCaches int) Directory {
-	return MustBuild(cfg.spec(numCaches))
-}
+// ---- sharer-set formats ----
 
 // SharerFormat is a pluggable sharer-set representation (full vector,
 // coarse, limited pointers, hierarchical); set it on Spec.Format.
@@ -501,82 +458,6 @@ func HierarchicalFormat() SharerFormat        { return sharer.HierFormat() }
 // dead-entry residency its compressed format costs. Build returns it when
 // Spec.Format is set.
 type FormattedCuckooDirectory = directory.FormattedCuckoo
-
-// NewFormattedCuckooDirectory builds a Cuckoo directory slice whose
-// entries use the given sharer-set format — the paper's §6 point that the
-// Cuckoo organization composes with any entry-compression technique.
-//
-// Deprecated: use Build with a Spec whose Format field is set.
-func NewFormattedCuckooDirectory(cfg CuckooConfig, format SharerFormat, numCaches int) *FormattedCuckooDirectory {
-	s := cfg.spec(numCaches)
-	s.Format = format
-	return MustBuild(s).(*FormattedCuckooDirectory)
-}
-
-// NewSparseDirectory builds a classic set-associative Sparse directory
-// slice (Gupta et al.).
-//
-// Deprecated: use Build with a Spec{Org: OrgSparse, ...} or
-// BuildNamed("sparse-WxS", numCaches).
-func NewSparseDirectory(ways, sets, numCaches int) Directory {
-	return MustBuild(Spec{Org: OrgSparse, NumCaches: numCaches, Geometry: Geometry{Ways: ways, Sets: sets}})
-}
-
-// NewSkewedDirectory builds a skewed-associative directory slice (Seznec).
-//
-// Deprecated: use Build with a Spec{Org: OrgSkewed, ...}.
-func NewSkewedDirectory(ways, sets, numCaches int) Directory {
-	return MustBuild(Spec{Org: OrgSkewed, NumCaches: numCaches, Geometry: Geometry{Ways: ways, Sets: sets}})
-}
-
-// NewElbowDirectory builds an Elbow-cache directory slice (Spjuth et al.):
-// skewed-associative with at most one displacement per insertion —
-// between Skewed and Cuckoo in conflict behaviour (paper §6).
-//
-// Deprecated: use Build with a Spec{Org: OrgElbow, ...}.
-func NewElbowDirectory(ways, sets, numCaches int) Directory {
-	return MustBuild(Spec{Org: OrgElbow, NumCaches: numCaches, Geometry: Geometry{Ways: ways, Sets: sets}})
-}
-
-// NewDuplicateTagDirectory builds a Duplicate-Tag directory slice
-// mirroring caches of the given geometry (Piranha).
-//
-// Deprecated: use Build with a Spec{Org: OrgDuplicateTag, ...} (Geometry
-// holds assoc x sets).
-func NewDuplicateTagDirectory(numCaches, cacheSets, cacheAssoc int) Directory {
-	return MustBuild(Spec{
-		Org: OrgDuplicateTag, NumCaches: numCaches,
-		Geometry: Geometry{Ways: cacheAssoc, Sets: cacheSets},
-	})
-}
-
-// NewTaglessDirectory builds a Tagless (Bloom-filter grid) directory slice
-// (Zebchuk et al.).
-//
-// Deprecated: use Build with a Spec{Org: OrgTagless, ...}.
-func NewTaglessDirectory(numCaches, sets, bucketBits, hashes int) Directory {
-	return MustBuild(Spec{
-		Org: OrgTagless, NumCaches: numCaches,
-		Geometry: Geometry{Sets: sets},
-		Tagless:  TaglessParams{BucketBits: bucketBits, Hashes: hashes},
-	})
-}
-
-// NewInCacheDirectory builds an inclusive in-cache directory slice.
-//
-// Deprecated: use Build with a Spec{Org: OrgInCache, Capacity: l2Frames}.
-func NewInCacheDirectory(numCaches, l2Frames int) Directory {
-	return MustBuild(Spec{Org: OrgInCache, NumCaches: numCaches, Capacity: l2Frames})
-}
-
-// NewIdealDirectory builds the unbounded exact reference directory.
-// nominalCapacity (optional, 0 to disable) is the capacity against which
-// occupancy is reported.
-//
-// Deprecated: use Build with a Spec{Org: OrgIdeal, Capacity: nominal}.
-func NewIdealDirectory(numCaches, nominalCapacity int) Directory {
-	return MustBuild(Spec{Org: OrgIdeal, NumCaches: numCaches, Capacity: nominalCapacity})
-}
 
 // ---- evaluation platform ----
 

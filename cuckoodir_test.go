@@ -24,7 +24,7 @@ func TestPublicEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	tk, err := eng.Submit(ctx, Access{Kind: AccessRead, Addr: 0x40, Cache: 3})
+	tk, err := eng.Submit(ctx, EngineRequest{Accesses: []Access{{Kind: AccessRead, Addr: 0x40, Cache: 3}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestPublicEngine(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Submit(ctx, Access{}); !errors.Is(err, ErrEngineClosed) {
+	if _, err := eng.SubmitBatch(ctx, []Access{{}}); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("submit after close: %v", err)
 	}
 
@@ -75,7 +75,7 @@ func TestPublicEngine(t *testing.T) {
 }
 
 func TestPublicCuckooDirectory(t *testing.T) {
-	dir := NewCuckooDirectory(CuckooConfig{Ways: 4, SetsPerWay: 64}, 16)
+	dir := MustBuild(Spec{Org: OrgCuckoo, NumCaches: 16, Geometry: Geometry{Ways: 4, Sets: 64}})
 	if dir.Name() != "cuckoo" || dir.NumCaches() != 16 || dir.Capacity() != 256 {
 		t.Fatalf("metadata: %s %d %d", dir.Name(), dir.NumCaches(), dir.Capacity())
 	}
@@ -107,14 +107,14 @@ func TestPublicCuckooTable(t *testing.T) {
 
 func TestPublicOrganizations(t *testing.T) {
 	dirs := []Directory{
-		NewCuckooDirectory(CuckooConfig{Ways: 4, SetsPerWay: 64}, 8),
-		NewSparseDirectory(8, 64, 8),
-		NewSkewedDirectory(4, 64, 8),
-		NewElbowDirectory(4, 64, 8),
-		NewDuplicateTagDirectory(8, 64, 2),
-		NewTaglessDirectory(8, 64, 32, 2),
-		NewInCacheDirectory(8, 1024),
-		NewIdealDirectory(8, 512),
+		MustBuild(Spec{Org: OrgCuckoo, NumCaches: 8, Geometry: Geometry{Ways: 4, Sets: 64}}),
+		MustBuild(Spec{Org: OrgSparse, NumCaches: 8, Geometry: Geometry{Ways: 8, Sets: 64}}),
+		MustBuild(Spec{Org: OrgSkewed, NumCaches: 8, Geometry: Geometry{Ways: 4, Sets: 64}}),
+		MustBuild(Spec{Org: OrgElbow, NumCaches: 8, Geometry: Geometry{Ways: 4, Sets: 64}}),
+		MustBuild(Spec{Org: OrgDuplicateTag, NumCaches: 8, Geometry: Geometry{Ways: 2, Sets: 64}}),
+		MustBuild(Spec{Org: OrgTagless, NumCaches: 8, Geometry: Geometry{Sets: 64}, Tagless: TaglessParams{BucketBits: 32, Hashes: 2}}),
+		MustBuild(Spec{Org: OrgInCache, NumCaches: 8, Capacity: 1024}),
+		MustBuild(Spec{Org: OrgIdeal, NumCaches: 8, Capacity: 512}),
 	}
 	names := map[string]bool{}
 	for _, d := range dirs {
@@ -152,7 +152,7 @@ func TestPublicProtocolRun(t *testing.T) {
 	}
 	sys := NewProtocolSystem(DefaultProtocolConfig(), prof, 2,
 		func(_, n int) Directory {
-			return NewCuckooDirectory(CuckooConfig{Ways: 3, SetsPerWay: 8192}, n)
+			return MustBuild(Spec{Org: OrgCuckoo, NumCaches: n, Geometry: Geometry{Ways: 3, Sets: 8192}})
 		})
 	sys.Run(50000)
 	if sys.AvgMissLatency() <= 0 {
@@ -168,7 +168,7 @@ func TestPublicFormattedDirectory(t *testing.T) {
 	for _, f := range []SharerFormat{
 		FullVectorFormat(), CoarseVectorFormat(), LimitedPointerFormat(2), HierarchicalFormat(),
 	} {
-		d := NewFormattedCuckooDirectory(CuckooConfig{Ways: 4, SetsPerWay: 32}, f, 16)
+		d := MustBuild(Spec{Org: OrgCuckoo, NumCaches: 16, Geometry: Geometry{Ways: 4, Sets: 32}, Format: f}).(*FormattedCuckooDirectory)
 		for c := 0; c < 5; c++ {
 			d.Read(0x9, c)
 		}

@@ -6,13 +6,16 @@ import (
 	"cuckoodir"
 )
 
-// ExampleNewCuckooDirectory drives one directory slice with the coherence
-// events of two caches sharing a block.
-func ExampleNewCuckooDirectory() {
-	dir := cuckoodir.NewCuckooDirectory(cuckoodir.CuckooConfig{
-		Ways:       4,
-		SetsPerWay: 64,
-	}, 8)
+// ExampleBuildNamed builds one Cuckoo directory slice by registry name —
+// the slice Build(Spec{Org: OrgCuckoo, Geometry: Geometry{Ways: 4,
+// Sets: 64}}) would construct — and drives it with the coherence events
+// of two caches sharing a block.
+func ExampleBuildNamed() {
+	dir, err := cuckoodir.BuildNamed("cuckoo-4x64", 8)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("%s slice: %d entries\n", dir.Name(), dir.Capacity())
 
 	dir.Read(0x1000, 2)        // cache 2 fills the block
 	dir.Read(0x1000, 5)        // cache 5 joins as a sharer
@@ -23,6 +26,7 @@ func ExampleNewCuckooDirectory() {
 	_, tracked := dir.Lookup(0x1000)
 	fmt.Printf("still tracked: %v\n", tracked)
 	// Output:
+	// cuckoo slice: 256 entries
 	// invalidate mask: 0x20
 	// still tracked: false
 }

@@ -41,8 +41,11 @@ func main() {
 		dir.Name(), eng.Options().Drainers, eng.Options().QueueDepth, eng.Options().Policy)
 	ctx := context.Background()
 
-	// A single submission returns a pollable ticket carrying the Op.
-	tk, err := eng.Submit(ctx, cuckoodir.Access{Kind: cuckoodir.AccessWrite, Addr: blockAddr(1), Cache: 3})
+	// Every submission is one EngineRequest; by default Submit returns a
+	// pollable ticket carrying the Ops.
+	tk, err := eng.Submit(ctx, cuckoodir.EngineRequest{
+		Accesses: []cuckoodir.Access{{Kind: cuckoodir.AccessWrite, Addr: blockAddr(1), Cache: 3}},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,9 +55,9 @@ func main() {
 	fmt.Printf("single write: %d insertion attempts, invalidate mask %#x\n",
 		tk.Op().Attempts, tk.Op().Invalidate)
 
-	// Batch submission: one ticket covers the whole batch; Ops come back
-	// in submission order even though the engine fans the batch out to
-	// per-shard queues.
+	// A batch: one ticket covers it (SubmitBatch is the shorthand for a
+	// ticketed Foreground request); Ops come back in submission order even
+	// though the engine fans the batch out to per-shard queues.
 	batch := make([]cuckoodir.Access, 2048)
 	state := uint64(42)
 	for i := range batch {
@@ -81,9 +84,9 @@ func main() {
 	fmt.Printf("batch: %d accesses -> %d ops, %d with invalidations\n",
 		len(batch), len(btk.Ops()), invals)
 
-	// Many producers, fire-and-forget, with a completion callback every
-	// so often. Producers never touch a shard lock — they queue work and
-	// move on; the engine's drainers apply it shard-affinely.
+	// Many producers, fire-and-forget (Detached), with a Done callback
+	// every so often. Producers never touch a shard lock — they queue work
+	// and move on; the engine's drainers apply it shard-affinely.
 	const producers = 8
 	const batchesPerProducer = 64
 	var delivered atomic.Uint64
@@ -99,14 +102,16 @@ func main() {
 					state = state*6364136223846793005 + 1442695040888963407
 					buf[i] = cuckoodir.Access{Kind: cuckoodir.AccessRead, Addr: blockAddr(state), Cache: int(state>>32) & 31}
 				}
-				var err error
+				// A detached batch is copied on submit, so buf is reusable at
+				// once; a callback request retains its batch until done.
+				req := cuckoodir.EngineRequest{Accesses: buf, Detached: true}
 				if b%16 == 0 {
-					err = eng.SubmitBatchFunc(ctx, append([]cuckoodir.Access(nil), buf...),
-						func(ops []cuckoodir.Op, _ error) { delivered.Add(uint64(len(ops))) })
-				} else {
-					err = eng.SubmitDetached(ctx, append([]cuckoodir.Access(nil), buf...))
+					req = cuckoodir.EngineRequest{
+						Accesses: append([]cuckoodir.Access(nil), buf...),
+						Done:     func(ops []cuckoodir.Op, _ error) { delivered.Add(uint64(len(ops))) },
+					}
 				}
-				if err != nil {
+				if _, err := eng.Submit(ctx, req); err != nil {
 					log.Fatal(err)
 				}
 			}
@@ -126,7 +131,7 @@ func main() {
 	if err := eng.Close(); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := eng.Submit(ctx, cuckoodir.Access{}); !errors.Is(err, cuckoodir.ErrEngineClosed) {
+	if _, err := eng.SubmitBatch(ctx, []cuckoodir.Access{{}}); !errors.Is(err, cuckoodir.ErrEngineClosed) {
 		log.Fatalf("submit after close: %v", err)
 	}
 

@@ -425,9 +425,6 @@ func (s *ShardedDirectory) Lookup(addr uint64) (uint64, bool) {
 // cross-block ordering must split their batches at the dependency.
 func (s *ShardedDirectory) Apply(accesses []Access) []Op {
 	ops := make([]Op, len(accesses))
-	if len(accesses) == 0 {
-		return ops
-	}
 	// Reject malformed batches up front, on the caller's stack, before any
 	// access executes: the panic is recoverable regardless of which worker
 	// goroutine the access would have landed in (a panic inside a worker
@@ -440,61 +437,52 @@ func (s *ShardedDirectory) Apply(accesses []Access) []Op {
 			panic(fmt.Sprintf("directory: Apply: cache %d out of range (tracking %d)", a.Cache, s.numCaches))
 		}
 	}
-	if len(s.shards) == 1 {
-		sh := s.shards[0]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		var c ShardCounters
-		for i, a := range accesses {
-			ops[i] = applyOne(sh.dir, a)
-			c.observe(a.Kind, ops[i])
-		}
-		sh.ctr.flush(c)
-		return ops
-	}
 	groups := make([][]int32, len(s.shards))
-	largest := -1
+	largest := 0
 	for i, a := range accesses {
 		h := s.home(a.Addr)
 		groups[h] = append(groups[h], int32(i))
-		if largest < 0 || len(groups[h]) > len(groups[largest]) {
+		if len(groups[h]) > len(groups[largest]) {
 			largest = h
 		}
 	}
-	// The largest group runs inline on the calling goroutine: a batch that
-	// lands on one shard then costs no spawn at all, and on spread batches
-	// the caller's core does the most work instead of blocking in Wait.
+	// A batch homing onto one shard applies in place: no gather, no spawn.
+	if len(groups[largest]) == len(accesses) {
+		s.ApplyShardOps(largest, accesses, ops)
+		return ops
+	}
+	// The largest group runs inline on the calling goroutine, so on
+	// spread batches the caller's core does the most work instead of
+	// blocking in Wait.
 	var wg sync.WaitGroup
 	for h, idxs := range groups {
 		if len(idxs) == 0 || h == largest {
 			continue
 		}
 		wg.Add(1)
-		go func(sh *dirShard, idxs []int32) {
+		go func(h int, idxs []int32) {
 			defer wg.Done()
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			var c ShardCounters
-			for _, i := range idxs {
-				ops[i] = applyOne(sh.dir, accesses[i])
-				c.observe(accesses[i].Kind, ops[i])
-			}
-			sh.ctr.flush(c)
-		}(s.shards[h], idxs)
+			s.applyGroup(h, accesses, idxs, ops)
+		}(h, idxs)
 	}
-	func() {
-		sh := s.shards[largest]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		var c ShardCounters
-		for _, i := range groups[largest] {
-			ops[i] = applyOne(sh.dir, accesses[i])
-			c.observe(accesses[i].Kind, ops[i])
-		}
-		sh.ctr.flush(c)
-	}()
+	s.applyGroup(largest, accesses, groups[largest], ops)
 	wg.Wait()
 	return ops
+}
+
+// applyGroup gathers the accesses at idxs — all homing onto shard h —
+// into a contiguous batch, applies it through ApplyShardOps, and
+// scatters the Ops back to their input positions.
+func (s *ShardedDirectory) applyGroup(h int, accesses []Access, idxs []int32, ops []Op) {
+	accs := make([]Access, len(idxs))
+	for k, i := range idxs {
+		accs[k] = accesses[i]
+	}
+	gops := make([]Op, len(idxs))
+	s.ApplyShardOps(h, accs, gops)
+	for k, i := range idxs {
+		ops[i] = gops[k]
+	}
 }
 
 // ApplyShard executes a batch whose accesses ALL home onto shard h —

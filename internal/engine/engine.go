@@ -44,11 +44,14 @@
 //
 // # Completion
 //
-// Submit and SubmitBatch return a Ticket: poll Done(), block in
-// Wait(ctx), and read the per-access Ops once complete. SubmitBatchFunc
-// instead invokes a callback on an engine goroutine (keep it short).
-// SubmitDetached records no results at all — the fire-and-forget fast
-// path replay uses. Flush inserts a barrier into every queue and waits
+// Every submission is one Request through Submit (SubmitRetry adds
+// backoff over a full queue). By default Submit returns a Ticket: poll
+// Done(), block in Wait(ctx), and read the per-access Ops once
+// complete. A Request with a Done callback instead receives the Ops on
+// an engine goroutine (keep it short), and a Detached request records
+// no results at all — the fire-and-forget fast path replay uses.
+// SubmitBatch and SubmitDetachedClass are one-line shorthands for the
+// two common shapes. Flush inserts a barrier into every queue and waits
 // for it, guaranteeing every previously-submitted request has been
 // applied. Close flushes and stops the drainers; the ShardedDirectory
 // itself stays usable.
@@ -353,7 +356,8 @@ func (t *Ticket) Ops() []directory.Op {
 	}
 }
 
-// Op returns the single result of a Submit ticket (Ops()[0]).
+// Op returns the first result (Ops()[0]) — the whole result of a
+// one-access request.
 func (t *Ticket) Op() directory.Op { return t.Ops()[0] }
 
 // complete retires one request of the ticket; the last one fires the
@@ -665,96 +669,48 @@ func (e *Engine) validate(accs []directory.Access) error {
 	return nil
 }
 
-// Submit enqueues one access at the default (Foreground) class and
-// returns its ticket. ctx applies to the enqueue only (a blocked
-// submitter under BlockWhenFull); once enqueued the access will be
-// applied regardless of ctx.
-func (e *Engine) Submit(ctx context.Context, a directory.Access) (*Ticket, error) {
-	return e.SubmitClass(ctx, qos.Foreground, a)
+// Request is one engine submission: a batch of accesses, the priority
+// class it rides, and how its results come back. The zero values select
+// the common case — a Foreground batch whose results arrive on the
+// returned Ticket.
+type Request struct {
+	// Accesses is the batch, applied in order per home shard. The engine
+	// routes each access to its home shard's drainer, so a batch may fan
+	// out to several drainers; it completes when the last sub-batch has
+	// applied. Unless Detached, the slice may be retained until completion
+	// — do not mutate it before then.
+	Accesses []directory.Access
+	// Class is the priority class: the batch rides that class's rings,
+	// drains under its priority, and its latency lands in its histogram.
+	// The zero value is qos.Foreground.
+	Class qos.Class
+	// Done, when non-nil, replaces the ticket: it receives the batch's
+	// Ops (in batch order) and the terminal error (nil, or the failure
+	// Ticket.Err would report) on an engine goroutine once every access
+	// has applied, and Submit returns a nil ticket. Keep it short — it
+	// runs on the drainer that completed the batch.
+	Done func(ops []directory.Op, err error)
+	// Detached submits fire-and-forget: no ticket, no Op recording — the
+	// cheapest path (Flush still covers it). The batch is copied during
+	// routing, so the caller may reuse its slice as soon as Submit
+	// returns. Detached excludes Done.
+	Detached bool
 }
 
-// SubmitClass is Submit with an explicit priority class: the access
-// rides class c's ring, drains under class c's priority, and its
-// latency lands in class c's histogram.
-func (e *Engine) SubmitClass(ctx context.Context, c qos.Class, a directory.Access) (*Ticket, error) {
+// Submit validates and enqueues one request, returning its ticket (nil
+// when the request is Detached or carries a Done callback). ctx applies
+// to the enqueue only — a blocked submitter under BlockWhenFull, or a
+// deadline already expired (ErrDeadlineExceeded) — and once enqueued the
+// batch is applied regardless of ctx. An empty batch, an unknown class,
+// Done together with Detached, or a malformed access fails with an error
+// and enqueues nothing.
+func (e *Engine) Submit(ctx context.Context, r Request) (*Ticket, error) {
+	c, accs := r.Class, r.Accesses
 	if !c.Valid() {
 		return nil, fmt.Errorf("engine: unknown class %d", c)
 	}
-	if err := e.validate([]directory.Access{a}); err != nil {
-		return nil, err
-	}
-	if e.quarCount.Load() > 0 {
-		if err := e.checkQuarantined([]directory.Access{a}); err != nil {
-			return nil, err
-		}
-	}
-	ops := make([]directory.Op, 1)
-	t := newTicket(1, ops, nil)
-	accs := []directory.Access{a}
-	q := e.queueOf(e.dir.ShardOf(a.Addr))
-	if err := e.send(ctx, c, []int{q}, []request{{accs: accs, ops: ops, t: t, class: c}}); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// SubmitBatch enqueues a batch at the default (Foreground) class and
-// returns one ticket covering it; Ticket.Ops() reports results in batch
-// order. The engine routes each access to its home shard's queue, so a
-// batch may fan out to several drainers; its ticket completes when the
-// last sub-batch has applied. The batch slice is copied where routing
-// requires it but may be retained until completion — do not mutate it
-// before the ticket is done.
-func (e *Engine) SubmitBatch(ctx context.Context, accs []directory.Access) (*Ticket, error) {
-	return e.submitBatch(ctx, qos.Foreground, accs, true, nil)
-}
-
-// SubmitBatchClass is SubmitBatch with an explicit priority class.
-func (e *Engine) SubmitBatchClass(ctx context.Context, c qos.Class, accs []directory.Access) (*Ticket, error) {
-	return e.submitBatch(ctx, c, accs, true, nil)
-}
-
-// SubmitBatchFunc is SubmitBatch with a completion callback instead of
-// a caller-held ticket: fn receives the batch's Ops (in batch order)
-// and the submission's terminal error (nil, or the failure Ticket.Err
-// would report) on an engine goroutine once every access has applied.
-// Keep fn short — it runs on the drainer that completed the batch.
-func (e *Engine) SubmitBatchFunc(ctx context.Context, accs []directory.Access, fn func(ops []directory.Op, err error)) error {
-	return e.SubmitBatchFuncClass(ctx, qos.Foreground, accs, fn)
-}
-
-// SubmitBatchFuncClass is SubmitBatchFunc with an explicit priority
-// class.
-func (e *Engine) SubmitBatchFuncClass(ctx context.Context, c qos.Class, accs []directory.Access, fn func(ops []directory.Op, err error)) error {
-	if fn == nil {
-		return errors.New("engine: SubmitBatchFunc with nil callback (use SubmitDetached)")
-	}
-	_, err := e.submitBatch(ctx, c, accs, true, fn)
-	return err
-}
-
-// SubmitDetached enqueues a batch fire-and-forget at the default
-// (Foreground) class: no ticket, no Op recording — the cheapest
-// submission path (Flush still covers it). The batch is copied during
-// routing, so the caller may reuse its slice as soon as SubmitDetached
-// returns (there is no ticket that could signal a safe-reuse point
-// otherwise).
-func (e *Engine) SubmitDetached(ctx context.Context, accs []directory.Access) error {
-	_, err := e.submitBatch(ctx, qos.Foreground, accs, false, nil)
-	return err
-}
-
-// SubmitDetachedClass is SubmitDetached with an explicit priority
-// class — the bulk-load fast path: background fills ride the background
-// ring and shed first under saturation.
-func (e *Engine) SubmitDetachedClass(ctx context.Context, c qos.Class, accs []directory.Access) error {
-	_, err := e.submitBatch(ctx, c, accs, false, nil)
-	return err
-}
-
-func (e *Engine) submitBatch(ctx context.Context, c qos.Class, accs []directory.Access, record bool, fn func([]directory.Op, error)) (*Ticket, error) {
-	if !c.Valid() {
-		return nil, fmt.Errorf("engine: unknown class %d", c)
+	if r.Done != nil && r.Detached {
+		return nil, errors.New("engine: request is both Detached and has a Done callback")
 	}
 	if len(accs) == 0 {
 		return nil, errors.New("engine: empty batch")
@@ -772,7 +728,7 @@ func (e *Engine) submitBatch(ctx context.Context, c qos.Class, accs []directory.
 
 	// Route the batch: per-drainer sub-batches, in batch order.
 	D := e.opt.Drainers
-	recording := record || fn != nil
+	recording := !r.Detached
 	var reqs []request
 	var queues []int
 	if D == 1 {
@@ -802,22 +758,22 @@ func (e *Engine) submitBatch(ctx context.Context, c qos.Class, accs []directory.
 			if len(sub) == 0 {
 				continue
 			}
-			r := request{accs: sub, class: c}
+			rq := request{accs: sub, class: c}
 			// A whole batch landing on one queue keeps its results
 			// contiguous — no scatter indices needed. Detached batches
 			// record nothing at all.
 			if recording && len(sub) != len(accs) {
-				r.idxs = subIdxs[q]
+				rq.idxs = subIdxs[q]
 			}
-			reqs = append(reqs, r)
+			reqs = append(reqs, rq)
 			queues = append(queues, q)
 		}
 	}
 
 	var t *Ticket
-	if record || fn != nil {
+	if recording {
 		ops := make([]directory.Op, len(accs))
-		t = newTicket(len(reqs), ops, fn)
+		t = newTicket(len(reqs), ops, r.Done)
 		for i := range reqs {
 			reqs[i].t = t
 			if reqs[i].idxs == nil {
@@ -828,10 +784,25 @@ func (e *Engine) submitBatch(ctx context.Context, c qos.Class, accs []directory.
 	if err := e.send(ctx, c, queues, reqs); err != nil {
 		return nil, err
 	}
-	if !record {
+	if r.Done != nil {
 		return nil, nil
 	}
 	return t, nil
+}
+
+// SubmitBatch submits accs as a Foreground request with a ticket — the
+// Submit(ctx, Request{Accesses: accs}) shorthand.
+func (e *Engine) SubmitBatch(ctx context.Context, accs []directory.Access) (*Ticket, error) {
+	return e.Submit(ctx, Request{Accesses: accs})
+}
+
+// SubmitDetachedClass submits accs fire-and-forget at class c — the
+// Submit(ctx, Request{Accesses: accs, Class: c, Detached: true})
+// shorthand for bulk loads, whose background fills ride the background
+// ring and shed first under saturation.
+func (e *Engine) SubmitDetachedClass(ctx context.Context, c qos.Class, accs []directory.Access) error {
+	_, err := e.Submit(ctx, Request{Accesses: accs, Class: c, Detached: true})
+	return err
 }
 
 // send enqueues reqs[i] on class c's ring of drainer queues[i] under
@@ -1448,8 +1419,8 @@ func (e *Engine) applyRun(qi int, run []request, singleShard bool, buckets [][]i
 			ops = (*concatOps)[:total]
 		}
 	}
-	// runErr, when non-nil, fails every ticket of the run: the engine
-	// contained a fault (panic or quarantined shard) while applying it.
+	// runErr, when non-nil, says the engine contained a fault (panic or
+	// quarantined shard) while applying some shard of the run.
 	var runErr error
 	if singleShard {
 		runErr = e.applyShard(qi, view, ops)
@@ -1511,7 +1482,13 @@ func (e *Engine) applyRun(qi int, run []request, singleShard bool, buckets [][]i
 		}
 		off += n
 		e.recs[qi].Record(r.class, now.Sub(r.enq))
-		e.finish(qi, r, runErr)
+		err := runErr
+		if err != nil {
+			// Only requests touching a failed (now quarantined) shard
+			// fail; on grouped layouts the rest of the run applied.
+			err = e.checkQuarantined(r.accs)
+		}
+		e.finish(qi, r, err)
 	}
 }
 
@@ -1544,15 +1521,20 @@ func (e *Engine) applyShard(h int, accs []directory.Access, ops []directory.Op) 
 
 // quarantine poisons shard h after a contained panic and returns the
 // error its requests fail with. First containment wins the poison
-// record; every later call just reads it.
+// record; every later call just reads it. Only shard h's owning drainer
+// applies or migrates it, so only that goroutine quarantines it.
 //
 //cuckoo:cold
 func (e *Engine) quarantine(h int, p any) error {
-	if e.quar[h].CompareAndSwap(false, true) {
+	if !e.quar[h].Load() {
+		// Publish the poison and the submit path's quarCount gate BEFORE
+		// the flag: whoever sees the shard quarantined (Health, a test)
+		// must also see submissions to it fail fast.
 		e.poison[h].Store(fmt.Errorf("contained panic: %v", p))
 		e.quarCount.Add(1)
 		e.contained.Add(1)
 		e.degraded.Store(true)
+		e.quar[h].Store(true)
 	}
 	return e.quarantinedErr(h)
 }

@@ -3,12 +3,14 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"cuckoodir/internal/directory"
+	"cuckoodir/internal/qos"
 	"cuckoodir/internal/rng"
 )
 
@@ -103,7 +105,7 @@ func TestSubmitMatchesSequential(t *testing.T) {
 			var tk *Ticket
 			var err error
 			if n == 1 {
-				tk, err = eng.Submit(ctx, accs[base])
+				tk, err = eng.Submit(ctx, Request{Accesses: []directory.Access{accs[base]}})
 			} else {
 				tk, err = eng.SubmitBatch(ctx, accs[base:base+n])
 			}
@@ -163,12 +165,12 @@ func TestPerShardFIFO(t *testing.T) {
 	ctx := context.Background()
 	for i, addr := range addrs {
 		i := i
-		err := eng.SubmitBatchFunc(ctx, []directory.Access{{Kind: directory.AccessRead, Addr: addr, Cache: i % testCores}},
-			func([]directory.Op, error) {
+		_, err := eng.Submit(ctx, Request{Accesses: []directory.Access{{Kind: directory.AccessRead, Addr: addr, Cache: i % testCores}},
+			Done: func([]directory.Op, error) {
 				mu.Lock()
 				order = append(order, i)
 				mu.Unlock()
-			})
+			}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,9 +188,9 @@ func TestPerShardFIFO(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchFuncOps: the callback receives the batch's Ops in
+// TestSubmitDoneCallbackOps: the callback receives the batch's Ops in
 // submission order, equal to the sequential reference.
-func TestSubmitBatchFuncOps(t *testing.T) {
+func TestSubmitDoneCallbackOps(t *testing.T) {
 	dir := testDir(t, 4)
 	ref := testDir(t, 4)
 	eng, err := New(dir, Options{})
@@ -198,7 +200,7 @@ func TestSubmitBatchFuncOps(t *testing.T) {
 	accs := randomAccesses(13, 500)
 	want := applySequential(ref, accs)
 	done := make(chan []directory.Op, 1)
-	if err := eng.SubmitBatchFunc(context.Background(), accs, func(ops []directory.Op, _ error) { done <- ops }); err != nil {
+	if _, err := eng.Submit(context.Background(), Request{Accesses: accs, Done: func(ops []directory.Op, _ error) { done <- ops }}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Flush(context.Background()); err != nil {
@@ -212,8 +214,8 @@ func TestSubmitBatchFuncOps(t *testing.T) {
 	default:
 		t.Fatal("Flush returned before the batch's callback fired")
 	}
-	if err := eng.SubmitBatchFunc(context.Background(), accs[:1], nil); err == nil {
-		t.Fatal("nil callback accepted")
+	if _, err := eng.Submit(context.Background(), Request{Accesses: accs[:1], Done: func([]directory.Op, error) {}, Detached: true}); err == nil {
+		t.Fatal("callback on a detached request accepted")
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
@@ -236,7 +238,7 @@ func TestFlushCoversDetached(t *testing.T) {
 		if end > n {
 			end = n
 		}
-		if err := eng.SubmitDetached(ctx, accs[base:end]); err != nil {
+		if err := eng.SubmitDetachedClass(ctx, qos.Foreground, accs[base:end]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,7 +268,7 @@ func TestCloseSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := eng.SubmitDetached(ctx, randomAccesses(31, 300)); err != nil {
+	if err := eng.SubmitDetachedClass(ctx, qos.Foreground, randomAccesses(31, 300)); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Close(); err != nil {
@@ -278,10 +280,10 @@ func TestCloseSemantics(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Submit(ctx, directory.Access{Kind: directory.AccessRead}); !errors.Is(err, ErrClosed) {
+	if _, err := eng.Submit(ctx, Request{Accesses: []directory.Access{{Kind: directory.AccessRead}}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close: %v, want ErrClosed", err)
 	}
-	if err := eng.SubmitDetached(ctx, randomAccesses(1, 2)); !errors.Is(err, ErrClosed) {
+	if err := eng.SubmitDetachedClass(ctx, qos.Foreground, randomAccesses(1, 2)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("SubmitDetached after Close: %v, want ErrClosed", err)
 	}
 	if err := eng.Flush(ctx); !errors.Is(err, ErrClosed) {
@@ -340,14 +342,14 @@ func TestCoalescedRunsMatchSequential(t *testing.T) {
 					}
 					tickets, spans = append(tickets, tk), append(spans, base)
 				case 1:
-					tk, err := eng.Submit(ctx, accs[base])
+					tk, err := eng.Submit(ctx, Request{Accesses: []directory.Access{accs[base]}})
 					if err != nil {
 						t.Fatal(err)
 					}
 					tickets, spans = append(tickets, tk), append(spans, base)
 					n = 1
 				default:
-					if err := eng.SubmitDetached(ctx, accs[base:base+n]); err != nil {
+					if err := eng.SubmitDetachedClass(ctx, qos.Foreground, accs[base:base+n]); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -422,7 +424,7 @@ func TestRejectWhenFull(t *testing.T) {
 	ctx := context.Background()
 	accepted, rejected := 0, 0
 	for i := 0; i < 32; i++ {
-		err := eng.SubmitDetached(ctx, []directory.Access{{Kind: directory.AccessRead, Addr: uint64(i), Cache: 1}})
+		err := eng.SubmitDetachedClass(ctx, qos.Foreground, []directory.Access{{Kind: directory.AccessRead, Addr: uint64(i), Cache: 1}})
 		switch {
 		case err == nil:
 			accepted++
@@ -446,7 +448,7 @@ func TestRejectWhenFull(t *testing.T) {
 		t.Fatalf("stats.Rejected = %d, want %d", st.Rejected, rejected)
 	}
 	// Capacity is available again: a fresh submission is accepted.
-	if err := eng.SubmitDetached(ctx, []directory.Access{{Kind: directory.AccessRead, Addr: 99, Cache: 1}}); err != nil {
+	if err := eng.SubmitDetachedClass(ctx, qos.Foreground, []directory.Access{{Kind: directory.AccessRead, Addr: 99, Cache: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Close(); err != nil {
@@ -471,7 +473,7 @@ func TestBlockWhenFullHonorsContext(t *testing.T) {
 	// ring before a submitter truly blocks.
 	for i := 0; i < maxCoalesceReqs+4; i++ {
 		cctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
-		err = eng.SubmitDetached(cctx, []directory.Access{{Kind: directory.AccessRead, Addr: uint64(i), Cache: 1}})
+		err = eng.SubmitDetachedClass(cctx, qos.Foreground, []directory.Access{{Kind: directory.AccessRead, Addr: uint64(i), Cache: 1}})
 		cancel()
 		if err != nil {
 			break
@@ -479,7 +481,7 @@ func TestBlockWhenFullHonorsContext(t *testing.T) {
 	}
 	cctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
 	defer cancel()
-	err = eng.SubmitDetached(cctx, []directory.Access{{Kind: directory.AccessRead, Addr: 7, Cache: 1}})
+	err = eng.SubmitDetachedClass(cctx, qos.Foreground, []directory.Access{{Kind: directory.AccessRead, Addr: 7, Cache: 1}})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("blocked submit: %v, want DeadlineExceeded", err)
 	}
@@ -526,12 +528,12 @@ func TestConcurrentProducers(t *testing.T) {
 					}
 					_ = tk.Ops()
 				case 1:
-					if err := eng.SubmitDetached(ctx, accs[base:base+n]); err != nil {
+					if err := eng.SubmitDetachedClass(ctx, qos.Foreground, accs[base:base+n]); err != nil {
 						t.Error(err)
 						return
 					}
 				default:
-					if err := eng.SubmitBatchFunc(ctx, accs[base:base+n], func([]directory.Op, error) {}); err != nil {
+					if _, err := eng.Submit(ctx, Request{Accesses: accs[base : base+n], Done: func([]directory.Op, error) {}}); err != nil {
 						t.Error(err)
 						return
 					}
@@ -572,16 +574,16 @@ func TestValidation(t *testing.T) {
 		t.Errorf("drainers clamped to %d, want the 4 shards", got)
 	}
 	ctx := context.Background()
-	if _, err := eng.Submit(ctx, directory.Access{Kind: 9}); err == nil {
+	if _, err := eng.Submit(ctx, Request{Accesses: []directory.Access{{Kind: 9}}}); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	if _, err := eng.Submit(ctx, directory.Access{Cache: testCores}); err == nil {
+	if _, err := eng.Submit(ctx, Request{Accesses: []directory.Access{{Cache: testCores}}}); err == nil {
 		t.Error("out-of-range cache accepted")
 	}
 	if _, err := eng.SubmitBatch(ctx, nil); err == nil {
 		t.Error("empty batch accepted")
 	}
-	tk, err := eng.Submit(ctx, directory.Access{Kind: directory.AccessRead, Addr: 1, Cache: 0})
+	tk, err := eng.Submit(ctx, Request{Accesses: []directory.Access{{Kind: directory.AccessRead, Addr: 1, Cache: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,6 +593,126 @@ func TestValidation(t *testing.T) {
 	_ = tk.Op()
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSubmitConservation: every shape of the one Submit path — ticket,
+// Done callback, Detached, SubmitRetry — in either class and on either
+// drainer layout applies exactly what a sequential Apply applies (per
+// access Ops and final state), and after Flush the Stats conservation
+// laws hold: every submitted access completed or erred, and the
+// per-class rows sum to the totals.
+func TestSubmitConservation(t *testing.T) {
+	const n, batch = 2000, 100
+	for _, mode := range []string{"ticket", "done", "detached", "retry"} {
+		for _, c := range []qos.Class{qos.Foreground, qos.Background} {
+			for _, layout := range []struct {
+				name string
+				opts Options
+			}{{"per-shard", Options{}}, {"grouped", Options{Drainers: 3}}} {
+				t.Run(fmt.Sprintf("%s/%s/%s", mode, c, layout.name), func(t *testing.T) {
+					dir, ref := testDir(t, 8), testDir(t, 8)
+					eng, err := New(dir, layout.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer eng.Close()
+					accs := randomAccesses(41, n)
+					want := applySequential(ref, accs)
+					ctx := context.Background()
+					got := make([]directory.Op, n)
+					tickets := map[int]*Ticket{}
+					for base := 0; base < n; base += batch {
+						r := Request{Accesses: accs[base : base+batch], Class: c}
+						var tk *Ticket
+						switch mode {
+						case "ticket":
+							tk, err = eng.Submit(ctx, r)
+						case "done":
+							r.Done = func(ops []directory.Op, err error) {
+								if err != nil {
+									t.Error(err)
+								}
+								copy(got[base:], ops)
+							}
+							tk, err = eng.Submit(ctx, r)
+						case "detached":
+							r.Detached = true
+							tk, err = eng.Submit(ctx, r)
+						case "retry":
+							tk, err = eng.SubmitRetry(ctx, r, RetryOptions{})
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						if (tk != nil) != (mode == "ticket" || mode == "retry") {
+							t.Fatalf("mode %s returned ticket %v", mode, tk)
+						}
+						if tk != nil {
+							tickets[base] = tk
+						}
+					}
+					if err := eng.Flush(ctx); err != nil {
+						t.Fatal(err)
+					}
+					for base, tk := range tickets {
+						copy(got[base:], tk.Ops())
+					}
+					if mode != "detached" && !reflect.DeepEqual(got, want) {
+						t.Fatal("Ops differ from the sequential reference")
+					}
+					sameState(t, dir, ref)
+
+					st := eng.Stats()
+					if st.SubmittedAccesses != n || st.SubmittedAccesses != st.CompletedAccesses+st.ErredAccesses {
+						t.Fatalf("submitted %d != completed %d + erred %d (want %d submitted)",
+							st.SubmittedAccesses, st.CompletedAccesses, st.ErredAccesses, n)
+					}
+					var sum qos.ClassStats
+					for _, cs := range st.Classes {
+						sum.SubmittedAccesses += cs.SubmittedAccesses
+						sum.CompletedAccesses += cs.CompletedAccesses
+						sum.Rejected += cs.Rejected
+						sum.Shed += cs.Shed
+					}
+					if sum.SubmittedAccesses != st.SubmittedAccesses || sum.CompletedAccesses != st.CompletedAccesses ||
+						sum.Rejected != st.Rejected || sum.Shed != st.Shed {
+						t.Fatalf("class rows %+v do not sum to totals %+v", sum, st)
+					}
+					if cs := st.Classes[c]; cs.SubmittedAccesses != n || cs.CompletedAccesses != n {
+						t.Fatalf("class %s row = %d/%d submitted/completed, want %d/%d", c, cs.SubmittedAccesses, cs.CompletedAccesses, n, n)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRequestValidation: a malformed Request fails on the submitter's
+// stack and enqueues nothing.
+func TestRequestValidation(t *testing.T) {
+	eng, err := New(testDir(t, 4), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	one := []directory.Access{{Kind: directory.AccessRead, Addr: 1}}
+	for name, r := range map[string]Request{
+		"done and detached": {Accesses: one, Done: func([]directory.Op, error) {}, Detached: true},
+		"empty batch":       {},
+		"empty detached":    {Accesses: []directory.Access{}, Detached: true},
+		"unknown class":     {Accesses: one, Class: qos.NumClasses},
+	} {
+		if tk, err := eng.Submit(ctx, r); err == nil || tk != nil {
+			t.Errorf("%s: Submit = (%v, %v), want an error and no ticket", name, tk, err)
+		}
+		if _, err := eng.SubmitRetry(ctx, r, RetryOptions{}); err == nil {
+			t.Errorf("%s: SubmitRetry accepted it", name)
+		}
+	}
+	if st := eng.Stats(); st.SubmittedRequests != 0 || st.Rejected != 0 {
+		t.Fatalf("invalid requests reached the queues: %+v", st)
 	}
 }
 

@@ -10,6 +10,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 
 	"cuckoodir/internal/directory"
 	"cuckoodir/internal/faults"
+	"cuckoodir/internal/qos"
 )
 
 // goroutineCensus snapshots the goroutine count; the returned func
@@ -91,7 +93,7 @@ func TestApplyPanicContainment(t *testing.T) {
 
 	// Submissions touching the quarantined shard now fail fast, on the
 	// submitter's stack.
-	if _, err := eng.Submit(ctx, directory.Access{Kind: directory.AccessRead, Addr: poisonAddr, Cache: 0}); !errors.Is(err, ErrShardQuarantined) {
+	if _, err := eng.Submit(ctx, Request{Accesses: []directory.Access{{Kind: directory.AccessRead, Addr: poisonAddr, Cache: 0}}}); !errors.Is(err, ErrShardQuarantined) {
 		t.Fatalf("Submit to quarantined shard = %v, want ErrShardQuarantined", err)
 	}
 	// A batch spanning the quarantined shard fails whole.
@@ -133,6 +135,63 @@ func TestApplyPanicContainment(t *testing.T) {
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGroupedRunFailsOnlyFaultedShard: on a grouped layout (Drainers <
+// ShardCount) one drainer run spans several shards. A contained panic on
+// one of them fails only the requests that touched it: a request of the
+// same run homing onto a healthy shard completes cleanly with the Ops a
+// sequential reference produces, and its accesses are not counted erred.
+func TestGroupedRunFailsOnlyFaultedShard(t *testing.T) {
+	defer goroutineCensus(t)()
+	dir, ref := testDir(t, 4), testDir(t, 4)
+	inj := faults.New()
+	stall := inj.Arm(faults.DrainerStall, faults.Trigger{Key: 0, Count: 1})
+	inj.Arm(faults.ApplyPanic, faults.Trigger{Key: 2, Count: 1})
+	eng, err := New(dir, Options{Drainers: 2, Faults: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+
+	// Park drainer 0 (shards 0 and 2) inside a shard-0 run.
+	park := []directory.Access{{Kind: directory.AccessWrite, Addr: addrOnShard(dir, 0, 0), Cache: 0}}
+	if _, err := eng.SubmitBatch(ctx, park); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "drainer 0 to park on the injected stall", func() bool { return stall.Fired() == 1 })
+
+	// A homes onto healthy shard 0, B onto shard 2, whose apply panics;
+	// both queue behind the stall and drain as one run.
+	a := []directory.Access{
+		{Kind: directory.AccessRead, Addr: addrOnShard(dir, 0, 0), Cache: 1},
+		{Kind: directory.AccessWrite, Addr: addrOnShard(dir, 0, 64), Cache: 2},
+	}
+	b := []directory.Access{{Kind: directory.AccessWrite, Addr: addrOnShard(dir, 2, 0), Cache: 3}}
+	ta, err := eng.SubmitBatch(ctx, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := eng.SubmitBatch(ctx, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stall.Release()
+
+	if werr := ta.Wait(ctx); werr != nil {
+		t.Fatalf("healthy-shard request of the faulted run = %v, want nil", werr)
+	}
+	want := applySequential(ref, append(park, a...))[len(park):]
+	if got := ta.Ops(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("healthy-shard Ops = %+v, want %+v", got, want)
+	}
+	if werr := tb.Wait(ctx); !errors.Is(werr, ErrShardQuarantined) {
+		t.Fatalf("faulted-shard request = %v, want ErrShardQuarantined", werr)
+	}
+	if st := eng.Stats(); st.ErredAccesses != uint64(len(b)) {
+		t.Fatalf("ErredAccesses = %d, want the faulted request's %d", st.ErredAccesses, len(b))
 	}
 }
 
@@ -214,10 +273,10 @@ func TestDeadlineShed(t *testing.T) {
 	defer eng.Close()
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
-	if _, err := eng.Submit(ctx, directory.Access{Kind: directory.AccessRead, Addr: 0, Cache: 0}); !errors.Is(err, ErrDeadlineExceeded) {
+	if _, err := eng.Submit(ctx, Request{Accesses: []directory.Access{{Kind: directory.AccessRead, Addr: 0, Cache: 0}}}); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("Submit with expired deadline = %v, want ErrDeadlineExceeded", err)
 	}
-	if err := eng.SubmitDetached(ctx, randomAccesses(1, 8)); !errors.Is(err, ErrDeadlineExceeded) {
+	if err := eng.SubmitDetachedClass(ctx, qos.Foreground, randomAccesses(1, 8)); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("SubmitDetached with expired deadline = %v, want ErrDeadlineExceeded", err)
 	}
 	if shed := eng.Stats().Shed; shed != 2 {
@@ -226,7 +285,7 @@ func TestDeadlineShed(t *testing.T) {
 	// A live deadline submits normally.
 	lctx, lcancel := context.WithTimeout(context.Background(), time.Minute)
 	defer lcancel()
-	tk, err := eng.Submit(lctx, directory.Access{Kind: directory.AccessRead, Addr: 0, Cache: 0})
+	tk, err := eng.Submit(lctx, Request{Accesses: []directory.Access{{Kind: directory.AccessRead, Addr: 0, Cache: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +310,7 @@ func TestSubmitRetryBacksOffOverQueueFull(t *testing.T) {
 	ctx := context.Background()
 	accs := []directory.Access{{Kind: directory.AccessWrite, Addr: 7, Cache: 0}}
 
-	tk, err := eng.SubmitRetry(ctx, accs, RetryOptions{Attempts: 5, BaseDelay: 10 * time.Microsecond, Seed: 1})
+	tk, err := eng.SubmitRetry(ctx, Request{Accesses: accs}, RetryOptions{Attempts: 5, BaseDelay: 10 * time.Microsecond, Seed: 1})
 	if err != nil {
 		t.Fatalf("SubmitRetry over 3 injected rejections = %v, want success", err)
 	}
@@ -267,7 +326,7 @@ func TestSubmitRetryBacksOffOverQueueFull(t *testing.T) {
 
 	// Budget smaller than the fault: the last rejection surfaces.
 	inj.Arm(faults.QueueSaturation, faults.Trigger{Key: faults.AnyKey})
-	if _, err := eng.SubmitRetry(ctx, accs, RetryOptions{Attempts: 3, BaseDelay: 10 * time.Microsecond, Seed: 2}); !errors.Is(err, ErrQueueFull) {
+	if _, err := eng.SubmitRetry(ctx, Request{Accesses: accs}, RetryOptions{Attempts: 3, BaseDelay: 10 * time.Microsecond, Seed: 2}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("SubmitRetry with exhausted budget = %v, want ErrQueueFull", err)
 	}
 	inj.Disarm(faults.QueueSaturation)
@@ -275,7 +334,7 @@ func TestSubmitRetryBacksOffOverQueueFull(t *testing.T) {
 	// deadlines return immediately.
 	dctx, dcancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
 	defer dcancel()
-	if _, err := eng.SubmitRetry(dctx, accs, RetryOptions{}); !errors.Is(err, ErrDeadlineExceeded) {
+	if _, err := eng.SubmitRetry(dctx, Request{Accesses: accs}, RetryOptions{}); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("SubmitRetry with expired deadline = %v, want ErrDeadlineExceeded", err)
 	}
 }
@@ -302,7 +361,7 @@ func TestGrowFailureSurfaced(t *testing.T) {
 	for a := uint64(0); a < 200; a++ {
 		accs = append(accs, directory.Access{Kind: directory.AccessWrite, Addr: a, Cache: int(a % 8)})
 	}
-	if err := eng.SubmitDetached(ctx, accs); err != nil {
+	if err := eng.SubmitDetachedClass(ctx, qos.Foreground, accs); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Flush(ctx); err != nil {
@@ -343,7 +402,7 @@ func TestMigrationPanicQuarantine(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		accs = append(accs, directory.Access{Kind: directory.AccessWrite, Addr: addrOnShard(dir, 0, uint64(i*2)), Cache: 0})
 	}
-	if err := eng.SubmitDetached(ctx, accs); err != nil {
+	if err := eng.SubmitDetachedClass(ctx, qos.Foreground, accs); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Flush(ctx); err != nil {
@@ -359,7 +418,7 @@ func TestMigrationPanicQuarantine(t *testing.T) {
 		h := eng.Health()
 		return len(h.QuarantinedShards) == 1 && h.QuarantinedShards[0] == 0
 	})
-	if _, err := eng.Submit(ctx, directory.Access{Kind: directory.AccessRead, Addr: addrOnShard(dir, 0, 0), Cache: 0}); !errors.Is(err, ErrShardQuarantined) {
+	if _, err := eng.Submit(ctx, Request{Accesses: []directory.Access{{Kind: directory.AccessRead, Addr: addrOnShard(dir, 0, 0), Cache: 0}}}); !errors.Is(err, ErrShardQuarantined) {
 		t.Fatalf("Submit to quarantined shard = %v, want ErrShardQuarantined", err)
 	}
 	tk, err := eng.SubmitBatch(ctx, []directory.Access{{Kind: directory.AccessWrite, Addr: addrOnShard(dir, 1, 0), Cache: 1}})
@@ -389,7 +448,7 @@ func TestCloseLeaksNothingUnderFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer eng.Close()
-		if err := eng.SubmitDetached(context.Background(), randomAccesses(3, 64)); err != nil {
+		if err := eng.SubmitDetachedClass(context.Background(), qos.Foreground, randomAccesses(3, 64)); err != nil {
 			t.Fatal(err)
 		}
 		// Close must break the (never-released) stall via its stop
@@ -413,18 +472,18 @@ func TestCloseLeaksNothingUnderFaults(t *testing.T) {
 		// would be coalesced into the stalled run, leaving the buffer
 		// empty), then fill the one-deep queue behind it, then block a
 		// sender on the full queue and cancel it out.
-		if err := eng.SubmitDetached(context.Background(), randomAccesses(4, 4)); err != nil {
+		if err := eng.SubmitDetachedClass(context.Background(), qos.Foreground, randomAccesses(4, 4)); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, "drainer to park on the stall", func() bool {
 			return inj.Fired(faults.DrainerStall) >= 1
 		})
-		if err := eng.SubmitDetached(context.Background(), randomAccesses(5, 4)); err != nil {
+		if err := eng.SubmitDetachedClass(context.Background(), qos.Foreground, randomAccesses(5, 4)); err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		errc := make(chan error, 1)
-		go func() { errc <- eng.SubmitDetached(ctx, randomAccesses(6, 4)) }()
+		go func() { errc <- eng.SubmitDetachedClass(ctx, qos.Foreground, randomAccesses(6, 4)) }()
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 		if err := <-errc; !errors.Is(err, context.Canceled) {
@@ -445,13 +504,13 @@ func TestCloseLeaksNothingUnderFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer eng.Close()
-		if err := eng.SubmitDetached(context.Background(), randomAccesses(7, 4)); err != nil {
+		if err := eng.SubmitDetachedClass(context.Background(), qos.Foreground, randomAccesses(7, 4)); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, "drainer to park on the stall", func() bool {
 			return inj.Fired(faults.DrainerStall) >= 1
 		})
-		if err := eng.SubmitDetached(context.Background(), randomAccesses(8, 4)); err != nil {
+		if err := eng.SubmitDetachedClass(context.Background(), qos.Foreground, randomAccesses(8, 4)); err != nil {
 			t.Fatal(err)
 		}
 		var wg sync.WaitGroup
@@ -459,7 +518,7 @@ func TestCloseLeaksNothingUnderFaults(t *testing.T) {
 		var senderErr error
 		go func() {
 			defer wg.Done()
-			senderErr = eng.SubmitDetached(context.Background(), randomAccesses(9, 4))
+			senderErr = eng.SubmitDetachedClass(context.Background(), qos.Foreground, randomAccesses(9, 4))
 		}()
 		time.Sleep(10 * time.Millisecond)
 		// Close's stop channel breaks the stall, the drainer drains, the
@@ -489,7 +548,7 @@ func TestCloseLeaksNothingUnderFaults(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			accs = append(accs, directory.Access{Kind: directory.AccessWrite, Addr: addrOnShard(dir, 0, uint64(i*2)), Cache: 0})
 		}
-		if err := eng.SubmitDetached(ctx, accs); err != nil {
+		if err := eng.SubmitDetachedClass(ctx, qos.Foreground, accs); err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.Flush(ctx); err != nil {
@@ -522,7 +581,7 @@ func TestHealthOnHealthyEngine(t *testing.T) {
 	}
 	defer eng.Close()
 	ctx := context.Background()
-	if err := eng.SubmitDetached(ctx, randomAccesses(11, 512)); err != nil {
+	if err := eng.SubmitDetachedClass(ctx, qos.Foreground, randomAccesses(11, 512)); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Flush(ctx); err != nil {

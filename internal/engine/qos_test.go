@@ -31,14 +31,14 @@ func TestClasslessSubmitsAreForeground(t *testing.T) {
 	defer eng.Close()
 	ctx := context.Background()
 
-	tk, err := eng.Submit(ctx, directory.Access{Kind: directory.AccessRead, Addr: 1, Cache: 0})
+	tk, err := eng.Submit(ctx, Request{Accesses: []directory.Access{{Kind: directory.AccessRead, Addr: 1, Cache: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if werr := tk.Wait(ctx); werr != nil {
 		t.Fatal(werr)
 	}
-	if err := eng.SubmitDetached(ctx, randomAccesses(1, 7)); err != nil {
+	if err := eng.SubmitDetachedClass(ctx, qos.Foreground, randomAccesses(1, 7)); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Flush(ctx); err != nil {
@@ -91,12 +91,12 @@ func TestStrictPriorityDrainOrder(t *testing.T) {
 	}
 	// Background first, foreground second — submission order, which
 	// strict priority must invert at the drain.
-	if err := eng.SubmitBatchFuncClass(ctx, qos.Background,
-		[]directory.Access{{Kind: directory.AccessRead, Addr: addrOnShard(dir, 1, 0), Cache: 1}}, note(qos.Background)); err != nil {
+	if _, err := eng.Submit(ctx, Request{Class: qos.Background, Done: note(qos.Background),
+		Accesses: []directory.Access{{Kind: directory.AccessRead, Addr: addrOnShard(dir, 1, 0), Cache: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SubmitBatchFuncClass(ctx, qos.Foreground,
-		[]directory.Access{{Kind: directory.AccessRead, Addr: addrOnShard(dir, 1, 64), Cache: 2}}, note(qos.Foreground)); err != nil {
+	if _, err := eng.Submit(ctx, Request{Class: qos.Foreground, Done: note(qos.Foreground),
+		Accesses: []directory.Access{{Kind: directory.AccessRead, Addr: addrOnShard(dir, 1, 64), Cache: 2}}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -212,8 +212,8 @@ func TestClassSaturationShedsBackgroundFirst(t *testing.T) {
 	}
 
 	// Foreground admission is untouched by the saturated background ring.
-	fg, err := eng.SubmitBatchClass(ctx, qos.Foreground,
-		[]directory.Access{{Kind: directory.AccessRead, Addr: addrOnShard(dir, 1, 1024), Cache: 2}})
+	fg, err := eng.Submit(ctx, Request{Class: qos.Foreground,
+		Accesses: []directory.Access{{Kind: directory.AccessRead, Addr: addrOnShard(dir, 1, 1024), Cache: 2}}})
 	if err != nil {
 		t.Fatalf("foreground submit during background saturation = %v, want success", err)
 	}
@@ -262,7 +262,7 @@ func TestQueueSaturationFaultClassKeyed(t *testing.T) {
 		}
 	}
 	// Foreground never observes the background-keyed fault.
-	tk, err := eng.SubmitBatchClass(ctx, qos.Foreground, accs)
+	tk, err := eng.Submit(ctx, Request{Accesses: accs, Class: qos.Foreground})
 	if err != nil {
 		t.Fatalf("foreground submit under background-keyed fault = %v", err)
 	}
@@ -299,7 +299,7 @@ func TestSubmitRetryDeadlineCap(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
 	start := time.Now()
-	_, err = eng.SubmitRetry(ctx, []directory.Access{{Kind: directory.AccessRead, Addr: 1, Cache: 0}},
+	_, err = eng.SubmitRetry(ctx, Request{Accesses: []directory.Access{{Kind: directory.AccessRead, Addr: 1, Cache: 0}}},
 		RetryOptions{Attempts: 1 << 20, BaseDelay: 40 * time.Millisecond, MaxDelay: time.Second, Seed: 2})
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrDeadlineExceeded) {

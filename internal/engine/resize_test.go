@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"cuckoodir/internal/directory"
+	"cuckoodir/internal/qos"
 )
 
 // resizableDir builds a sharded cuckoo directory through the Spec path
@@ -44,7 +45,7 @@ func engineProducer(t *testing.T, eng *Engine, p int, lo, hi uint64, passes int)
 	add := func(k directory.AccessKind, addr uint64) {
 		batch = append(batch, directory.Access{Kind: k, Addr: addr, Cache: p})
 		if len(batch) >= 48 {
-			if err := eng.SubmitDetached(ctx, batch); err != nil {
+			if err := eng.SubmitDetachedClass(ctx, qos.Foreground, batch); err != nil {
 				t.Error(err)
 			}
 			batch = nil
@@ -65,7 +66,7 @@ func engineProducer(t *testing.T, eng *Engine, p int, lo, hi uint64, passes int)
 		}
 	}
 	if len(batch) > 0 {
-		if err := eng.SubmitDetached(ctx, batch); err != nil {
+		if err := eng.SubmitDetachedClass(ctx, qos.Foreground, batch); err != nil {
 			t.Error(err)
 		}
 	}
@@ -113,7 +114,27 @@ func TestResizeCensusUnderEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	truths := make([]map[uint64]uint64, producers)
+	// Cold blocks on shard 0 that no producer touches, applied before the
+	// traffic starts: the resize below never finds shard 0 empty (even
+	// when its drainer lags the others), and only drainer migration steps
+	// can move these blocks, so the drainers' share of the migration stays
+	// observable even when one coalesced run touch-migrates every hot one.
+	truths := make([]map[uint64]uint64, producers+1)
+	cold := map[uint64]uint64{}
+	var seed []directory.Access
+	for a := uint64(1 + producers*perProducer); len(seed) < 64; a++ {
+		if dir.ShardOf(a) == 0 {
+			seed = append(seed, directory.Access{Kind: directory.AccessWrite, Addr: a, Cache: 7})
+			cold[a] = 1 << 7
+		}
+	}
+	if err := eng.SubmitDetachedClass(context.Background(), qos.Foreground, seed); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	truths[producers] = cold
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for p := 0; p < producers; p++ {
@@ -210,14 +231,14 @@ func TestEngineAutoGrow(t *testing.T) {
 		batch = append(batch, directory.Access{Kind: directory.AccessWrite, Addr: addr, Cache: int(addr % 8)})
 		truth[addr] = 1 << (addr % 8)
 		if len(batch) == 32 {
-			if err := eng.SubmitDetached(ctx, batch); err != nil {
+			if err := eng.SubmitDetachedClass(ctx, qos.Foreground, batch); err != nil {
 				t.Fatal(err)
 			}
 			batch = nil
 		}
 	}
 	if len(batch) > 0 {
-		if err := eng.SubmitDetached(ctx, batch); err != nil {
+		if err := eng.SubmitDetachedClass(ctx, qos.Foreground, batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -331,11 +352,11 @@ func TestEngineLifecycleMidMigration(t *testing.T) {
 			var order []int
 			for i := 0; i < 20; i++ {
 				i := i
-				if err := eng.SubmitBatchFunc(ctx, shard0[i*3:i*3+3], func([]directory.Op, error) {
+				if _, err := eng.Submit(ctx, Request{Accesses: shard0[i*3 : i*3+3], Done: func([]directory.Op, error) {
 					mu.Lock()
 					order = append(order, i)
 					mu.Unlock()
-				}); err != nil {
+				}}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -407,7 +428,7 @@ func TestEngineResizeErrors(t *testing.T) {
 		t.Error("invalid spec accepted")
 	}
 	// Double resize: the second must surface ErrResizeInProgress.
-	if _, err := eng.Submit(context.Background(), directory.Access{Kind: directory.AccessWrite, Addr: 1, Cache: 0}); err != nil {
+	if _, err := eng.Submit(context.Background(), Request{Accesses: []directory.Access{{Kind: directory.AccessWrite, Addr: 1, Cache: 0}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Flush(context.Background()); err != nil {

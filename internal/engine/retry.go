@@ -5,8 +5,6 @@ import (
 	"errors"
 	"time"
 
-	"cuckoodir/internal/directory"
-	"cuckoodir/internal/qos"
 	"cuckoodir/internal/rng"
 )
 
@@ -50,27 +48,21 @@ func (o RetryOptions) withDefaults() RetryOptions {
 	return o
 }
 
-// SubmitRetry is SubmitBatch with capped exponential backoff plus
-// jitter over ErrQueueFull — the polite RejectWhenFull client: a
-// rejected batch enqueues nothing (all-or-nothing), so it can be
-// resubmitted verbatim after backing off. Every other error (including
+// SubmitRetry is Submit with capped exponential backoff plus jitter
+// over ErrQueueFull — the polite RejectWhenFull client: a rejected
+// request enqueues nothing (all-or-nothing), so it can be resubmitted
+// verbatim after backing off. Every other error (including
 // ErrDeadlineExceeded and ErrShardQuarantined — retrying those cannot
 // help) returns immediately; ctx cancels a backoff sleep, and a sleep
 // is capped at the ctx deadline so an almost-expired deadline is never
 // overshot — the expiry surfaces as ErrDeadlineExceeded through the
 // next attempt's pre-enqueue shed check, consistently with every other
 // shed. The last attempt's queue-full error is returned when the budget
-// is exhausted. Batches submit as Foreground.
-func (e *Engine) SubmitRetry(ctx context.Context, accs []directory.Access, o RetryOptions) (*Ticket, error) {
-	return e.SubmitRetryClass(ctx, qos.Foreground, accs, o)
-}
-
-// SubmitRetryClass is SubmitRetry for an explicit priority class. Note
-// that retrying a Background rejection against a saturating engine is
-// often the WRONG move — the engine sheds background first by design —
-// but a bounded, jittered retry is still the polite way to probe for
-// the load to clear.
-func (e *Engine) SubmitRetryClass(ctx context.Context, c qos.Class, accs []directory.Access, o RetryOptions) (*Ticket, error) {
+// is exhausted. Note that retrying a Background rejection against a
+// saturating engine is often the WRONG move — the engine sheds
+// background first by design — but a bounded, jittered retry is still
+// the polite way to probe for the load to clear.
+func (e *Engine) SubmitRetry(ctx context.Context, r Request, o RetryOptions) (*Ticket, error) {
 	o = o.withDefaults()
 	if ctx == nil {
 		ctx = context.Background()
@@ -78,7 +70,7 @@ func (e *Engine) SubmitRetryClass(ctx context.Context, c qos.Class, accs []direc
 	var jitter *rng.Source
 	backoff := o.BaseDelay
 	for attempt := 1; ; attempt++ {
-		t, err := e.SubmitBatchClass(ctx, c, accs)
+		t, err := e.Submit(ctx, r)
 		if err == nil || !errors.Is(err, ErrQueueFull) || attempt >= o.Attempts {
 			return t, err
 		}
@@ -88,7 +80,7 @@ func (e *Engine) SubmitRetryClass(ctx context.Context, c qos.Class, accs []direc
 		sleep := time.Duration(jitter.Uint64()%uint64(backoff)) + 1
 		// Never sleep past the ctx deadline: cap the sleep so the loop
 		// wakes AT expiry, and route an already-expired deadline through
-		// one more SubmitBatchClass — its pre-enqueue check sheds with
+		// one more Submit — its pre-enqueue check sheds with
 		// ErrDeadlineExceeded AND counts the shed (per class, in Stats),
 		// so expiry reports identically whether it struck before the
 		// first attempt or mid-backoff. A doomed context never burns the

@@ -14,6 +14,7 @@ import (
 
 	"cuckoodir/internal/directory"
 	"cuckoodir/internal/faults"
+	"cuckoodir/internal/qos"
 )
 
 // TestTicketTerminalStates walks the three ways a ticket ends:
@@ -171,19 +172,19 @@ func TestTicketAbandonedMidEnqueue(t *testing.T) {
 
 	// Park the drainer, then fill the one-deep buffer with a tracked
 	// submission.
-	if err := eng.SubmitDetached(ctx, randomAccesses(21, 4)); err != nil {
+	if err := eng.SubmitDetachedClass(ctx, qos.Foreground, randomAccesses(21, 4)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "drainer to park on the stall", func() bool {
 		return inj.Fired(faults.DrainerStall) >= 1
 	})
 	var queuedFired atomic.Int32
-	if err := eng.SubmitBatchFunc(ctx, randomAccesses(22, 4), func(_ []directory.Op, err error) {
+	if _, err := eng.Submit(ctx, Request{Accesses: randomAccesses(22, 4), Done: func(_ []directory.Op, err error) {
 		if err != nil {
 			t.Errorf("queued neighbor's callback got %v", err)
 		}
 		queuedFired.Add(1)
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -192,9 +193,10 @@ func TestTicketAbandonedMidEnqueue(t *testing.T) {
 	cctx, cancel := context.WithCancel(ctx)
 	errc := make(chan error, 1)
 	go func() {
-		errc <- eng.SubmitBatchFunc(cctx, randomAccesses(23, 4), func([]directory.Op, error) {
+		_, err := eng.Submit(cctx, Request{Accesses: randomAccesses(23, 4), Done: func([]directory.Op, error) {
 			abandonedFired.Add(1)
-		})
+		}})
+		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
 	cancel()

@@ -125,7 +125,7 @@ func degradeExp() Experiment {
 								}
 							}
 							t0 := time.Now()
-							tk, err := eng.SubmitRetry(ctx, batch, engine.RetryOptions{
+							tk, err := eng.SubmitRetry(ctx, engine.Request{Accesses: batch}, engine.RetryOptions{
 								Attempts:  4,
 								BaseDelay: 50 * time.Microsecond,
 								MaxDelay:  time.Millisecond,
@@ -178,9 +178,9 @@ func degradeExp() Experiment {
 					// Arm and trip the stall deterministically: the next
 					// run drainer 0 applies parks it until Release.
 					stall = inj.Arm(faults.DrainerStall, faults.Trigger{Key: 0, Count: 1})
-					if err := eng.SubmitDetached(context.Background(), []directory.Access{
+					if _, err := eng.Submit(context.Background(), engine.Request{Detached: true, Accesses: []directory.Access{
 						{Kind: directory.AccessRead, Addr: shardAddr(0, 0), Cache: 0},
-					}); err != nil {
+					}}); err != nil {
 						panic(fmt.Sprintf("exp: degrade: %v", err))
 					}
 				}

@@ -85,14 +85,14 @@ func resizeExp() Experiment {
 								Cache: int(r.Uint64() % cores),
 							})
 							if len(batch) == 256 {
-								if err := eng.SubmitDetached(ctx, batch); err != nil {
+								if _, err := eng.Submit(ctx, engine.Request{Accesses: batch, Detached: true}); err != nil {
 									panic(fmt.Sprintf("exp: resize: %v", err))
 								}
 								batch = make([]directory.Access, 0, 256)
 							}
 						}
 						if len(batch) > 0 {
-							if err := eng.SubmitDetached(ctx, batch); err != nil {
+							if _, err := eng.Submit(ctx, engine.Request{Accesses: batch, Detached: true}); err != nil {
 								panic(fmt.Sprintf("exp: resize: %v", err))
 							}
 						}

@@ -140,7 +140,7 @@ func saturateExp() Experiment {
 								}
 							}
 							bgCounts[p]++
-							err := eng.SubmitDetachedClass(ctx, floodClass, batch)
+							_, err := eng.Submit(ctx, engine.Request{Accesses: batch, Class: floodClass, Detached: true})
 							if errors.Is(err, engine.ErrQueueFull) {
 								// Backoff on shed: keeps the rings pinned
 								// full without burning the host's cores in
@@ -185,7 +185,7 @@ func saturateExp() Experiment {
 						}
 					}
 					t0 := time.Now()
-					tk, err := eng.SubmitBatchClass(ctx, qos.Foreground, batch)
+					tk, err := eng.Submit(ctx, engine.Request{Accesses: batch, Class: qos.Foreground})
 					if errors.Is(err, engine.ErrQueueFull) {
 						clientRejects++
 						continue

@@ -1,13 +1,16 @@
 package replay
 
 import (
+	"errors"
 	"io"
 	"strings"
 	"testing"
 
 	"cuckoodir/internal/directory"
 	"cuckoodir/internal/engine"
+	"cuckoodir/internal/faults"
 	"cuckoodir/internal/qos"
+	"cuckoodir/internal/trace"
 )
 
 // TestEngineModeMatchesDirect: the engine path applies exactly the same
@@ -68,6 +71,41 @@ func TestEngineModeSourceError(t *testing.T) {
 	}
 	if !strings.Contains(res.String(), "DROPPED") {
 		t.Fatalf("String() hides the drop: %q", res.String())
+	}
+}
+
+// countingSource counts the records its consumer has read.
+type countingSource struct {
+	src  Source
+	read uint64
+}
+
+func (s *countingSource) Next() (trace.Record, error) {
+	rec, err := s.src.Next()
+	if err == nil {
+		s.read++
+	}
+	return rec, err
+}
+
+// TestEngineModeRefusedBatchDropped: a batch the engine refuses (an
+// injected queue-full on the third submission) was read but never
+// applied, so it lands in Dropped — applied plus dropped still equals
+// the records read.
+func TestEngineModeRefusedBatchDropped(t *testing.T) {
+	const batch = 100
+	inj := faults.New()
+	inj.Arm(faults.QueueSaturation, faults.Trigger{Key: faults.AnyKey, After: 2, Count: 1})
+	src := &countingSource{src: Synthesize(testProfile(t), testCores, 1, 10*batch)}
+	res, err := Run(testDir(t, 2), src, Options{BatchSize: batch, Via: ViaEngine, Engine: engine.Options{Faults: inj}})
+	if !errors.Is(err, engine.ErrQueueFull) {
+		t.Fatalf("error = %v, want ErrQueueFull", err)
+	}
+	if res.Accesses+res.Dropped != src.read {
+		t.Fatalf("applied %d + dropped %d != %d records read", res.Accesses, res.Dropped, src.read)
+	}
+	if res.Dropped != batch {
+		t.Fatalf("dropped %d, want the one refused batch of %d", res.Dropped, batch)
 	}
 }
 

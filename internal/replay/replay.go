@@ -184,8 +184,9 @@ type Result struct {
 	Accesses uint64
 	Batches  uint64
 	// Dropped counts records the pipeline had read but never applied
-	// because a source error stopped production mid-batch. It is zero on
-	// a clean run; when non-zero the accompanying error says why.
+	// because a source error stopped production mid-batch, or (engine
+	// path) because the engine refused the batch's submission. It is zero
+	// on a clean run; when non-zero the accompanying error says why.
 	Dropped uint64
 	// Elapsed is the wall time of the pipeline (reading, batching and
 	// applying overlap; this is end-to-end).
@@ -522,11 +523,11 @@ func recordAccess(rec trace.Record, numCaches int) (directory.Access, error) {
 }
 
 // produce reads src to EOF, submitting fixed-size detached batches to
-// eng and tallying into res. On an error the pending partial batch is
-// counted as dropped. The background fraction is paid down with a debt
-// accumulator — every 1.0 of accumulated debt makes the next batch
-// Background — so the class mix is exact over any run length and
-// identical across runs.
+// eng and tallying into res. On an error the pending batch — partial, or
+// the full one the engine refused — is counted as dropped. The
+// background fraction is paid down with a debt accumulator — every 1.0
+// of accumulated debt makes the next batch Background — so the class mix
+// is exact over any run length and identical across runs.
 func produce(eng *engine.Engine, src Source, numCaches, batchSize int, background float64, res *Result) error {
 	ctx := context.Background()
 	batch := make([]directory.Access, 0, batchSize)
@@ -540,7 +541,8 @@ func produce(eng *engine.Engine, src Source, numCaches, batchSize int, backgroun
 			bgDebt--
 			class = qos.Background
 		}
-		if err := eng.SubmitDetachedClass(ctx, class, batch); err != nil {
+		if _, err := eng.Submit(ctx, engine.Request{Accesses: batch, Class: class, Detached: true}); err != nil {
+			res.Dropped += uint64(len(batch))
 			return err
 		}
 		res.Accesses += uint64(len(batch))

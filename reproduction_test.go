@@ -131,7 +131,7 @@ func TestClaimInsertionOffCriticalPath(t *testing.T) {
 	size := ChosenCuckooSize(PrivateL2)
 	sys := NewProtocolSystem(DefaultProtocolConfig(), prof, 3,
 		func(_, n int) Directory {
-			return NewCuckooDirectory(CuckooConfig{Ways: size.Ways, SetsPerWay: size.Sets}, n)
+			return MustBuild(Spec{Org: OrgCuckoo, NumCaches: n, Geometry: Geometry{Ways: size.Ways, Sets: size.Sets}})
 		})
 	sys.Run(150_000)
 	sys.ResetStats()
