@@ -158,7 +158,7 @@ func diffOpsSpecial(seed uint64, n int, universe uint64) []diffOp {
 
 // TestPackedSlotLayoutEquivalent is the packed-layout acceptance test:
 // randomized runs over every differential config prove the packed
-// structure-of-arrays path is operation-for-operation identical to the
+// pair-array path is operation-for-operation identical to the
 // PR 4 interleaved-slot layout (pinned via forceGenericPath) — with key
 // 0 and the reserved sentinel value in the stream, so a stored key
 // colliding with the vacancy encoding cannot silently diverge.

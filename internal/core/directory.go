@@ -161,10 +161,20 @@ func (d *Directory) Lookup(addr uint64) (sharers uint64, ok bool) {
 	return 0, false
 }
 
+// checkCache rejects a cache id the slice does not track. The panic is
+// raised out of line (badCache) so Read, Write and Evict carry no
+// formatting machinery.
 func (d *Directory) checkCache(cache int) {
 	if cache < 0 || cache >= d.numCaches {
-		panic(fmt.Sprintf("core: cache id %d out of range [0,%d)", cache, d.numCaches))
+		badCache(cache, d.numCaches)
 	}
+}
+
+//
+//cuckoo:cold
+//go:noinline
+func badCache(cache, n int) {
+	panic(fmt.Sprintf("core: cache id %d out of range [0,%d)", cache, n))
 }
 
 // insert allocates a new entry for addr with the given sharer mask and
@@ -196,6 +206,8 @@ func (d *Directory) LastAttempts() int { return d.lastAttempts }
 // allocating a directory entry if the block was untracked. The returned
 // Forced is non-nil when the allocation displaced an entry out of the
 // directory.
+//
+//cuckoo:hotpath
 func (d *Directory) Read(addr uint64, cache int) *Forced {
 	d.checkCache(cache)
 	d.lastAttempts = 0
@@ -213,6 +225,8 @@ func (d *Directory) Read(addr uint64, cache int) *Forced {
 // Write records a write (exclusive fill or upgrade) of addr by cache. The
 // returned invalidate mask lists the other caches that must invalidate
 // their copies; forced is as for Read.
+//
+//cuckoo:hotpath
 func (d *Directory) Write(addr uint64, cache int) (invalidate uint64, forced *Forced) {
 	d.checkCache(cache)
 	d.lastAttempts = 0
@@ -235,6 +249,8 @@ func (d *Directory) Write(addr uint64, cache int) (invalidate uint64, forced *Fo
 // the private caches are tracked by the directory"). The entry is freed
 // when its last sharer leaves. Unknown addresses are ignored: the block
 // may have been forcibly evicted from the directory earlier.
+//
+//cuckoo:hotpath
 func (d *Directory) Evict(addr uint64, cache int) {
 	d.checkCache(cache)
 	bit := uint64(1) << uint(cache)

@@ -101,8 +101,18 @@ type slot[V any] struct {
 	valid bool
 }
 
+// pair is one slot of the packed layout: a cuckoo entry's tag stored
+// next to its payload, as one hardware directory entry holds both the
+// tag and the sharer vector (§4.2, Figure 6). val comes first so that a
+// zero-size V adds no trailing padding: a pair[uint64] is 16 bytes and
+// a pair[struct{}] is 8, no more than its key and value alone.
+type pair[V any] struct {
+	val V
+	key uint64
+}
+
 // packedEmpty is the reserved key sentinel of the packed layout: every
-// vacant slot of the keys array holds it, so the probe hot path decides
+// vacant pair holds it as its key, so the probe hot path decides
 // occupancy from the key compare alone. A real key MAY equal the
 // sentinel — the live bitset stays authoritative — but probes consult
 // the bitset only when the probed key itself is the sentinel, which a
@@ -138,28 +148,29 @@ type Result[V any] struct {
 // specialized path that batch-computes all d way-indices per key and
 // reuses them across the lookup pass and the displacement loop.
 //
-// The fast path stores its entries in a packed structure-of-arrays
-// layout: a dense keys array (vacant slots hold the packedEmpty
-// sentinel), a parallel values array touched only on hit or
-// displacement, and a live bitset that is authoritative for occupancy
-// but read off the hot path only (vacancy checks and sentinel-key
-// probes). A d-way lookup therefore reads exactly d cache lines of
-// keys and nothing else — the paper's "touch d ways, nothing more"
-// cost model (§4.2, §5.5) realized in the memory system. d == 2
-// additionally takes an open-coded two-way case: both way indices via
-// hashfn.Indexer.Index2 and both key words loaded before the first
-// compare. The generic interleaved-slot path is kept for the Panigrahy
-// ablation (BucketSize > 1), for way counts beyond hashfn.MaxWays, and
-// as the differential-test baseline the packed layout is proven
-// op-for-op identical to.
+// The fast path stores its entries as one dense array of pairs, each
+// a key next to its value (vacant pairs hold the packedEmpty key), plus
+// a live bitset that is authoritative for occupancy but read off the
+// hot path only (vacancy checks and sentinel-key probes). A
+// pair[uint64] is 16 bytes, so four share a 64-byte cache line and none
+// straddles two. A d-way lookup therefore reads exactly d cache lines,
+// one per probed way, and the value a hit returns sits in the line
+// whose key it has just compared, so a directory's sharer-mask update
+// writes the line the lookup read. This is the paper's entry, tag and
+// sharer vector together, and its "touch d ways, nothing more" cost
+// model (§4.2, §5.5). d == 2 additionally takes an open-coded two-way
+// case: both way indices via hashfn.Indexer.Index2 and both pairs' keys
+// loaded before the first compare. The generic interleaved-slot path is
+// kept for the Panigrahy ablation (BucketSize > 1), for way counts
+// beyond hashfn.MaxWays, and as the differential-test baseline the
+// packed layout is proven op-for-op identical to.
 type Table[V any] struct {
 	cfg  Config
 	mask uint64
 	ix   hashfn.Indexer
 	// Packed fast-path layout (nil on generic-path tables).
-	keys []uint64 // dense probe array; vacant slots hold packedEmpty
-	vals []V      // side array, touched only on hit/displacement
-	live []uint64 // occupancy bitset, 1 bit per slot; authoritative
+	pairs []pair[V] // dense probe array; vacant pairs hold key packedEmpty
+	live  []uint64  // occupancy bitset, 1 bit per slot; authoritative
 	// Generic interleaved layout (nil on packed tables).
 	slots   []slot[V]
 	used    int
@@ -190,11 +201,10 @@ func NewTable[V any](cfg Config) *Table[V] {
 	}
 	if t.fast {
 		n := cfg.Ways * cfg.SetsPerWay
-		t.keys = make([]uint64, n)
-		for i := range t.keys {
-			t.keys[i] = packedEmpty
+		t.pairs = make([]pair[V], n)
+		for i := range t.pairs {
+			t.pairs[i].key = packedEmpty
 		}
-		t.vals = make([]V, n)
 		t.live = make([]uint64, (n+63)/64)
 		t.two = cfg.Ways == 2
 	} else {
@@ -217,12 +227,12 @@ func (t *Table[V]) forceGenericPath() {
 	if t.slots == nil {
 		t.slots = make([]slot[V], t.cfg.Ways*t.cfg.SetsPerWay*t.cfg.BucketSize)
 	}
-	t.keys, t.vals, t.live = nil, nil, nil
+	t.pairs, t.live = nil, nil
 }
 
-// packed reports whether the table stores entries in the packed
-// structure-of-arrays layout.
-func (t *Table[V]) packed() bool { return t.keys != nil }
+// packed reports whether the table stores entries in the packed pair
+// layout.
+func (t *Table[V]) packed() bool { return t.pairs != nil }
 
 // liveBit reports slot si's occupancy from the bitset.
 func (t *Table[V]) liveBit(si int) bool {
@@ -285,8 +295,8 @@ func (t *Table[V]) Find(key uint64) *V {
 		sets := t.cfg.SetsPerWay
 		for w := 0; w < t.cfg.Ways; w++ {
 			si := w*sets + int(idx[w])
-			if t.keys[si] == key && (key != packedEmpty || t.liveBit(si)) {
-				return &t.vals[si]
+			if p := &t.pairs[si]; p.key == key && (key != packedEmpty || t.liveBit(si)) {
+				return &p.val
 			}
 		}
 		if len(t.stash) != 0 {
@@ -310,7 +320,7 @@ func (t *Table[V]) Find(key uint64) *V {
 }
 
 // find2 is the open-coded d=2 probe: both way indices computed in one
-// Index2 call and both key words loaded before the first compare, so
+// Index2 call and both pairs' keys loaded before the first compare, so
 // the two probe-line reads issue back to back instead of serializing
 // behind the way-0 branch.
 //
@@ -319,12 +329,13 @@ func (t *Table[V]) find2(key uint64) *V {
 	i0, i1 := t.ix.Index2(key)
 	s0 := int(i0)
 	s1 := t.cfg.SetsPerWay + int(i1)
-	k0, k1 := t.keys[s0], t.keys[s1]
+	p0, p1 := &t.pairs[s0], &t.pairs[s1]
+	k0, k1 := p0.key, p1.key
 	if k0 == key && (key != packedEmpty || t.liveBit(s0)) {
-		return &t.vals[s0]
+		return &p0.val
 	}
 	if k1 == key && (key != packedEmpty || t.liveBit(s1)) {
-		return &t.vals[s1]
+		return &p1.val
 	}
 	if len(t.stash) != 0 {
 		return t.findStash(key)
@@ -370,7 +381,7 @@ func (t *Table[V]) Insert(key uint64, val V) Result[V] {
 // inserted key are computed in one batch and reused across the lookup
 // pass and the first displacement step; displaced keys need exactly one
 // fresh index (their next way) per attempt, and every probe is a key
-// compare against the dense keys array — values move only on update or
+// compare against the dense pair array — values move only on update or
 // displacement, and the live bitset is read only where a probed key
 // word is the vacancy sentinel. It is operation-for-operation
 // equivalent to insertGeneric on BucketSize == 1 tables, which the
@@ -389,9 +400,9 @@ func (t *Table[V]) insertFast(key uint64, val V) Result[V] {
 	w := t.nextWay
 	for i := 0; i < ways; i++ {
 		si := w*sets + int(idx[w])
-		if k := t.keys[si]; k == key {
+		if k := t.pairs[si].key; k == key {
 			if key != packedEmpty || t.liveBit(si) {
-				t.vals[si] = val
+				t.pairs[si].val = val
 				return Result[V]{Present: true}
 			}
 			// The probed word is the sentinel of a vacant slot (the key
@@ -416,8 +427,7 @@ func (t *Table[V]) insertFast(key uint64, val V) Result[V] {
 	}
 
 	if vacantWay != -1 {
-		t.keys[vacantSlot] = key
-		t.vals[vacantSlot] = val
+		t.pairs[vacantSlot] = pair[V]{val: val, key: key}
 		t.setLive(vacantSlot)
 		t.used++
 		t.nextWay = vacantWay
@@ -433,9 +443,9 @@ func (t *Table[V]) insertFast(key uint64, val V) Result[V] {
 	set := int(idx[w])
 	for attempt := 1; ; attempt++ {
 		si := w*sets + set
-		if t.keys[si] == packedEmpty && !t.liveBit(si) {
-			t.keys[si] = cur.Key
-			t.vals[si] = cur.Val
+		p := &t.pairs[si]
+		if p.key == packedEmpty && !t.liveBit(si) {
+			*p = pair[V]{val: cur.Val, key: cur.Key}
 			t.setLive(si)
 			t.used++
 			t.nextWay = w
@@ -454,8 +464,8 @@ func (t *Table[V]) insertFast(key uint64, val V) Result[V] {
 			return Result[V]{Attempts: attempt, Evicted: &victim}
 		}
 		// Swap cur with the slot's occupant and continue in the next way.
-		cur.Key, t.keys[si] = t.keys[si], cur.Key
-		cur.Val, t.vals[si] = t.vals[si], cur.Val
+		cur.Key, p.key = p.key, cur.Key
+		cur.Val, p.val = p.val, cur.Val
 		if w++; w == ways {
 			w = 0
 		}
@@ -557,10 +567,8 @@ func (t *Table[V]) Delete(key uint64) bool {
 		sets := t.cfg.SetsPerWay
 		for w := 0; w < t.cfg.Ways; w++ {
 			si := w*sets + int(idx[w])
-			if t.keys[si] == key && (key != packedEmpty || t.liveBit(si)) {
-				t.keys[si] = packedEmpty
-				var zero V
-				t.vals[si] = zero
+			if t.pairs[si].key == key && (key != packedEmpty || t.liveBit(si)) {
+				t.pairs[si] = pair[V]{key: packedEmpty}
 				t.clearLive(si)
 				t.used--
 				if len(t.stash) != 0 {
@@ -618,8 +626,7 @@ func (t *Table[V]) drainStashInto(slotIdx int) {
 	for i := range t.stash {
 		if t.index(way, t.stash[i].Key) == set {
 			if t.packed() {
-				t.keys[slotIdx] = t.stash[i].Key
-				t.vals[slotIdx] = t.stash[i].Val
+				t.pairs[slotIdx] = pair[V]{val: t.stash[i].Val, key: t.stash[i].Key}
 				t.setLive(slotIdx)
 			} else {
 				t.slots[slotIdx] = slot[V]{key: t.stash[i].Key, val: t.stash[i].Val, valid: true}
@@ -636,9 +643,9 @@ func (t *Table[V]) drainStashInto(slotIdx int) {
 // false. Iteration order is unspecified but deterministic.
 func (t *Table[V]) ForEach(fn func(Entry[V]) bool) {
 	if t.packed() {
-		for i, k := range t.keys {
-			if k != packedEmpty || t.liveBit(i) {
-				if !fn(Entry[V]{Key: k, Val: t.vals[i]}) {
+		for i := range t.pairs {
+			if p := &t.pairs[i]; p.key != packedEmpty || t.liveBit(i) {
+				if !fn(Entry[V]{Key: p.key, Val: p.val}) {
 					return
 				}
 			}
@@ -662,12 +669,8 @@ func (t *Table[V]) ForEach(fn func(Entry[V]) bool) {
 // Clear removes all entries.
 func (t *Table[V]) Clear() {
 	if t.packed() {
-		for i := range t.keys {
-			t.keys[i] = packedEmpty
-		}
-		var zero V
-		for i := range t.vals {
-			t.vals[i] = zero
+		for i := range t.pairs {
+			t.pairs[i] = pair[V]{key: packedEmpty}
 		}
 		for i := range t.live {
 			t.live[i] = 0

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"cuckoodir/internal/hashfn"
 	"cuckoodir/internal/rng"
@@ -40,6 +41,28 @@ func TestTableInsertFind(t *testing.T) {
 	}
 	if tb.Find(101) != nil {
 		t.Fatal("Find of absent key succeeded")
+	}
+}
+
+// TestPairLayout: a packed slot holds its key and value side by side,
+// 16 bytes for a directory's uint64 sharer mask and 8 for
+// characterize's struct{}, so a hit's value sits in the cache line of
+// the key the probe compared. The field order matters: {key uint64;
+// val struct{}} pads to 16 bytes and would double characterize's
+// tables.
+func TestPairLayout(t *testing.T) {
+	if got := unsafe.Sizeof(pair[uint64]{}); got != 16 {
+		t.Errorf("Sizeof(pair[uint64]) = %d, want 16", got)
+	}
+	if got := unsafe.Sizeof(pair[struct{}]{}); got != 8 {
+		t.Errorf("Sizeof(pair[struct{}]) = %d, want 8", got)
+	}
+	tb := NewTable[uint64](smallCfg())
+	for i := range tb.pairs {
+		p := &tb.pairs[i]
+		if uintptr(unsafe.Pointer(&p.key))/64 != uintptr(unsafe.Pointer(&p.val))/64 {
+			t.Fatalf("pair %d straddles two cache lines", i)
+		}
 	}
 }
 

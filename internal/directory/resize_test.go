@@ -388,10 +388,13 @@ func TestShrinkAndRegrowChurn(t *testing.T) {
 		}
 	}
 
+	// churn writes fresh addresses from base until stopped, evicting
+	// each even one at once and each odd one 64 steps later: at most 32
+	// churned addresses are live at any time, so the shard's load does
+	// not depend on how long the resize takes.
 	churn := func(stop chan struct{}, base uint64) map[uint64]uint64 {
 		local := map[uint64]uint64{}
-		a := base
-		for {
+		for a := base; ; a++ {
 			select {
 			case <-stop:
 				return local
@@ -403,7 +406,10 @@ func TestShrinkAndRegrowChurn(t *testing.T) {
 				d.Evict(a, 1)
 				delete(local, a)
 			}
-			a++
+			if old := a - 64; old >= base && old%2 == 1 {
+				d.Evict(old, 1)
+				delete(local, old)
+			}
 		}
 	}
 
@@ -415,7 +421,7 @@ func TestShrinkAndRegrowChurn(t *testing.T) {
 		go func(base uint64) {
 			defer wg.Done()
 			churned = churn(stop, base)
-		}(uint64(10_000 * (round + 1)))
+		}(uint64(round+1) << 32) // disjoint per round, however long each runs
 
 		if err := d.ResizeShardSpec(0, resizeSpec(sets)); err != nil {
 			t.Fatal(err)

@@ -375,7 +375,15 @@ func Run(dir *directory.ShardedDirectory, src Source, o Options) (Result, error)
 		shard    int
 		accesses []directory.Access
 	}
+	// Two batches per worker queue up so the producer keeps filling
+	// while every worker applies.
 	batches := make(chan shardBatch, 2*o.Workers)
+	// Applied batch buffers come back on free for the producer to
+	// refill: ApplyShard never keeps its slice. At most every pending
+	// batch, every queued batch and one batch per worker exist at
+	// once, so the free list holds all of them and a steady run
+	// allocates no batches after its first few.
+	free := make(chan []directory.Access, dir.ShardCount()+cap(batches)+o.Workers)
 	var wg sync.WaitGroup
 	for w := 0; w < o.Workers; w++ {
 		wg.Add(1)
@@ -383,6 +391,10 @@ func Run(dir *directory.ShardedDirectory, src Source, o Options) (Result, error)
 			defer wg.Done()
 			for b := range batches {
 				dir.ApplyShard(b.shard, b.accesses)
+				select {
+				case free <- b.accesses[:0]:
+				default:
+				}
 			}
 		}()
 	}
@@ -407,7 +419,11 @@ func Run(dir *directory.ShardedDirectory, src Source, o Options) (Result, error)
 		}
 		h := dir.ShardOf(acc.Addr)
 		if pending[h] == nil {
-			pending[h] = make([]directory.Access, 0, o.BatchSize)
+			select {
+			case pending[h] = <-free:
+			default:
+				pending[h] = make([]directory.Access, 0, o.BatchSize)
+			}
 		}
 		pending[h] = append(pending[h], acc)
 		if len(pending[h]) == o.BatchSize {

@@ -262,6 +262,65 @@ func TestRunConcurrent(t *testing.T) {
 	}
 }
 
+// cycleSource hands out left records by cycling recs; it allocates
+// nothing per record.
+type cycleSource struct {
+	recs    []trace.Record
+	i, left int
+}
+
+func (s *cycleSource) Next() (trace.Record, error) {
+	if s.left == 0 {
+		return trace.Record{}, io.EOF
+	}
+	s.left--
+	r := s.recs[s.i]
+	if s.i++; s.i == len(s.recs) {
+		s.i = 0
+	}
+	return r, nil
+}
+
+// TestRunRecyclesBatches: the direct path hands applied batch buffers
+// back to its producer, so a Run over 64K records allocates no more
+// objects than one over 16K. Allocating a fresh batch per 256 records
+// would cost the longer run 192 more.
+func TestRunRecyclesBatches(t *testing.T) {
+	src := Synthesize(testProfile(t), testCores, 3, 4096)
+	var recs []trace.Record
+	for {
+		r, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, r)
+	}
+	// A warm 32K-slot directory already tracks every block of the
+	// cycled stream, so the measured runs insert and evict nothing.
+	d := testDir(t, 8)
+	if _, err := Run(d, &cycleSource{recs: recs, left: len(recs)}, Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			res, err := Run(d, &cycleSource{recs: recs, left: n}, Options{Workers: 1})
+			if err != nil || res.Accesses != uint64(n) {
+				t.Fatalf("Run over %d records: %d applied, err %v", n, res.Accesses, err)
+			}
+		})
+	}
+	small, large := allocs(16<<10), allocs(64<<10)
+	if large != small {
+		t.Errorf("Run allocates %v objects over 64K records, %v over 16K; want the same", large, small)
+	}
+	if c := d.Counters(); c.Forced != 0 {
+		t.Fatalf("%d forced evictions: the directory is too small for the stream", c.Forced)
+	}
+}
+
 // TestRunEngineAutoGrow: replay traffic through a directory carrying a
 // ^grow policy makes the engine's drainers resize shards live mid-run;
 // the Result reports the resizes and no entry is lost to migration.

@@ -32,6 +32,8 @@ func NewHistogram(max int) *Histogram {
 }
 
 // Add records one sample. Values above the configured maximum are clamped.
+//
+//cuckoo:hotpath
 func (h *Histogram) Add(v int) {
 	if v < 0 {
 		v = 0
@@ -227,29 +229,53 @@ func (r *Ratio) Value() float64 {
 
 // CounterSet is a named collection of monotonically increasing counters,
 // used for the directory event-mix accounting (paper §5.6 footnote).
+// Names and values are parallel slices searched linearly: a set holds a
+// handful of names (the directory's five event classes), so the search
+// is a few short string compares, cheaper than hashing the name into a
+// map, and counting an existing name never allocates. The zero value is
+// an empty, usable set.
 type CounterSet struct {
 	names  []string
-	values map[string]uint64
+	values []uint64 // values[i] counts names[i]
 }
 
 // NewCounterSet returns an empty counter set.
-func NewCounterSet() *CounterSet {
-	return &CounterSet{values: make(map[string]uint64)}
-}
+func NewCounterSet() *CounterSet { return &CounterSet{} }
 
 // Inc increments the named counter by 1, creating it if needed.
+//
+//cuckoo:hotpath
 func (c *CounterSet) Inc(name string) { c.AddTo(name, 1) }
 
 // AddTo increments the named counter by n, creating it if needed.
+//
+//cuckoo:hotpath
 func (c *CounterSet) AddTo(name string, n uint64) {
-	if _, ok := c.values[name]; !ok {
-		c.names = append(c.names, name)
+	if i := c.index(name); i >= 0 {
+		c.values[i] += n
+		return
 	}
-	c.values[name] += n
+	c.names = append(c.names, name)
+	c.values = append(c.values, n)
+}
+
+// index returns name's position in names, or -1.
+func (c *CounterSet) index(name string) int {
+	for i, k := range c.names {
+		if k == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Get returns the value of the named counter (0 if absent).
-func (c *CounterSet) Get(name string) uint64 { return c.values[name] }
+func (c *CounterSet) Get(name string) uint64 {
+	if i := c.index(name); i >= 0 {
+		return c.values[i]
+	}
+	return 0
+}
 
 // Names returns counter names in insertion order.
 func (c *CounterSet) Names() []string {
@@ -267,24 +293,25 @@ func (c *CounterSet) Total() uint64 {
 	return t
 }
 
-// Fractions returns each counter as a fraction of the total, sorted by
-// insertion order. Returns nil for an empty set.
+// Fractions returns each counter as a fraction of the total, keyed by
+// name. Returns nil for an empty set.
 func (c *CounterSet) Fractions() map[string]float64 {
 	t := c.Total()
 	if t == 0 {
 		return nil
 	}
-	out := make(map[string]float64, len(c.values))
-	for k, v := range c.values {
-		out[k] = float64(v) / float64(t)
+	out := make(map[string]float64, len(c.names))
+	for i, k := range c.names {
+		out[k] = float64(c.values[i]) / float64(t)
 	}
 	return out
 }
 
-// Merge adds the counters of other into c.
+// Merge adds the counters of other into c; names new to c are appended
+// in other's insertion order.
 func (c *CounterSet) Merge(other *CounterSet) {
-	for _, name := range other.names {
-		c.AddTo(name, other.values[name])
+	for i, name := range other.names {
+		c.AddTo(name, other.values[i])
 	}
 }
 
