@@ -44,6 +44,35 @@ func diffOps(seed uint64, n int, universe uint64) []diffOp {
 	return ops
 }
 
+// wideKeyMul is an odd 64-bit constant; multiplying by it is a
+// bijection on uint64.
+const wideKeyMul = 0x9e3779b97f4a7c15
+
+// wideKeys returns ops with every key multiplied by wideKeyMul. Distinct
+// universe keys stay distinct, so the stream keeps its mix of hits,
+// misses and re-insertions, but each key now spans all 64 bits: the
+// skew fold's upper fields are non-zero for almost every key, where the
+// plain universe (< 2^10) leaves them zero.
+func wideKeys(ops []diffOp) []diffOp {
+	out := make([]diffOp, len(ops))
+	for i, op := range ops {
+		op.key *= wideKeyMul
+		out[i] = op
+	}
+	return out
+}
+
+// keyStream is one named op stream of a differential test.
+type keyStream struct {
+	name string
+	ops  []diffOp
+}
+
+// keyStreams returns ops as drawn and in full-width form (wideKeys).
+func keyStreams(ops []diffOp) []keyStream {
+	return []keyStream{{"keys=narrow", ops}, {"keys=wide", wideKeys(ops)}}
+}
+
 // applyCompare drives a and b through the same op and fails on any
 // observable divergence.
 func applyCompare(t *testing.T, a, b *Table[uint64], i int, op diffOp) {
@@ -123,30 +152,33 @@ func cfgName(cfg Config) string {
 func TestFastGenericEquivalent(t *testing.T) {
 	for _, cfg := range diffConfigs() {
 		t.Run(cfgName(cfg), func(t *testing.T) {
-			fast := NewTable[uint64](cfg)
-			gen := NewTable[uint64](cfg)
-			gen.forceGenericPath()
-			if !fast.fast || !fast.packed() || !gen.forceGeneric || gen.packed() {
-				t.Fatal("paths not pinned as intended")
-			}
 			// ~1.3x capacity universe keeps the table near saturation.
 			universe := uint64(cfg.Ways*cfg.SetsPerWay) * 13 / 10
-			for i, op := range diffOps(42, 20_000, universe) {
-				applyCompare(t, fast, gen, i, op)
+			for _, stream := range keyStreams(diffOps(42, 20_000, universe)) {
+				t.Run(stream.name, func(t *testing.T) {
+					fast := NewTable[uint64](cfg)
+					gen := NewTable[uint64](cfg)
+					gen.forceGenericPath()
+					if !fast.fast || !fast.packed() || !gen.forceGeneric || gen.packed() {
+						t.Fatal("paths not pinned as intended")
+					}
+					for i, op := range stream.ops {
+						applyCompare(t, fast, gen, i, op)
+					}
+					compareContents(t, fast, gen)
+				})
 			}
-			compareContents(t, fast, gen)
 		})
 	}
 }
 
-// diffOpsSpecial is diffOps with a key remap that plants the packed
+// diffOpsSpecial remaps keys of ops (in place) to plant the packed
 // layout's hazard keys into the stream: key 0 (all-zero bit pattern),
 // the reserved packedEmpty sentinel and its neighbours. Roughly a tenth
 // of the operations land on a hazard key, so the sentinel is inserted,
 // found, displaced, deleted and re-inserted many times per run.
-func diffOpsSpecial(seed uint64, n int, universe uint64) []diffOp {
+func diffOpsSpecial(seed uint64, ops []diffOp) []diffOp {
 	special := []uint64{0, packedEmpty, packedEmpty + 1, packedEmpty - 1, ^uint64(0)}
-	ops := diffOps(seed, n, universe)
 	r := rng.New(seed ^ 0x5eed)
 	for i := range ops {
 		if r.Uint64()%10 == 0 {
@@ -166,17 +198,21 @@ func TestPackedSlotLayoutEquivalent(t *testing.T) {
 	for _, seed := range []uint64{3, 99} {
 		for _, cfg := range diffConfigs() {
 			t.Run(fmt.Sprintf("seed=%d/%s", seed, cfgName(cfg)), func(t *testing.T) {
-				packed := NewTable[uint64](cfg)
-				slotted := NewTable[uint64](cfg)
-				slotted.forceGenericPath()
-				if !packed.packed() || slotted.packed() {
-					t.Fatal("layouts not pinned as intended")
-				}
 				universe := uint64(cfg.Ways*cfg.SetsPerWay) * 13 / 10
-				for i, op := range diffOpsSpecial(seed, 15_000, universe) {
-					applyCompare(t, packed, slotted, i, op)
+				for _, stream := range keyStreams(diffOps(seed, 15_000, universe)) {
+					t.Run(stream.name, func(t *testing.T) {
+						packed := NewTable[uint64](cfg)
+						slotted := NewTable[uint64](cfg)
+						slotted.forceGenericPath()
+						if !packed.packed() || slotted.packed() {
+							t.Fatal("layouts not pinned as intended")
+						}
+						for i, op := range diffOpsSpecial(seed, stream.ops) {
+							applyCompare(t, packed, slotted, i, op)
+						}
+						compareContents(t, packed, slotted)
+					})
 				}
-				compareContents(t, packed, slotted)
 			})
 		}
 	}
@@ -251,13 +287,89 @@ func TestFastInterfaceEquivalent(t *testing.T) {
 				fam = defaultSkew(cfg.SetsPerWay)
 			}
 			iface.Hash = hashfn.Opaque(fam)
-			fast := NewTable[uint64](cfg)
-			old := NewTable[uint64](iface)
-			universe := uint64(fast.Capacity()) * 13 / 10
-			for i, op := range diffOps(7, 20_000, universe) {
-				applyCompare(t, fast, old, i, op)
+			universe := uint64(cfg.Ways*cfg.SetsPerWay*max(cfg.BucketSize, 1)) * 13 / 10
+			for _, stream := range keyStreams(diffOps(7, 20_000, universe)) {
+				t.Run(stream.name, func(t *testing.T) {
+					fast := NewTable[uint64](cfg)
+					old := NewTable[uint64](iface)
+					for i, op := range stream.ops {
+						applyCompare(t, fast, old, i, op)
+					}
+					compareContents(t, fast, old)
+				})
 			}
-			compareContents(t, fast, old)
+		})
+	}
+}
+
+// TestDirectoryFastGenericEquivalent is the directory-level
+// differential: a Directory on the packed path, whose Read, Write and
+// Evict hand the lookup's way indices on to the insert or delete that
+// follows it, against one pinned to the slot layout (forceGenericPath),
+// which hashes per way on every call. Both run the same seeded
+// Read/Write/Evict stream, narrow and full-width, over every
+// differential config; every forced eviction, invalidate mask and
+// LastAttempts must agree, then the event counts, attempt histograms
+// and contents.
+func TestDirectoryFastGenericEquivalent(t *testing.T) {
+	const caches = 4
+	for _, cfg := range diffConfigs() {
+		t.Run(cfgName(cfg), func(t *testing.T) {
+			// diffOps' kinds read here as 0 = Read, 1 = Write,
+			// 2 = Evict; val picks the cache.
+			universe := uint64(cfg.Ways*cfg.SetsPerWay) * 13 / 10
+			for _, stream := range keyStreams(diffOps(11, 20_000, universe)) {
+				t.Run(stream.name, func(t *testing.T) {
+					fast := NewDirectory(DirConfig{Table: cfg, NumCaches: caches})
+					gen := NewDirectory(DirConfig{Table: cfg, NumCaches: caches})
+					gen.t.forceGenericPath()
+					if !fast.t.packed() || gen.t.packed() {
+						t.Fatal("layouts not pinned as intended")
+					}
+					for i, op := range stream.ops {
+						addr, cache := op.key, int(op.val%caches)
+						switch op.kind {
+						case 0:
+							fa, fb := fast.Read(addr, cache), gen.Read(addr, cache)
+							if (fa == nil) != (fb == nil) || (fa != nil && *fa != *fb) {
+								t.Fatalf("op %d: Read(%#x, %d) forced %v vs %v", i, addr, cache, fa, fb)
+							}
+						case 1:
+							ia, fa := fast.Write(addr, cache)
+							ib, fb := gen.Write(addr, cache)
+							if ia != ib || (fa == nil) != (fb == nil) || (fa != nil && *fa != *fb) {
+								t.Fatalf("op %d: Write(%#x, %d) = (%#x, %v) vs (%#x, %v)", i, addr, cache, ia, fa, ib, fb)
+							}
+						case 2:
+							fast.Evict(addr, cache)
+							gen.Evict(addr, cache)
+						}
+						if fast.LastAttempts() != gen.LastAttempts() || fast.Len() != gen.Len() {
+							t.Fatalf("op %d: LastAttempts %d/%d Len %d/%d diverged",
+								i, fast.LastAttempts(), gen.LastAttempts(), fast.Len(), gen.Len())
+						}
+					}
+					sa, sb := fast.Stats(), gen.Stats()
+					for _, ev := range []string{EvInsertTag, EvAddSharer, EvRemoveSharer, EvRemoveTag, EvInvalidate} {
+						if sa.Events.Get(ev) != sb.Events.Get(ev) {
+							t.Fatalf("%s: %d vs %d", ev, sa.Events.Get(ev), sb.Events.Get(ev))
+						}
+					}
+					if sa.Events.Get(EvInsertTag) == 0 || sa.Events.Get(EvRemoveTag) == 0 {
+						t.Fatalf("stream never allocated and freed entries: %v", sa.Events.Fractions())
+					}
+					if sa.ForcedEvictions != sb.ForcedEvictions || sa.ForcedBlocks != sb.ForcedBlocks {
+						t.Fatalf("forced %d/%d blocks vs %d/%d",
+							sa.ForcedEvictions, sa.ForcedBlocks, sb.ForcedEvictions, sb.ForcedBlocks)
+					}
+					for v := 0; v <= sa.Attempts.Max(); v++ {
+						if sa.Attempts.Bucket(v) != sb.Attempts.Bucket(v) {
+							t.Fatalf("attempt histogram at %d: %d vs %d", v, sa.Attempts.Bucket(v), sb.Attempts.Bucket(v))
+						}
+					}
+					compareContents(t, fast.t, gen.t)
+				})
+			}
 		})
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"cuckoodir/internal/hashfn"
 	"cuckoodir/internal/stats"
 )
 
@@ -178,9 +179,11 @@ func badCache(cache, n int) {
 }
 
 // insert allocates a new entry for addr with the given sharer mask and
-// updates statistics. It returns the forced eviction, if any.
-func (d *Directory) insert(addr, mask uint64) *Forced {
-	res := d.t.Insert(addr, mask)
+// updates statistics. idx holds addr's way indices from the lookup that
+// missed, so the insertion does not hash addr again. It returns the
+// forced eviction, if any.
+func (d *Directory) insert(addr, mask uint64, idx *[hashfn.MaxWays]uint64) *Forced {
+	res := d.t.insertAt(addr, mask, idx)
 	if res.Present {
 		panic("core: insert of an existing tag — caller must look up first")
 	}
@@ -212,14 +215,15 @@ func (d *Directory) Read(addr uint64, cache int) *Forced {
 	d.checkCache(cache)
 	d.lastAttempts = 0
 	bit := uint64(1) << uint(cache)
-	if p := d.t.Find(addr); p != nil {
+	var idx [hashfn.MaxWays]uint64
+	if p := d.t.find(addr, &idx); p != nil {
 		if *p&bit == 0 {
 			*p |= bit
 			d.stats.Events.Inc(EvAddSharer)
 		}
 		return nil
 	}
-	return d.insert(addr, bit)
+	return d.insert(addr, bit, &idx)
 }
 
 // Write records a write (exclusive fill or upgrade) of addr by cache. The
@@ -231,7 +235,8 @@ func (d *Directory) Write(addr uint64, cache int) (invalidate uint64, forced *Fo
 	d.checkCache(cache)
 	d.lastAttempts = 0
 	bit := uint64(1) << uint(cache)
-	if p := d.t.Find(addr); p != nil {
+	var idx [hashfn.MaxWays]uint64
+	if p := d.t.find(addr, &idx); p != nil {
 		inv := *p &^ bit
 		if inv != 0 {
 			d.stats.Events.Inc(EvInvalidate)
@@ -241,7 +246,7 @@ func (d *Directory) Write(addr uint64, cache int) (invalidate uint64, forced *Fo
 		*p = bit
 		return inv, nil
 	}
-	return 0, d.insert(addr, bit)
+	return 0, d.insert(addr, bit, &idx)
 }
 
 // Evict records that cache no longer holds addr (clean or dirty eviction;
@@ -254,14 +259,15 @@ func (d *Directory) Write(addr uint64, cache int) (invalidate uint64, forced *Fo
 func (d *Directory) Evict(addr uint64, cache int) {
 	d.checkCache(cache)
 	bit := uint64(1) << uint(cache)
-	p := d.t.Find(addr)
+	var idx [hashfn.MaxWays]uint64
+	p := d.t.find(addr, &idx)
 	if p == nil || *p&bit == 0 {
 		return
 	}
 	*p &^= bit
 	d.stats.Events.Inc(EvRemoveSharer)
 	if *p == 0 {
-		d.t.Delete(addr)
+		d.t.deleteAt(addr, &idx)
 		d.stats.Events.Inc(EvRemoveTag)
 	}
 }

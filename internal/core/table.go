@@ -146,7 +146,10 @@ type Result[V any] struct {
 // family is resolved into a concrete hashfn.Indexer once at NewTable,
 // and the paper's single-entry-bucket design (BucketSize == 1) runs a
 // specialized path that batch-computes all d way-indices per key and
-// reuses them across the lookup pass and the displacement loop.
+// reuses them across the lookup pass and the displacement loop. The
+// unexported find, insertAt and deleteAt let a caller carry the indices
+// from a lookup into the insert or delete of the same key, so a
+// directory operation hashes its address once.
 //
 // The fast path stores its entries as one dense array of pairs, each
 // a key next to its value (vacant pairs hold the packedEmpty key), plus
@@ -286,12 +289,22 @@ func (t *Table[V]) bucketBase(way, set int) int {
 //
 //cuckoo:hotpath
 func (t *Table[V]) Find(key uint64) *V {
+	var idx [hashfn.MaxWays]uint64
+	return t.find(key, &idx)
+}
+
+// find is Find that leaves key's way indices in idx, so an insertAt or
+// deleteAt of the same key that follows it hashes the key no second
+// time. Only the packed path computes indices; the generic path neither
+// reads nor writes idx.
+//
+//cuckoo:hotpath
+func (t *Table[V]) find(key uint64, idx *[hashfn.MaxWays]uint64) *V {
 	if t.fast && !t.forceGeneric {
 		if t.two {
-			return t.find2(key)
+			return t.find2(key, idx)
 		}
-		var idx [hashfn.MaxWays]uint64
-		t.ix.IndexAll(key, &idx)
+		t.ix.IndexAll(key, idx)
 		sets := t.cfg.SetsPerWay
 		for w := 0; w < t.cfg.Ways; w++ {
 			si := w*sets + int(idx[w])
@@ -320,13 +333,14 @@ func (t *Table[V]) Find(key uint64) *V {
 }
 
 // find2 is the open-coded d=2 probe: both way indices computed in one
-// Index2 call and both pairs' keys loaded before the first compare, so
-// the two probe-line reads issue back to back instead of serializing
-// behind the way-0 branch.
+// Index2 call (and left in idx, as find does) and both pairs' keys
+// loaded before the first compare, so the two probe-line reads start
+// back to back instead of serializing behind the way-0 branch.
 //
 //cuckoo:hotpath
-func (t *Table[V]) find2(key uint64) *V {
+func (t *Table[V]) find2(key uint64, idx *[hashfn.MaxWays]uint64) *V {
 	i0, i1 := t.ix.Index2(key)
+	idx[0], idx[1] = i0, i1
 	s0 := int(i0)
 	s1 := t.cfg.SetsPerWay + int(i1)
 	p0, p1 := &t.pairs[s0], &t.pairs[s1]
@@ -370,27 +384,37 @@ func (t *Table[V]) Contains(key uint64) bool { return t.Find(key) != nil }
 //
 //cuckoo:hotpath
 func (t *Table[V]) Insert(key uint64, val V) Result[V] {
+	var idx [hashfn.MaxWays]uint64
 	if t.fast && !t.forceGeneric {
-		return t.insertFast(key, val)
+		t.ix.IndexAll(key, &idx)
+	}
+	return t.insertAt(key, val, &idx)
+}
+
+// insertAt is Insert over key's way indices, as find left them in idx
+// (the generic path ignores idx).
+//
+//cuckoo:hotpath
+func (t *Table[V]) insertAt(key uint64, val V, idx *[hashfn.MaxWays]uint64) Result[V] {
+	if t.fast && !t.forceGeneric {
+		return t.insertFast(key, val, idx)
 	}
 	return t.insertGeneric(key, val)
 }
 
 // insertFast is the specialized Insert for the paper's single-entry-
-// bucket design over the packed layout: all d way-indices of the
-// inserted key are computed in one batch and reused across the lookup
-// pass and the first displacement step; displaced keys need exactly one
-// fresh index (their next way) per attempt, and every probe is a key
-// compare against the dense pair array — values move only on update or
-// displacement, and the live bitset is read only where a probed key
-// word is the vacancy sentinel. It is operation-for-operation
-// equivalent to insertGeneric on BucketSize == 1 tables, which the
-// differential tests verify.
+// bucket design over the packed layout: the inserted key's d
+// way-indices, computed once by the caller, serve both the lookup pass
+// and the first displacement step; a displaced key's next index is
+// re-derived from the set it was evicted from (hashfn.Indexer.Reindex),
+// and every probe is a key compare against the dense pair array —
+// values move only on update or displacement, and the live bitset is
+// read only where a probed key word is the vacancy sentinel. It is
+// operation-for-operation equivalent to insertGeneric on BucketSize ==
+// 1 tables, which the differential tests verify.
 //
 //cuckoo:hotpath
-func (t *Table[V]) insertFast(key uint64, val V) Result[V] {
-	var idx [hashfn.MaxWays]uint64
-	t.ix.IndexAll(key, &idx)
+func (t *Table[V]) insertFast(key uint64, val V, idx *[hashfn.MaxWays]uint64) Result[V] {
 	ways, sets := t.cfg.Ways, t.cfg.SetsPerWay
 
 	// Lookup pass: find the key or a vacant slot. Ways are scanned from
@@ -463,13 +487,15 @@ func (t *Table[V]) insertFast(key uint64, val V) Result[V] {
 			victim := cur
 			return Result[V]{Attempts: attempt, Evicted: &victim}
 		}
-		// Swap cur with the slot's occupant and continue in the next way.
+		// Swap cur with the slot's occupant and continue in the next
+		// way; the occupant sat at (w, set), which Reindex inverts.
 		cur.Key, p.key = p.key, cur.Key
 		cur.Val, p.val = p.val, cur.Val
+		from := w
 		if w++; w == ways {
 			w = 0
 		}
-		set = int(t.ix.Index(w, cur.Key))
+		set = int(t.ix.Reindex(cur.Key, from, uint64(set), w))
 	}
 }
 
@@ -561,9 +587,19 @@ func (t *Table[V]) insertGeneric(key uint64, val V) Result[V] {
 //
 //cuckoo:hotpath
 func (t *Table[V]) Delete(key uint64) bool {
+	var idx [hashfn.MaxWays]uint64
 	if t.fast && !t.forceGeneric {
-		var idx [hashfn.MaxWays]uint64
 		t.ix.IndexAll(key, &idx)
+	}
+	return t.deleteAt(key, &idx)
+}
+
+// deleteAt is Delete over key's way indices, as find left them in idx
+// (the generic path ignores idx).
+//
+//cuckoo:hotpath
+func (t *Table[V]) deleteAt(key uint64, idx *[hashfn.MaxWays]uint64) bool {
+	if t.fast && !t.forceGeneric {
 		sets := t.cfg.SetsPerWay
 		for w := 0; w < t.cfg.Ways; w++ {
 			si := w*sets + int(idx[w])

@@ -12,6 +12,14 @@
 // Both are exposed behind the Family interface: a family maps (way, key) to
 // a 64-bit hash; callers reduce the hash onto their set count. Families are
 // stateless and safe for concurrent use.
+//
+// Probe paths do not call a Family per way. They resolve it once into an
+// Indexer, which computes the same set indices bit for bit. For the
+// skewing family the Indexer runs at the cost the paper quotes: rotation
+// amounts are precomputed, so no index divides, and each rotation is one
+// shift. Indexer.Reindex gives a displaced key's next index from the set
+// it occupied, without folding the key's upper fields again. Skew.Hash
+// stays the straightforward reference those paths are tested against.
 package hashfn
 
 // Family is a parametric family of hash functions, one per way of a

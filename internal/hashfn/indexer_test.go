@@ -18,23 +18,26 @@ func testKeys(n int) []uint64 {
 	return keys
 }
 
-// TestIndexerBitIdentical is the satellite property test: for every
-// family — the three built-ins (at several widths, including zero-value
-// and literal Skews) plus an opaque wrapper forcing the interface
-// fallback — the resolved Indexer produces bit-identical set indices to
-// the Family interface path, via both Index and IndexAll, across way
-// counts on both sides of MaxWays.
+// TestIndexerBitIdentical is the property test of the indexer: for
+// every family — the three built-ins (at several widths, including
+// zero-value and literal Skews) plus an opaque wrapper forcing the
+// interface fallback — the resolved Indexer produces bit-identical set
+// indices to the Family interface path, via Index, Index2, IndexAll and
+// Reindex, across way counts on both sides of MaxWays. The set masks
+// reach 28 and 32 bits, where a Skew wider than 32 bits would overflow
+// the single-shift kernel's doubled field, and where a skew narrower
+// than the set mask still leaves Reindex its inversion.
 func TestIndexerBitIdentical(t *testing.T) {
 	families := []Family{
-		NewSkew(1), NewSkew(5), NewSkew(12), NewSkew(16), NewSkew(32),
-		Skew{}, Skew{Bits: 9}, Skew{Bits: 40},
+		NewSkew(1), NewSkew(5), NewSkew(12), NewSkew(16), NewSkew(28), NewSkew(32),
+		Skew{}, Skew{Bits: 9}, Skew{Bits: 33}, Skew{Bits: 40},
 		Strong{}, XorFold{}, Opaque(NewSkew(10)), Opaque(Strong{}),
 	}
 	keys := testKeys(200)
 	for _, f := range families {
 		for _, ways := range []int{1, 2, 3, 4, 8, 11} {
-			for _, sets := range []int{2, 512, 1 << 16} {
-				mask := uint64(sets - 1)
+			for _, sets := range []uint64{2, 512, 1 << 16, 1 << 28, 1 << 32} {
+				mask := sets - 1
 				ix := NewIndexer(f, ways, mask)
 				if got := ix.Family().Name(); got != f.Name() {
 					t.Fatalf("Family().Name() = %q, want %q", got, f.Name())
@@ -43,25 +46,34 @@ func TestIndexerBitIdentical(t *testing.T) {
 					t.Fatalf("%s/%d ways: Batched() = %v", f.Name(), ways, ix.Batched())
 				}
 				var all [MaxWays]uint64
+				want := make([]uint64, ways)
 				for _, key := range keys {
 					if ix.Batched() {
 						ix.IndexAll(key, &all)
 					}
 					if ways >= 2 {
 						if i0, i1 := ix.Index2(key); i0 != Index(f, 0, key, mask) || i1 != Index(f, 1, key, mask) {
-							t.Fatalf("%s ways=%d sets=%d: Index2(%#x) = (%#x, %#x), want (%#x, %#x)",
+							t.Fatalf("%s ways=%d sets=%#x: Index2(%#x) = (%#x, %#x), want (%#x, %#x)",
 								f.Name(), ways, sets, key, i0, i1, Index(f, 0, key, mask), Index(f, 1, key, mask))
 						}
 					}
-					for w := 0; w < ways; w++ {
-						want := Index(f, w, key, mask)
-						if got := ix.Index(w, key); got != want {
-							t.Fatalf("%s ways=%d sets=%d: Index(%d, %#x) = %#x, want %#x",
-								f.Name(), ways, sets, w, key, got, want)
+					for w := range want {
+						want[w] = Index(f, w, key, mask)
+						if got := ix.Index(w, key); got != want[w] {
+							t.Fatalf("%s ways=%d sets=%#x: Index(%d, %#x) = %#x, want %#x",
+								f.Name(), ways, sets, w, key, got, want[w])
 						}
-						if ix.Batched() && all[w] != want {
-							t.Fatalf("%s ways=%d sets=%d: IndexAll(%#x)[%d] = %#x, want %#x",
-								f.Name(), ways, sets, key, w, all[w], want)
+						if ix.Batched() && all[w] != want[w] {
+							t.Fatalf("%s ways=%d sets=%#x: IndexAll(%#x)[%d] = %#x, want %#x",
+								f.Name(), ways, sets, key, w, all[w], want[w])
+						}
+					}
+					for from := range want {
+						for to := range want {
+							if got := ix.Reindex(key, from, want[from], to); got != want[to] {
+								t.Fatalf("%s ways=%d sets=%#x: Reindex(%#x, %d, %#x, %d) = %#x, want %#x",
+									f.Name(), ways, sets, key, from, want[from], to, got, want[to])
+							}
 						}
 					}
 				}
@@ -133,4 +145,50 @@ func ExampleIndexer() {
 	// true
 	// true
 	// true
+}
+
+// FuzzIndexer checks the skewing kernel against the Family path on
+// fuzzed geometry: index bits 1..40 (NewSkew up to 32, a literal Skew
+// always or beyond 32), set-mask width 0..63, 2..11 ways, any key and
+// way. Index, IndexAll, Index2 and Reindex must all equal
+// Index(family, ...). The seeds are the committed corpus in
+// testdata/fuzz/FuzzIndexer.
+func FuzzIndexer(f *testing.F) {
+	f.Fuzz(func(t *testing.T, bits uint8, literal bool, maskBits uint8, ways uint8, key uint64, way uint8) {
+		n := 1 + int(bits)%40
+		var fam Family = Skew{Bits: n}
+		if !literal && n <= 32 {
+			fam = NewSkew(n)
+		}
+		mask := uint64(1)<<(maskBits%64) - 1
+		d := 2 + int(ways)%10
+		from := int(way) % d
+		ix := NewIndexer(fam, d, mask)
+
+		want := make([]uint64, d)
+		for w := range want {
+			want[w] = Index(fam, w, key, mask)
+			if got := ix.Index(w, key); got != want[w] {
+				t.Fatalf("bits=%d mask=%#x ways=%d: Index(%d, %#x) = %#x, want %#x", n, mask, d, w, key, got, want[w])
+			}
+		}
+		if ix.Batched() {
+			var all [MaxWays]uint64
+			ix.IndexAll(key, &all)
+			for w := range want {
+				if all[w] != want[w] {
+					t.Fatalf("bits=%d mask=%#x ways=%d: IndexAll(%#x)[%d] = %#x, want %#x", n, mask, d, key, w, all[w], want[w])
+				}
+			}
+		}
+		if i0, i1 := ix.Index2(key); i0 != want[0] || i1 != want[1] {
+			t.Fatalf("bits=%d mask=%#x: Index2(%#x) = (%#x, %#x), want (%#x, %#x)", n, mask, key, i0, i1, want[0], want[1])
+		}
+		for to := range want {
+			if got := ix.Reindex(key, from, want[from], to); got != want[to] {
+				t.Fatalf("bits=%d mask=%#x ways=%d: Reindex(%#x, %d, %#x, %d) = %#x, want %#x",
+					n, mask, d, key, from, want[from], to, got, want[to])
+			}
+		}
+	})
 }
