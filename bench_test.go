@@ -152,7 +152,10 @@ func BenchmarkShardedDirectoryApply(b *testing.B) {
 }
 
 func BenchmarkCuckooTableInsertDelete(b *testing.B) {
-	t := NewCuckooTable[uint64](TableConfig{Ways: 4, SetsPerWay: 1 << 13})
+	t, err := NewCuckooTable[uint64](TableConfig{Ways: 4, SetsPerWay: 1 << 13})
+	if err != nil {
+		b.Fatal(err)
+	}
 	keys := make([]uint64, t.Capacity()/2)
 	for i := range keys {
 		keys[i] = uint64(i)*0x9e3779b97f4a7c15 + 1

@@ -436,9 +436,14 @@ type CuckooEntry[V any] = core.Entry[V]
 type InsertResult[V any] = core.Result[V]
 
 // NewCuckooTable builds a standalone d-ary cuckoo hash table (the
-// structure of paper §4.1, usable independently of coherence).
-func NewCuckooTable[V any](cfg TableConfig) *core.Table[V] {
-	return core.NewTable[V](cfg)
+// structure of paper §4.1, usable independently of coherence). It
+// returns cfg.Validate's error for a bad geometry, e.g. Ways outside
+// 2..8.
+func NewCuckooTable[V any](cfg TableConfig) (*core.Table[V], error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return core.NewTable[V](cfg), nil
 }
 
 // ---- sharer-set formats ----

@@ -92,7 +92,10 @@ func TestPublicCuckooDirectory(t *testing.T) {
 }
 
 func TestPublicCuckooTable(t *testing.T) {
-	tbl := NewCuckooTable[string](TableConfig{Ways: 3, SetsPerWay: 32})
+	tbl, err := NewCuckooTable[string](TableConfig{Ways: 3, SetsPerWay: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
 	res := tbl.Insert(7, "seven")
 	if res.Present || res.Attempts != 1 {
 		t.Fatalf("insert: %+v", res)
@@ -102,6 +105,12 @@ func TestPublicCuckooTable(t *testing.T) {
 	}
 	if !tbl.Delete(7) {
 		t.Fatal("delete failed")
+	}
+	// A bad geometry is an error, not a panic.
+	for _, cfg := range []TableConfig{{Ways: 9, SetsPerWay: 64}, {Ways: 1, SetsPerWay: 64}, {Ways: 4, SetsPerWay: 48}} {
+		if tbl, err := NewCuckooTable[string](cfg); err == nil || tbl != nil {
+			t.Errorf("NewCuckooTable(%+v) = %v, %v; want an error", cfg, tbl, err)
+		}
 	}
 }
 

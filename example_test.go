@@ -34,10 +34,13 @@ func ExampleBuildNamed() {
 // ExampleNewCuckooTable shows the raw d-ary cuckoo hash table: Figure 5's
 // displacement behaviour with a conflict group larger than one way.
 func ExampleNewCuckooTable() {
-	t := cuckoodir.NewCuckooTable[string](cuckoodir.TableConfig{
+	t, err := cuckoodir.NewCuckooTable[string](cuckoodir.TableConfig{
 		Ways:       4,
 		SetsPerWay: 64,
 	})
+	if err != nil {
+		panic(err)
+	}
 	for i := 0; i < 100; i++ {
 		t.Insert(uint64(i)*977, fmt.Sprint(i))
 	}

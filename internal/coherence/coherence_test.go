@@ -72,7 +72,7 @@ func TestDirectoryStatsFlow(t *testing.T) {
 	sys := New(smallCfg(), testProfile(), 5, cuckooFactory)
 	sys.Run(20000)
 	fs := sys.DirectoryStats()
-	if fs.Events.Get(core.EvInsertTag) == 0 {
+	if fs.Events[core.EvInsertTag] == 0 {
 		t.Fatal("no inserts recorded")
 	}
 	if fs.Attempts.Mean() < 1 {

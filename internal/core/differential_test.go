@@ -8,11 +8,11 @@ import (
 	"cuckoodir/internal/rng"
 )
 
-// The differential tests behind the PR-4 acceptance criteria: the
-// devirtualized fast path (batch indexer + single-entry-bucket
-// specialization) must be operation-for-operation equivalent to both
-// the generic bucketized path and the old Family-interface dispatch
-// path (reproduced exactly by hashfn.Opaque, which defeats indexer
+// The differential tests: Table must be operation-for-operation
+// equivalent to refTable, the slot-layout reference procedure that
+// hashes every way through the Family interface (reference_test.go),
+// and to itself under the old Family-interface dispatch path
+// (reproduced exactly by hashfn.Opaque, which defeats indexer
 // specialization).
 
 // diffOp is one random table operation.
@@ -73,9 +73,20 @@ func keyStreams(ops []diffOp) []keyStream {
 	return []keyStream{{"keys=narrow", ops}, {"keys=wide", wideKeys(ops)}}
 }
 
+// diffTable is the operation surface the differential tests drive;
+// Table[uint64] and refTable implement it.
+type diffTable interface {
+	Insert(key, val uint64) Result[uint64]
+	Find(key uint64) *uint64
+	Delete(key uint64) bool
+	Len() int
+	StashLen() int
+	ForEach(fn func(Entry[uint64]) bool)
+}
+
 // applyCompare drives a and b through the same op and fails on any
 // observable divergence.
-func applyCompare(t *testing.T, a, b *Table[uint64], i int, op diffOp) {
+func applyCompare(t *testing.T, a, b diffTable, i int, op diffOp) {
 	t.Helper()
 	switch op.kind {
 	case 0:
@@ -104,9 +115,9 @@ func applyCompare(t *testing.T, a, b *Table[uint64], i int, op diffOp) {
 
 // compareContents fails unless both tables hold exactly the same
 // entries.
-func compareContents(t *testing.T, a, b *Table[uint64]) {
+func compareContents(t *testing.T, a, b diffTable) {
 	t.Helper()
-	dump := func(tb *Table[uint64]) map[uint64]uint64 {
+	dump := func(tb diffTable) map[uint64]uint64 {
 		m := make(map[uint64]uint64)
 		tb.ForEach(func(e Entry[uint64]) bool { m[e.Key] = e.Val; return true })
 		return m
@@ -123,19 +134,30 @@ func compareContents(t *testing.T, a, b *Table[uint64]) {
 }
 
 // diffConfigs is the configuration sweep the differential tests cover:
-// every hash family, several way counts, stash on and off.
+// every hash family, several way counts, stash on and off, and the
+// paper's single-entry buckets beside 2- and 4-entry ones (the
+// Panigrahy ablation) at constant capacity.
 func diffConfigs() []Config {
 	var cfgs []Config
 	for _, fam := range []hashfn.Family{nil, hashfn.Strong{}, hashfn.XorFold{}} {
 		for _, ways := range []int{2, 3, 4, 8} {
 			for _, stash := range []int{0, 4} {
-				cfgs = append(cfgs, Config{
-					Ways: ways, SetsPerWay: 64, StashSize: stash, Hash: fam,
-				})
+				for _, bucket := range []int{0, 2, 4} {
+					cfgs = append(cfgs, Config{
+						Ways: ways, SetsPerWay: 64 / max(bucket, 1), BucketSize: bucket,
+						StashSize: stash, Hash: fam,
+					})
+				}
 			}
 		}
 	}
 	return cfgs
+}
+
+// diffUniverse is a key universe of ~1.3x cfg's capacity, which keeps
+// a table near saturation.
+func diffUniverse(cfg Config) uint64 {
+	return uint64(cfg.Ways*cfg.SetsPerWay*max(cfg.BucketSize, 1)) * 13 / 10
 }
 
 func cfgName(cfg Config) string {
@@ -146,26 +168,19 @@ func cfgName(cfg Config) string {
 	return fmt.Sprintf("%s/ways=%d/stash=%d/bucket=%d", fam, cfg.Ways, cfg.StashSize, cfg.BucketSize)
 }
 
-// TestFastGenericEquivalent proves the BucketSize==1 specialized path
-// and the generic bucketized path produce identical results, evictions,
-// attempt counts and final contents on randomized op sequences.
+// TestFastGenericEquivalent proves Table and the reference procedure
+// produce identical results, evictions, attempt counts and final
+// contents on randomized op sequences.
 func TestFastGenericEquivalent(t *testing.T) {
 	for _, cfg := range diffConfigs() {
 		t.Run(cfgName(cfg), func(t *testing.T) {
-			// ~1.3x capacity universe keeps the table near saturation.
-			universe := uint64(cfg.Ways*cfg.SetsPerWay) * 13 / 10
-			for _, stream := range keyStreams(diffOps(42, 20_000, universe)) {
+			for _, stream := range keyStreams(diffOps(42, 20_000, diffUniverse(cfg))) {
 				t.Run(stream.name, func(t *testing.T) {
-					fast := NewTable[uint64](cfg)
-					gen := NewTable[uint64](cfg)
-					gen.forceGenericPath()
-					if !fast.fast || !fast.packed() || !gen.forceGeneric || gen.packed() {
-						t.Fatal("paths not pinned as intended")
-					}
+					tb, ref := NewTable[uint64](cfg), newRefTable(cfg)
 					for i, op := range stream.ops {
-						applyCompare(t, fast, gen, i, op)
+						applyCompare(t, tb, ref, i, op)
 					}
-					compareContents(t, fast, gen)
+					compareContents(t, tb, ref)
 				})
 			}
 		})
@@ -188,29 +203,22 @@ func diffOpsSpecial(seed uint64, ops []diffOp) []diffOp {
 	return ops
 }
 
-// TestPackedSlotLayoutEquivalent is the packed-layout acceptance test:
-// randomized runs over every differential config prove the packed
-// pair-array path is operation-for-operation identical to the
-// PR 4 interleaved-slot layout (pinned via forceGenericPath) — with key
-// 0 and the reserved sentinel value in the stream, so a stored key
+// TestPackedSlotLayoutEquivalent proves the pair array, whose vacant
+// pairs hold the packedEmpty key, operation-for-operation identical to
+// the reference's slot layout with its per-slot valid flag — with key 0
+// and the reserved sentinel value in the stream, so a stored key
 // colliding with the vacancy encoding cannot silently diverge.
 func TestPackedSlotLayoutEquivalent(t *testing.T) {
 	for _, seed := range []uint64{3, 99} {
 		for _, cfg := range diffConfigs() {
 			t.Run(fmt.Sprintf("seed=%d/%s", seed, cfgName(cfg)), func(t *testing.T) {
-				universe := uint64(cfg.Ways*cfg.SetsPerWay) * 13 / 10
-				for _, stream := range keyStreams(diffOps(seed, 15_000, universe)) {
+				for _, stream := range keyStreams(diffOps(seed, 15_000, diffUniverse(cfg))) {
 					t.Run(stream.name, func(t *testing.T) {
-						packed := NewTable[uint64](cfg)
-						slotted := NewTable[uint64](cfg)
-						slotted.forceGenericPath()
-						if !packed.packed() || slotted.packed() {
-							t.Fatal("layouts not pinned as intended")
-						}
+						tb, ref := NewTable[uint64](cfg), newRefTable(cfg)
 						for i, op := range diffOpsSpecial(seed, stream.ops) {
-							applyCompare(t, packed, slotted, i, op)
+							applyCompare(t, tb, ref, i, op)
 						}
-						compareContents(t, packed, slotted)
+						compareContents(t, tb, ref)
 					})
 				}
 			})
@@ -218,16 +226,16 @@ func TestPackedSlotLayoutEquivalent(t *testing.T) {
 	}
 }
 
-// TestPackedChurnEquivalent drives both layouts through directed phases
-// the random mix only grazes: fill past saturation so the stash spills,
-// delete resident keys so the stash refills the freed slots, then
-// re-insert the deleted keys — with the hazard keys (0, the sentinel)
-// seeded among them. Every phase boundary re-checks full contents.
+// TestPackedChurnEquivalent drives Table and the reference through
+// directed phases the random mix only grazes: fill past saturation so
+// the stash spills, delete resident keys so the stash refills the freed
+// slots, then re-insert the deleted keys — with the hazard keys (0, the
+// sentinel) seeded among them. Every phase boundary re-checks full
+// contents.
 func TestPackedChurnEquivalent(t *testing.T) {
 	cfg := Config{Ways: 3, SetsPerWay: 64, StashSize: 6}
 	packed := NewTable[uint64](cfg)
-	slotted := NewTable[uint64](cfg)
-	slotted.forceGenericPath()
+	slotted := newRefTable(cfg)
 
 	r := rng.New(777)
 	keys := []uint64{0, packedEmpty, packedEmpty + 1}
@@ -235,7 +243,7 @@ func TestPackedChurnEquivalent(t *testing.T) {
 		keys = append(keys, r.Uint64())
 	}
 	// Phase 1: overfill — late insertions exhaust the budget and spill
-	// into the stash (and beyond, forcing evictions) on both layouts.
+	// into the stash (and beyond, forcing evictions) on both tables.
 	for i, k := range keys {
 		applyCompare(t, packed, slotted, i, diffOp{kind: 0, key: k, val: k ^ 0xabcd})
 	}
@@ -244,7 +252,7 @@ func TestPackedChurnEquivalent(t *testing.T) {
 		t.Fatal("phase 1 never spilled into the stash")
 	}
 	// Phase 2: delete every other key — freed slots opportunistically
-	// refill from the stash, in identical order on both layouts.
+	// refill from the stash, in identical order on both tables.
 	deleted := keys[:0:0]
 	for i, k := range keys {
 		if i%2 == 0 {
@@ -269,16 +277,7 @@ func TestPackedChurnEquivalent(t *testing.T) {
 // dispatch path (hashfn.Opaque forces the indexer's interface
 // fallback), for single-entry buckets AND the bucketized ablation.
 func TestFastInterfaceEquivalent(t *testing.T) {
-	base := diffConfigs()
-	var cfgs []Config
-	for _, cfg := range base {
-		cfgs = append(cfgs, cfg)
-		bucketized := cfg
-		bucketized.BucketSize = 2
-		bucketized.SetsPerWay = 32 // hold capacity constant
-		cfgs = append(cfgs, bucketized)
-	}
-	for _, cfg := range cfgs {
+	for _, cfg := range diffConfigs() {
 		t.Run(cfgName(cfg), func(t *testing.T) {
 			iface := cfg
 			fam := cfg.Hash
@@ -287,8 +286,7 @@ func TestFastInterfaceEquivalent(t *testing.T) {
 				fam = defaultSkew(cfg.SetsPerWay)
 			}
 			iface.Hash = hashfn.Opaque(fam)
-			universe := uint64(cfg.Ways*cfg.SetsPerWay*max(cfg.BucketSize, 1)) * 13 / 10
-			for _, stream := range keyStreams(diffOps(7, 20_000, universe)) {
+			for _, stream := range keyStreams(diffOps(7, 20_000, diffUniverse(cfg))) {
 				t.Run(stream.name, func(t *testing.T) {
 					fast := NewTable[uint64](cfg)
 					old := NewTable[uint64](iface)
@@ -303,12 +301,11 @@ func TestFastInterfaceEquivalent(t *testing.T) {
 }
 
 // TestDirectoryFastGenericEquivalent is the directory-level
-// differential: a Directory on the packed path, whose Read, Write and
-// Evict hand the lookup's way indices on to the insert or delete that
-// follows it, against one pinned to the slot layout (forceGenericPath),
-// which hashes per way on every call. Both run the same seeded
-// Read/Write/Evict stream, narrow and full-width, over every
-// differential config; every forced eviction, invalidate mask and
+// differential: a Directory, whose Read, Write and Evict hand the
+// lookup's way indices on to the insert or delete that follows it,
+// against refDirectory, which hashes per way on every call. Both run
+// the same seeded Read/Write/Evict stream, narrow and full-width, over
+// every differential config; every forced eviction, invalidate mask and
 // LastAttempts must agree, then the event counts, attempt histograms
 // and contents.
 func TestDirectoryFastGenericEquivalent(t *testing.T) {
@@ -317,46 +314,39 @@ func TestDirectoryFastGenericEquivalent(t *testing.T) {
 		t.Run(cfgName(cfg), func(t *testing.T) {
 			// diffOps' kinds read here as 0 = Read, 1 = Write,
 			// 2 = Evict; val picks the cache.
-			universe := uint64(cfg.Ways*cfg.SetsPerWay) * 13 / 10
-			for _, stream := range keyStreams(diffOps(11, 20_000, universe)) {
+			for _, stream := range keyStreams(diffOps(11, 20_000, diffUniverse(cfg))) {
 				t.Run(stream.name, func(t *testing.T) {
 					fast := NewDirectory(DirConfig{Table: cfg, NumCaches: caches})
-					gen := NewDirectory(DirConfig{Table: cfg, NumCaches: caches})
-					gen.t.forceGenericPath()
-					if !fast.t.packed() || gen.t.packed() {
-						t.Fatal("layouts not pinned as intended")
-					}
+					ref := newRefDirectory(cfg)
 					for i, op := range stream.ops {
 						addr, cache := op.key, int(op.val%caches)
 						switch op.kind {
 						case 0:
-							fa, fb := fast.Read(addr, cache), gen.Read(addr, cache)
+							fa, fb := fast.Read(addr, cache), ref.Read(addr, cache)
 							if (fa == nil) != (fb == nil) || (fa != nil && *fa != *fb) {
 								t.Fatalf("op %d: Read(%#x, %d) forced %v vs %v", i, addr, cache, fa, fb)
 							}
 						case 1:
 							ia, fa := fast.Write(addr, cache)
-							ib, fb := gen.Write(addr, cache)
+							ib, fb := ref.Write(addr, cache)
 							if ia != ib || (fa == nil) != (fb == nil) || (fa != nil && *fa != *fb) {
 								t.Fatalf("op %d: Write(%#x, %d) = (%#x, %v) vs (%#x, %v)", i, addr, cache, ia, fa, ib, fb)
 							}
 						case 2:
 							fast.Evict(addr, cache)
-							gen.Evict(addr, cache)
+							ref.Evict(addr, cache)
 						}
-						if fast.LastAttempts() != gen.LastAttempts() || fast.Len() != gen.Len() {
+						if fast.LastAttempts() != ref.last || fast.Len() != ref.t.Len() {
 							t.Fatalf("op %d: LastAttempts %d/%d Len %d/%d diverged",
-								i, fast.LastAttempts(), gen.LastAttempts(), fast.Len(), gen.Len())
+								i, fast.LastAttempts(), ref.last, fast.Len(), ref.t.Len())
 						}
 					}
-					sa, sb := fast.Stats(), gen.Stats()
-					for _, ev := range []string{EvInsertTag, EvAddSharer, EvRemoveSharer, EvRemoveTag, EvInvalidate} {
-						if sa.Events.Get(ev) != sb.Events.Get(ev) {
-							t.Fatalf("%s: %d vs %d", ev, sa.Events.Get(ev), sb.Events.Get(ev))
-						}
+					sa, sb := fast.Stats(), ref.stats
+					if sa.Events != sb.Events {
+						t.Fatalf("events %v vs %v", sa.Events, sb.Events)
 					}
-					if sa.Events.Get(EvInsertTag) == 0 || sa.Events.Get(EvRemoveTag) == 0 {
-						t.Fatalf("stream never allocated and freed entries: %v", sa.Events.Fractions())
+					if sa.Events[EvInsertTag] == 0 || sa.Events[EvRemoveTag] == 0 {
+						t.Fatalf("stream never allocated and freed entries: %v", sa.Events)
 					}
 					if sa.ForcedEvictions != sb.ForcedEvictions || sa.ForcedBlocks != sb.ForcedBlocks {
 						t.Fatalf("forced %d/%d blocks vs %d/%d",
@@ -367,7 +357,7 @@ func TestDirectoryFastGenericEquivalent(t *testing.T) {
 							t.Fatalf("attempt histogram at %d: %d vs %d", v, sa.Attempts.Bucket(v), sb.Attempts.Bucket(v))
 						}
 					}
-					compareContents(t, fast.t, gen.t)
+					compareContents(t, fast.t, ref.t)
 				})
 			}
 		})

@@ -2,22 +2,50 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cuckoodir/internal/hashfn"
 	"cuckoodir/internal/stats"
 )
 
-// Event names used in the directory's event-mix accounting. These are the
-// five operation classes of the paper's energy methodology (§5.6 footnote:
-// insert 23.5%, add sharer 26.9%, remove sharer 24.9%, remove tag 23.5%,
-// invalidate all sharers 1.2%).
+// Event is one of the five directory event classes of the paper's
+// energy methodology (§5.6 footnote: insert 23.5%, add sharer 26.9%,
+// remove sharer 24.9%, remove tag 23.5%, invalidate all sharers 1.2%).
+type Event uint8
+
+// The event classes, in the order reports print them.
 const (
-	EvInsertTag    = "insert-tag"
-	EvAddSharer    = "add-sharer"
-	EvRemoveSharer = "remove-sharer"
-	EvRemoveTag    = "remove-tag"
-	EvInvalidate   = "invalidate-sharers"
+	EvInsertTag Event = iota
+	EvAddSharer
+	EvRemoveSharer
+	EvRemoveTag
+	EvInvalidate
+	// NumEvents is the number of event classes.
+	NumEvents
 )
+
+var eventNames = [NumEvents]string{"insert-tag", "add-sharer", "remove-sharer", "remove-tag", "invalidate-sharers"}
+
+// String returns the event's report name, e.g. "insert-tag".
+func (e Event) String() string { return eventNames[e] }
+
+// EventCounts counts directory events, one fixed counter per class,
+// indexed by Event.
+type EventCounts [NumEvents]uint64
+
+// Inc counts one event of class e.
+//
+//cuckoo:hotpath
+func (c *EventCounts) Inc(e Event) { c[e]++ }
+
+// Total returns the number of events of every class.
+func (c *EventCounts) Total() uint64 {
+	var n uint64
+	for _, v := range c {
+		n += v
+	}
+	return n
+}
 
 // DirConfig configures a Cuckoo directory slice.
 type DirConfig struct {
@@ -43,7 +71,7 @@ type Forced struct {
 //cuckoo:stats merge=Merge
 type DirStats struct {
 	// Events counts the five directory event classes.
-	Events *stats.CounterSet
+	Events EventCounts
 	// Attempts is the per-insertion write-attempt histogram (1..cap),
 	// the quantity of Figures 7, 9, 10 and 11.
 	Attempts *stats.Histogram
@@ -60,10 +88,7 @@ type DirStats struct {
 
 // NewDirStats returns zeroed statistics sized for the given attempt cap.
 func NewDirStats(maxAttempts int) *DirStats {
-	return &DirStats{
-		Events:   stats.NewCounterSet(),
-		Attempts: stats.NewHistogram(maxAttempts),
-	}
+	return &DirStats{Attempts: stats.NewHistogram(maxAttempts)}
 }
 
 // MergeDirStats merges per-slice statistics into one fresh aggregate.
@@ -91,7 +116,7 @@ func (s *DirStats) MeanOccupancy() float64 {
 // directory entry insertions — the metric of Figure 12 ("we present the
 // invalidation rate as a fraction of directory entry insertions").
 func (s *DirStats) InvalidationRate() float64 {
-	ins := s.Events.Get(EvInsertTag)
+	ins := s.Events[EvInsertTag]
 	if ins == 0 {
 		return 0
 	}
@@ -100,7 +125,9 @@ func (s *DirStats) InvalidationRate() float64 {
 
 // Merge accumulates other into s (used to aggregate per-slice statistics).
 func (s *DirStats) Merge(other *DirStats) {
-	s.Events.Merge(other.Events)
+	for e := range s.Events {
+		s.Events[e] += other.Events[e]
+	}
 	s.Attempts.Merge(other.Attempts)
 	s.ForcedEvictions += other.ForcedEvictions
 	s.ForcedBlocks += other.ForcedBlocks
@@ -194,7 +221,7 @@ func (d *Directory) insert(addr, mask uint64, idx *[hashfn.MaxWays]uint64) *Forc
 	d.stats.OccupancySamples++
 	if res.Evicted != nil {
 		d.stats.ForcedEvictions++
-		d.stats.ForcedBlocks += uint64(popcount(res.Evicted.Val))
+		d.stats.ForcedBlocks += uint64(bits.OnesCount64(res.Evicted.Val))
 		return &Forced{Addr: res.Evicted.Key, Sharers: res.Evicted.Val}
 	}
 	return nil
@@ -275,12 +302,4 @@ func (d *Directory) Evict(addr uint64, cache int) {
 // ForEach iterates over tracked (addr, sharer mask) pairs.
 func (d *Directory) ForEach(fn func(addr, sharers uint64) bool) {
 	d.t.ForEach(func(e Entry[uint64]) bool { return fn(e.Key, e.Val) })
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }

@@ -53,7 +53,7 @@ func TestDirectoryWriteMiss(t *testing.T) {
 	if !ok || m != 1 {
 		t.Fatalf("Lookup = %#x, %v", m, ok)
 	}
-	if got := d.Stats().Events.Get(EvInsertTag); got != 1 {
+	if got := d.Stats().Events[EvInsertTag]; got != 1 {
 		t.Fatalf("insert-tag = %d", got)
 	}
 }
@@ -67,7 +67,7 @@ func TestDirectoryEvict(t *testing.T) {
 	if !ok || m != 1<<2 {
 		t.Fatalf("after evict: %#x, %v", m, ok)
 	}
-	if got := d.Stats().Events.Get(EvRemoveSharer); got != 1 {
+	if got := d.Stats().Events[EvRemoveSharer]; got != 1 {
 		t.Fatalf("remove-sharer = %d", got)
 	}
 	// Last sharer leaving frees the entry (§5.2: "the directory entry
@@ -77,7 +77,7 @@ func TestDirectoryEvict(t *testing.T) {
 	if _, ok := d.Lookup(0xa0); ok {
 		t.Fatal("entry not freed after last eviction")
 	}
-	if got := d.Stats().Events.Get(EvRemoveTag); got != 1 {
+	if got := d.Stats().Events[EvRemoveTag]; got != 1 {
 		t.Fatalf("remove-tag = %d", got)
 	}
 	if d.Len() != 0 {
@@ -105,17 +105,18 @@ func TestDirectoryEventMix(t *testing.T) {
 	d.Write(1, 0) // invalidate-sharers (cache 1 invalidated)
 	d.Evict(1, 0) // remove-sharer + remove-tag
 	ev := d.Stats().Events
-	want := map[string]uint64{
-		EvInsertTag:    1,
-		EvAddSharer:    1,
-		EvInvalidate:   1,
-		EvRemoveSharer: 1,
-		EvRemoveTag:    1,
-	}
-	for name, n := range want {
-		if got := ev.Get(name); got != n {
-			t.Errorf("%s = %d, want %d", name, got, n)
+	// The report names the event-mix tables print.
+	names := [NumEvents]string{"insert-tag", "add-sharer", "remove-sharer", "remove-tag", "invalidate-sharers"}
+	for e := range NumEvents {
+		if e.String() != names[e] {
+			t.Errorf("Event(%d).String() = %q, want %q", e, e, names[e])
 		}
+		if ev[e] != 1 {
+			t.Errorf("%s = %d, want 1", e, ev[e])
+		}
+	}
+	if got := ev.Total(); got != 5 {
+		t.Errorf("Total = %d, want 5", got)
 	}
 }
 
@@ -126,7 +127,7 @@ func TestDirectoryWriteUpgradeSoleSharer(t *testing.T) {
 	if inv != 0 {
 		t.Fatalf("invalidate mask = %#x, want 0", inv)
 	}
-	if got := d.Stats().Events.Get(EvInvalidate); got != 0 {
+	if got := d.Stats().Events[EvInvalidate]; got != 0 {
 		t.Fatalf("invalidate-sharers = %d, want 0", got)
 	}
 }
@@ -234,7 +235,7 @@ func TestDirStatsMerge(t *testing.T) {
 	b.ForcedBlocks = 5
 	b.OccupancySum, b.OccupancySamples = 1.0, 1
 	a.Merge(b)
-	if a.Events.Get(EvInsertTag) != 2 || a.Attempts.Count() != 2 {
+	if a.Events[EvInsertTag] != 2 || a.Attempts.Count() != 2 {
 		t.Fatal("Merge lost events")
 	}
 	if a.ForcedEvictions != 2 || a.ForcedBlocks != 5 {

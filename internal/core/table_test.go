@@ -408,6 +408,7 @@ func TestStashOverflowEvicts(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Ways: 1, SetsPerWay: 16},
+		{Ways: 9, SetsPerWay: 16}, // wider than hashfn.MaxWays
 		{Ways: 4, SetsPerWay: 0},
 		{Ways: 4, SetsPerWay: 100}, // not a power of two
 		{Ways: 4, SetsPerWay: 16, BucketSize: -1},
@@ -415,6 +416,9 @@ func TestConfigValidation(t *testing.T) {
 		{Ways: 4, SetsPerWay: 16, StashSize: -1},
 	}
 	for i, cfg := range bad {
+		if cfg.Validate() == nil {
+			t.Errorf("config %d passed Validate: %+v", i, cfg)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -423,6 +427,11 @@ func TestConfigValidation(t *testing.T) {
 			}()
 			NewTable[int](cfg)
 		}()
+	}
+	for _, ways := range []int{2, hashfn.MaxWays} {
+		if err := (Config{Ways: ways, SetsPerWay: 16}).Validate(); err != nil {
+			t.Errorf("Ways = %d: %v", ways, err)
+		}
 	}
 }
 
@@ -485,13 +494,13 @@ func TestWayDistributionUniform(t *testing.T) {
 	for i := 0; i < n; i++ {
 		tb.Insert(r.Uint64(), struct{}{})
 	}
-	// Count per-way loads through the internal slot layout.
+	// Count per-way loads through the occupancy bitset.
 	perWay := make([]int, cfg.Ways)
 	seen := 0
 	for w := 0; w < cfg.Ways; w++ {
 		count := 0
 		for s := 0; s < cfg.SetsPerWay; s++ {
-			if tb.occupied(tb.bucketBase(w, s)) {
+			if tb.liveBit(tb.bucketBase(w, s)) {
 				count++
 			}
 		}

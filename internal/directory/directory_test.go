@@ -66,7 +66,7 @@ func TestWriteMissAllocates(t *testing.T) {
 		if !ok || m&(1<<3) == 0 {
 			t.Errorf("%s: write miss not tracked: %#x %v", d.Name(), m, ok)
 		}
-		if got := d.Stats().Events.Get(core.EvInsertTag); got != 1 {
+		if got := d.Stats().Events[core.EvInsertTag]; got != 1 {
 			t.Errorf("%s: insert-tag = %d", d.Name(), got)
 		}
 	}
@@ -364,13 +364,10 @@ func TestEventMixAccounting(t *testing.T) {
 		d.Read(0x1, 1)  // add-sharer
 		d.Write(0x1, 0) // invalidate
 		d.Evict(0x1, 0) // remove-sharer + remove-tag
-		ev := d.Stats().Events
-		if ev.Get(core.EvInsertTag) != 1 || ev.Get(core.EvAddSharer) != 1 ||
-			ev.Get(core.EvInvalidate) != 1 || ev.Get(core.EvRemoveSharer) != 1 ||
-			ev.Get(core.EvRemoveTag) != 1 {
-			t.Errorf("%s: event mix wrong: %v insert=%d add=%d inv=%d rms=%d rmt=%d",
-				d.Name(), ev.Names(), ev.Get(core.EvInsertTag), ev.Get(core.EvAddSharer),
-				ev.Get(core.EvInvalidate), ev.Get(core.EvRemoveSharer), ev.Get(core.EvRemoveTag))
+		if ev := d.Stats().Events; ev != (core.EventCounts{1, 1, 1, 1, 1}) {
+			t.Errorf("%s: event mix wrong: insert=%d add=%d rms=%d rmt=%d inv=%d, want 1 each",
+				d.Name(), ev[core.EvInsertTag], ev[core.EvAddSharer],
+				ev[core.EvRemoveSharer], ev[core.EvRemoveTag], ev[core.EvInvalidate])
 		}
 	}
 }

@@ -211,6 +211,7 @@ func TestSpecValidate(t *testing.T) {
 		{Org: OrgIdeal, NumCaches: -1}, // negative caches
 		{Org: OrgIdeal, NumCaches: 16, Capacity: -1},
 		{Org: OrgCuckoo, NumCaches: 16, Geometry: Geometry{Ways: 1, Sets: 64}}, // ways < 2
+		{Org: OrgCuckoo, NumCaches: 16, Geometry: Geometry{Ways: 9, Sets: 64}}, // ways > hashfn.MaxWays
 		{Org: OrgCuckoo, NumCaches: 16, Geometry: Geometry{Ways: 4, Sets: 48}}, // sets not 2^k
 		{Org: OrgCuckoo, NumCaches: 16, Geometry: Geometry{Ways: 4, Sets: 0}},  // no sets
 		{Org: OrgCuckoo, NumCaches: 16, Geometry: Geometry{Ways: 4, Sets: 1}},  // skew hash needs >= 1 index bit

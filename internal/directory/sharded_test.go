@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"cuckoodir/internal/core"
 	"cuckoodir/internal/rng"
 )
 
@@ -562,7 +563,7 @@ func TestShardedCounters(t *testing.T) {
 		(got.MeanAttempts()-mean > 1e-9 || mean-got.MeanAttempts() > 1e-9) {
 		t.Fatalf("MeanAttempts = %v, Stats mean = %v", got.MeanAttempts(), mean)
 	}
-	if ins := st.Events.Get("insert-tag"); got.Inserts != ins {
+	if ins := st.Events[core.EvInsertTag]; got.Inserts != ins {
 		t.Fatalf("Inserts = %d, Stats insert-tag = %d", got.Inserts, ins)
 	}
 	if got.Forced != st.ForcedEvictions {
@@ -644,7 +645,7 @@ func TestShardedCountersConcurrent(t *testing.T) {
 	if c.Ops() != workers*perWorker {
 		t.Fatalf("Ops() = %d, want %d", c.Ops(), workers*perWorker)
 	}
-	if ins := d.Stats().Events.Get("insert-tag"); c.Inserts != ins {
+	if ins := d.Stats().Events[core.EvInsertTag]; c.Inserts != ins {
 		t.Fatalf("Inserts = %d, Stats insert-tag = %d", c.Inserts, ins)
 	}
 }

@@ -218,8 +218,8 @@ func (s Spec) validate(allowUnboundCaches bool) error {
 	}
 	switch s.Org {
 	case OrgCuckoo:
-		if s.Geometry.Ways < 2 {
-			return fmt.Errorf("directory: spec cuckoo: Ways = %d, need >= 2", s.Geometry.Ways)
+		if w := s.Geometry.Ways; w < 2 || w > hashfn.MaxWays {
+			return fmt.Errorf("directory: spec cuckoo: Ways = %d, need 2..%d", w, hashfn.MaxWays)
 		}
 		// The skew-family bound applies only when the default skewing
 		// family is used; an explicit Hash (or StrongHash) indexes any

@@ -306,10 +306,3 @@ func elbowTable(o Options) *stats.Table {
 	t.AddNote("each extra displacement of budget cuts forced evictions by an order of magnitude (paper §6 on Elbow caches)")
 	return t
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

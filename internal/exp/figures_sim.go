@@ -289,7 +289,7 @@ func mixExp() Experiment {
 			"add/remove-sharer pairs, with a small invalidate-all fraction. Paper: insert 23.5%, add " +
 			"sharer 26.9%, remove sharer 24.9%, remove tag 23.5%, invalidate 1.2%.",
 		Run: func(o Options) []*stats.Table {
-			paper := map[string]float64{
+			paper := [core.NumEvents]float64{
 				core.EvInsertTag:    0.235,
 				core.EvAddSharer:    0.269,
 				core.EvRemoveSharer: 0.249,
@@ -315,14 +315,15 @@ func mixExp() Experiment {
 				}
 				mixes[kind] = agg
 			}
-			for _, ev := range []string{
-				core.EvInsertTag, core.EvAddSharer, core.EvRemoveSharer,
-				core.EvRemoveTag, core.EvInvalidate,
-			} {
-				row := []string{ev}
+			for ev := range core.NumEvents {
+				row := []string{ev.String()}
 				for _, kind := range []cmpsim.Kind{cmpsim.SharedL2, cmpsim.PrivateL2} {
-					fr := mixes[kind].Events.Fractions()
-					row = append(row, fmt.Sprintf("%.1f%%", fr[ev]*100))
+					counts := &mixes[kind].Events
+					fr := 0.0
+					if total := counts.Total(); total > 0 {
+						fr = float64(counts[ev]) / float64(total)
+					}
+					row = append(row, fmt.Sprintf("%.1f%%", fr*100))
 				}
 				row = append(row, fmt.Sprintf("%.1f%%", paper[ev]*100))
 				t.AddRow(row...)

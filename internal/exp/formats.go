@@ -90,7 +90,7 @@ func formatsExp() Experiment {
 			for bi, bs := range bases {
 				for fi, f := range formats {
 					res := results[bi*len(formats)+fi]
-					inserts := res.ds.Events.Get(core.EvInsertTag)
+					inserts := res.ds.Events[core.EvInsertTag]
 					perInsert := 0.0
 					if inserts > 0 {
 						perInsert = float64(res.spurious) / float64(inserts)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cuckoodir/internal/coherence"
+	"cuckoodir/internal/core"
 	"cuckoodir/internal/directory"
 	"cuckoodir/internal/stats"
 	"cuckoodir/internal/workload"
@@ -64,7 +65,7 @@ func latencyExp() Experiment {
 				sys := systems[ri]
 				ds := sys.DirStats()
 				fs := sys.DirectoryStats()
-				inserts := fs.Events.Get("insert-tag")
+				inserts := fs.Events[core.EvInsertTag]
 				perInsert := 0.0
 				if inserts > 0 {
 					perInsert = float64(ds.InsertBusyCycles) / float64(inserts)

@@ -20,9 +20,11 @@
 
 package hashfn
 
-// MaxWays is the widest way batch IndexAll computes in one pass — the
-// paper evaluates 2..8 ways (§5.2). Index serves any way count; tables
-// wider than MaxWays fall back to per-way indexing.
+// MaxWays is the widest way batch IndexAll computes in one pass, and
+// the widest cuckoo table core builds — the paper evaluates 2..8 ways
+// (§5.2). Index serves any way count, so the set-associative
+// organizations, whose ways may exceed MaxWays, fall back to per-way
+// indexing there.
 const MaxWays = 8
 
 // ixKind discriminates the specialized index pipelines.
@@ -37,12 +39,12 @@ const (
 
 // Indexer maps (way, key) to a set index exactly as Index(f, way, key,
 // setMask) would, without the per-call interface dispatch and setup.
-// Index serves one way, Index2 ways 0 and 1, IndexAll every way, and
-// Reindex moves a key that sits in one way on to another. Families it
-// does not specialize, and a literal Skew wider than 32 bits, go through
-// the interface. Resolve one with NewIndexer when the structure is built
-// and keep it by value; the zero Indexer is not usable. Indexers are
-// stateless after construction and safe for concurrent use.
+// Index serves one way, IndexAll every way, and Reindex moves a key that
+// sits in one way on to another. Families it does not specialize, and a
+// literal Skew wider than 32 bits, go through the interface. Resolve one
+// with NewIndexer when the structure is built and keep it by value; the
+// zero Indexer is not usable. Indexers are stateless after construction
+// and safe for concurrent use.
 type Indexer struct {
 	kind ixKind
 	ways int
@@ -171,35 +173,6 @@ func (ix *Indexer) Index(way int, key uint64) uint64 {
 	default:
 		//cuckoo:ignore unknown-family fallback: interface dispatch is the documented slow path
 		return ix.fam.Hash(way, key) & ix.mask
-	}
-}
-
-// Index2 returns key's set indices in ways 0 and 1 in one call —
-// bit-identical to IndexAll's dst[0] and dst[1]. It is the open-coded
-// two-way form the d=2 probe fast case is layered on: both indices come
-// back before the caller's first key compare, and the skewing family's
-// way-0 rotations (both zero) are folded away instead of looked up.
-// Only valid on indexers built with ways >= 2.
-//
-//cuckoo:hotpath
-func (ix *Indexer) Index2(key uint64) (uint64, uint64) {
-	switch ix.kind {
-	case ixSkew:
-		n := ix.n & 63
-		a1 := key & ix.nmask
-		a2 := ix.fold(key)
-		// Way 0 rotates both fields by sigma^0 = 0, so its index is the
-		// plain field XOR.
-		return (a1 ^ a2) & ix.out,
-			((a1|a1<<n)>>(ix.shA[1]&63) ^ (a2|a2<<n)>>(ix.shB[1]&63)) & ix.out
-	case ixStrong:
-		return strongHash(0, key) & ix.mask, strongHash(1, key) & ix.mask
-	case ixXorFold:
-		v := key & ix.mask
-		return v, v
-	default:
-		//cuckoo:ignore unknown-family fallback: interface dispatch is the documented slow path
-		return ix.fam.Hash(0, key) & ix.mask, ix.fam.Hash(1, key) & ix.mask
 	}
 }
 

@@ -22,7 +22,7 @@ func testKeys(n int) []uint64 {
 // every family — the three built-ins (at several widths, including
 // zero-value and literal Skews) plus an opaque wrapper forcing the
 // interface fallback — the resolved Indexer produces bit-identical set
-// indices to the Family interface path, via Index, Index2, IndexAll and
+// indices to the Family interface path, via Index, IndexAll and
 // Reindex, across way counts on both sides of MaxWays. The set masks
 // reach 28 and 32 bits, where a Skew wider than 32 bits would overflow
 // the single-shift kernel's doubled field, and where a skew narrower
@@ -50,12 +50,6 @@ func TestIndexerBitIdentical(t *testing.T) {
 				for _, key := range keys {
 					if ix.Batched() {
 						ix.IndexAll(key, &all)
-					}
-					if ways >= 2 {
-						if i0, i1 := ix.Index2(key); i0 != Index(f, 0, key, mask) || i1 != Index(f, 1, key, mask) {
-							t.Fatalf("%s ways=%d sets=%#x: Index2(%#x) = (%#x, %#x), want (%#x, %#x)",
-								f.Name(), ways, sets, key, i0, i1, Index(f, 0, key, mask), Index(f, 1, key, mask))
-						}
 					}
 					for w := range want {
 						want[w] = Index(f, w, key, mask)
@@ -150,7 +144,7 @@ func ExampleIndexer() {
 // FuzzIndexer checks the skewing kernel against the Family path on
 // fuzzed geometry: index bits 1..40 (NewSkew up to 32, a literal Skew
 // always or beyond 32), set-mask width 0..63, 2..11 ways, any key and
-// way. Index, IndexAll, Index2 and Reindex must all equal
+// way. Index, IndexAll and Reindex must all equal
 // Index(family, ...). The seeds are the committed corpus in
 // testdata/fuzz/FuzzIndexer.
 func FuzzIndexer(f *testing.F) {
@@ -180,9 +174,6 @@ func FuzzIndexer(f *testing.F) {
 					t.Fatalf("bits=%d mask=%#x ways=%d: IndexAll(%#x)[%d] = %#x, want %#x", n, mask, d, key, w, all[w], want[w])
 				}
 			}
-		}
-		if i0, i1 := ix.Index2(key); i0 != want[0] || i1 != want[1] {
-			t.Fatalf("bits=%d mask=%#x: Index2(%#x) = (%#x, %#x), want (%#x, %#x)", n, mask, key, i0, i1, want[0], want[1])
 		}
 		for to := range want {
 			if got := ix.Reindex(key, from, want[from], to); got != want[to] {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // Histogram is a fixed-range integer histogram with one bucket per value in
@@ -225,102 +224,6 @@ func (r *Ratio) Value() float64 {
 		return 0
 	}
 	return float64(r.Hits) / float64(r.Total)
-}
-
-// CounterSet is a named collection of monotonically increasing counters,
-// used for the directory event-mix accounting (paper §5.6 footnote).
-// Names and values are parallel slices searched linearly: a set holds a
-// handful of names (the directory's five event classes), so the search
-// is a few short string compares, cheaper than hashing the name into a
-// map, and counting an existing name never allocates. The zero value is
-// an empty, usable set.
-type CounterSet struct {
-	names  []string
-	values []uint64 // values[i] counts names[i]
-}
-
-// NewCounterSet returns an empty counter set.
-func NewCounterSet() *CounterSet { return &CounterSet{} }
-
-// Inc increments the named counter by 1, creating it if needed.
-//
-//cuckoo:hotpath
-func (c *CounterSet) Inc(name string) { c.AddTo(name, 1) }
-
-// AddTo increments the named counter by n, creating it if needed.
-//
-//cuckoo:hotpath
-func (c *CounterSet) AddTo(name string, n uint64) {
-	if i := c.index(name); i >= 0 {
-		c.values[i] += n
-		return
-	}
-	c.names = append(c.names, name)
-	c.values = append(c.values, n)
-}
-
-// index returns name's position in names, or -1.
-func (c *CounterSet) index(name string) int {
-	for i, k := range c.names {
-		if k == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// Get returns the value of the named counter (0 if absent).
-func (c *CounterSet) Get(name string) uint64 {
-	if i := c.index(name); i >= 0 {
-		return c.values[i]
-	}
-	return 0
-}
-
-// Names returns counter names in insertion order.
-func (c *CounterSet) Names() []string {
-	out := make([]string, len(c.names))
-	copy(out, c.names)
-	return out
-}
-
-// Total returns the sum of all counters.
-func (c *CounterSet) Total() uint64 {
-	var t uint64
-	for _, v := range c.values {
-		t += v
-	}
-	return t
-}
-
-// Fractions returns each counter as a fraction of the total, keyed by
-// name. Returns nil for an empty set.
-func (c *CounterSet) Fractions() map[string]float64 {
-	t := c.Total()
-	if t == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(c.names))
-	for i, k := range c.names {
-		out[k] = float64(c.values[i]) / float64(t)
-	}
-	return out
-}
-
-// Merge adds the counters of other into c; names new to c are appended
-// in other's insertion order.
-func (c *CounterSet) Merge(other *CounterSet) {
-	for i, name := range other.names {
-		c.AddTo(name, other.values[i])
-	}
-}
-
-// SortedNames returns counter names in lexical order (for deterministic
-// printing independent of insertion order).
-func (c *CounterSet) SortedNames() []string {
-	out := c.Names()
-	sort.Strings(out)
-	return out
 }
 
 // GeoMean returns the geometric mean of vs, ignoring non-positive values.

@@ -270,61 +270,6 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-func TestCounterSet(t *testing.T) {
-	c := NewCounterSet()
-	c.Inc("insert")
-	c.Inc("insert")
-	c.AddTo("evict", 3)
-	if got := c.Get("insert"); got != 2 {
-		t.Errorf("insert = %d, want 2", got)
-	}
-	if got := c.Total(); got != 5 {
-		t.Errorf("Total = %d, want 5", got)
-	}
-	fr := c.Fractions()
-	if len(fr) != 2 || math.Abs(fr["insert"]-0.4) > 1e-12 || math.Abs(fr["evict"]-0.6) > 1e-12 {
-		t.Errorf("Fractions = %v, want insert 0.4, evict 0.6", fr)
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "insert" || names[1] != "evict" {
-		t.Errorf("Names = %v", names)
-	}
-	d := NewCounterSet()
-	d.Inc("evict")
-	d.Inc("new")
-	c.Merge(d)
-	if c.Get("insert") != 2 || c.Get("evict") != 4 || c.Get("new") != 1 {
-		t.Errorf("after merge: insert=%d evict=%d new=%d", c.Get("insert"), c.Get("evict"), c.Get("new"))
-	}
-	// Names new to c are appended in d's insertion order; d is unchanged.
-	if got := strings.Join(c.Names(), ","); got != "insert,evict,new" {
-		t.Errorf("Names after Merge = %s, want insert,evict,new", got)
-	}
-	if d.Get("evict") != 1 || d.Total() != 2 {
-		t.Errorf("Merge changed its argument: evict=%d total=%d", d.Get("evict"), d.Total())
-	}
-	sorted := c.SortedNames()
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i-1] > sorted[i] {
-			t.Errorf("SortedNames not sorted: %v", sorted)
-		}
-	}
-}
-
-// TestCounterSetNoAllocs: counting an existing name allocates nothing.
-func TestCounterSetNoAllocs(t *testing.T) {
-	c := NewCounterSet()
-	for _, name := range []string{"a", "b", "c", "d", "e"} {
-		c.Inc(name)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		c.Inc("e")
-		c.AddTo("a", 2)
-	}); allocs != 0 {
-		t.Errorf("Inc/AddTo on existing names: %v allocs per run, want 0", allocs)
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if got := GeoMean([]float64{2, 8}); math.Abs(got-4) > 1e-9 {
 		t.Errorf("GeoMean(2,8) = %f, want 4", got)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cuckoodir/internal/cmpsim"
+	"cuckoodir/internal/core"
 	"cuckoodir/internal/rng"
 	"cuckoodir/internal/workload"
 )
@@ -155,9 +156,9 @@ func TestReplayEquivalence(t *testing.T) {
 	}
 
 	a, b := live.DirStats(), replayed.DirStats()
-	for _, ev := range a.Events.Names() {
-		if a.Events.Get(ev) != b.Events.Get(ev) {
-			t.Errorf("event %s: live %d, replay %d", ev, a.Events.Get(ev), b.Events.Get(ev))
+	for ev := range core.NumEvents {
+		if a.Events[ev] != b.Events[ev] {
+			t.Errorf("event %s: live %d, replay %d", ev, a.Events[ev], b.Events[ev])
 		}
 	}
 	if a.Attempts.Mean() != b.Attempts.Mean() {
