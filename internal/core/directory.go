@@ -230,6 +230,8 @@ func (d *Directory) insert(addr, mask uint64, idx *[hashfn.MaxWays]uint64) *Forc
 // LastAttempts returns the insertion write count of the most recent Read
 // or Write that allocated an entry (0 when the last operation allocated
 // nothing). The timing model uses it to charge insertion occupancy.
+//
+//cuckoo:hotpath
 func (d *Directory) LastAttempts() int { return d.lastAttempts }
 
 // Read records a read (fill) of addr by cache: the cache becomes a sharer,

@@ -21,18 +21,22 @@ func (c *Cuckoo) NumCaches() int { return c.d.NumCaches() }
 
 // Read implements Directory.
 func (c *Cuckoo) Read(addr uint64, cache int) Op {
-	var op Op
-	if f := c.d.Read(addr, cache); f != nil {
-		op.Forced = append(op.Forced, *f)
-	}
-	op.Attempts = c.d.LastAttempts()
-	return op
+	f := c.d.Read(addr, cache)
+	return cuckooOp(0, f, c.d.LastAttempts())
 }
 
 // Write implements Directory.
 func (c *Cuckoo) Write(addr uint64, cache int) Op {
 	inv, f := c.d.Write(addr, cache)
-	op := Op{Invalidate: inv, Attempts: c.d.LastAttempts()}
+	return cuckooOp(inv, f, c.d.LastAttempts())
+}
+
+// cuckooOp is the Op of a core.Directory Read or Write that returned
+// the invalidate mask inv and the forced eviction f after attempts
+// insertion writes. Op.Forced is a slice, so a forced eviction
+// allocates.
+func cuckooOp(inv uint64, f *Forced, attempts int) Op {
+	op := Op{Invalidate: inv, Attempts: attempts}
 	if f != nil {
 		op.Forced = append(op.Forced, *f)
 	}
@@ -59,9 +63,5 @@ func (c *Cuckoo) Len() int { return c.d.Len() }
 
 // ForEach implements Directory.
 func (c *Cuckoo) ForEach(fn func(addr, sharers uint64) bool) { c.d.ForEach(fn) }
-
-// Inner exposes the underlying core directory for tests and experiments
-// that need Cuckoo-specific detail (attempt histograms).
-func (c *Cuckoo) Inner() *core.Directory { return c.d }
 
 var _ Directory = (*Cuckoo)(nil)

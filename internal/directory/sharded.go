@@ -126,10 +126,9 @@ type ShardedDirectory struct {
 // ShardCounters is a snapshot of the hot operation counters a
 // ShardedDirectory maintains in per-shard padded atomics, readable at
 // any time WITHOUT taking any shard lock (Counters, CountersByShard) —
-// the stats-polling path that must not stall the shards (see
-// ROADMAP "per-shard stats without global stalls"). The full merged
-// DirStats snapshot (event mix, attempt histogram, occupancy samples)
-// still requires Stats, which locks each shard once.
+// the stats-polling path that must not stall the shards. The full
+// merged DirStats snapshot (event mix, attempt histogram, occupancy
+// samples) still requires Stats, which locks each shard once.
 //
 //cuckoo:stats merge=add
 type ShardCounters struct {
@@ -504,10 +503,13 @@ func (s *ShardedDirectory) ApplyShard(h int, accesses []Access) {
 // engine's drainers use — one lock acquisition per call, results
 // written into caller-owned storage so ticket slots can be filled
 // without an intermediate Op slice allocation. A nil ops is exactly
-// ApplyShard. Validation failures panic out of line (the cold helpers
-// below) so the hot body carries no formatting machinery; the lock is
-// released explicitly rather than deferred — nothing between Lock and
-// Unlock can fail once the batch has validated.
+// ApplyShard. Under the lock the shard's slice is inspected once per
+// batch: a plain *Cuckoo runs the typed loop applyCuckoo, and any other
+// slice runs applyOne and observe per access. Validation failures
+// panic out of line (the cold helpers below) so the hot body carries
+// no formatting machinery; the lock is released explicitly rather than
+// deferred — nothing between Lock and Unlock can fail once the batch
+// has validated.
 //
 //cuckoo:hotpath
 func (s *ShardedDirectory) ApplyShardOps(h int, accesses []Access, ops []Op) {
@@ -531,7 +533,9 @@ func (s *ShardedDirectory) ApplyShardOps(h int, accesses []Access, ops []Op) {
 	sh := s.shards[h]
 	sh.mu.Lock()
 	var c ShardCounters
-	if ops == nil {
+	if cd, ok := sh.dir.(*Cuckoo); ok {
+		applyCuckoo(cd.d, accesses, ops, &c)
+	} else if ops == nil {
 		for _, a := range accesses {
 			c.observe(a.Kind, applyOne(sh.dir, a))
 		}
@@ -543,6 +547,47 @@ func (s *ShardedDirectory) ApplyShardOps(h int, accesses []Access, ops []Op) {
 	}
 	sh.ctr.flush(c)
 	sh.mu.Unlock()
+}
+
+// applyCuckoo is ApplyShardOps' loop for a plain *Cuckoo slice, which
+// is what every benchmark shard holds: it calls core.Directory
+// directly, counts into c from the returned *Forced and LastAttempts
+// instead of from an Op, and builds an Op only when ops is non-nil. It
+// writes exactly the Ops and counts that applyOne and observe would.
+//
+//cuckoo:hotpath
+func applyCuckoo(d *core.Directory, accesses []Access, ops []Op, c *ShardCounters) {
+	for i, a := range accesses {
+		var inv uint64
+		var f *Forced
+		switch a.Kind {
+		case AccessRead:
+			c.Reads++
+			f = d.Read(a.Addr, a.Cache)
+		case AccessWrite:
+			c.Writes++
+			inv, f = d.Write(a.Addr, a.Cache)
+		default:
+			c.Evicts++
+			d.Evict(a.Addr, a.Cache)
+			if ops != nil {
+				ops[i] = Op{}
+			}
+			continue
+		}
+		n := d.LastAttempts()
+		if n > 0 {
+			c.Inserts++
+			c.Attempts += uint64(n)
+		}
+		if f != nil {
+			c.Forced++
+			c.ForcedBlocks += uint64(bits.OnesCount64(f.Sharers))
+		}
+		if ops != nil {
+			ops[i] = cuckooOp(inv, f, n)
+		}
+	}
 }
 
 // Out-of-line validation failures: each is a separate noinline function
@@ -583,22 +628,23 @@ func badHome(addr uint64, got, want int) {
 	panic(fmt.Sprintf("directory: ApplyShard: address %#x homes onto shard %d, not %d", addr, got, want))
 }
 
-// applyOne dispatches one access on an already-locked slice. The
-// Directory dispatch is interface dispatch BY DESIGN — a shard holds
-// any slice implementation — so the three calls carry ignore
-// directives rather than devirtualization.
+// applyOne dispatches one access on an already-locked slice that
+// applyCuckoo does not serve: the other organizations, a cuckoo slice
+// with a sharer Format (FormattedCuckoo) and a resizing shard's
+// migratingDir. Those slices share no concrete type, so the three calls
+// are interface dispatch and carry ignore directives.
 //
 //cuckoo:hotpath
 func applyOne(d Directory, a Access) Op {
 	switch a.Kind {
 	case AccessRead:
-		//cuckoo:ignore slice polymorphism: a shard dispatches to any Directory implementation by design
+		//cuckoo:ignore fallback for non-cuckoo, formatted-cuckoo and resizing slices; plain *Cuckoo shards take applyCuckoo
 		return d.Read(a.Addr, a.Cache)
 	case AccessWrite:
-		//cuckoo:ignore slice polymorphism: a shard dispatches to any Directory implementation by design
+		//cuckoo:ignore fallback for non-cuckoo, formatted-cuckoo and resizing slices; plain *Cuckoo shards take applyCuckoo
 		return d.Write(a.Addr, a.Cache)
 	case AccessEvict:
-		//cuckoo:ignore slice polymorphism: a shard dispatches to any Directory implementation by design
+		//cuckoo:ignore fallback for non-cuckoo, formatted-cuckoo and resizing slices; plain *Cuckoo shards take applyCuckoo
 		d.Evict(a.Addr, a.Cache)
 		return Op{}
 	default:

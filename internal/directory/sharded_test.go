@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -195,15 +196,17 @@ func TestShardedConcurrent(t *testing.T) {
 	}
 }
 
-// applyOneLocked routes one access through the public point operations.
-func applyOneLocked(s *ShardedDirectory, a Access) {
+// applyOneLocked routes one access through the public point operations
+// and returns its Op (zero for an Evict).
+func applyOneLocked(s *ShardedDirectory, a Access) Op {
 	switch a.Kind {
 	case AccessRead:
-		s.Read(a.Addr, a.Cache)
+		return s.Read(a.Addr, a.Cache)
 	case AccessWrite:
-		s.Write(a.Addr, a.Cache)
-	case AccessEvict:
+		return s.Write(a.Addr, a.Cache)
+	default:
 		s.Evict(a.Addr, a.Cache)
+		return Op{}
 	}
 }
 
@@ -512,6 +515,136 @@ func TestApplyShardOpsMatchesApply(t *testing.T) {
 	}()
 	if a.Len() != before {
 		t.Error("mis-sized ops slice: batch partially applied")
+	}
+}
+
+// TestApplyCuckooMatchesInterfacePath is the differential test of
+// ApplyShardOps' typed loop (applyCuckoo). One directory takes a
+// shard-affine stream through ApplyShardOps, or through ApplyShard when
+// no Ops are recorded; its twin takes the same stream through point
+// operations, which always dispatch through the Directory interface and
+// count through observe. After every round the Ops, per-shard counters,
+// merged Stats and census must agree. The load forces evictions and
+// multi-attempt inserts. Mid-stream one shard of each twin resizes, is
+// stepped and is finished, so it leaves the typed loop for applyOne and
+// comes back; the sparse spec never takes the typed loop.
+func TestApplyCuckooMatchesInterfacePath(t *testing.T) {
+	const (
+		resized          = 1
+		rounds           = 40
+		resizeAt         = 12
+		finishAt         = 20
+		stepRun          = 8
+		accessesPerRound = 256
+	)
+	// 2560 addresses over 16 caches overfill both organizations.
+	for _, tc := range []struct {
+		spec, grown string
+		cuckoo      bool
+	}{
+		{"sharded-4(cuckoo-4x64)", "cuckoo-4x128", true},
+		{"sharded-4(sparse-8x64)", "sparse-8x128", false},
+	} {
+		for _, withOps := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/ops=%v", tc.spec, withOps), func(t *testing.T) {
+				mk := func() *ShardedDirectory {
+					d, err := BuildNamed(tc.spec, 16)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return d.(*ShardedDirectory)
+				}
+				typed, point := mk(), mk()
+				grown, ok := ParseSpecName(tc.grown)
+				if !ok {
+					t.Fatalf("ParseSpecName(%q) failed", tc.grown)
+				}
+				r := rng.New(41)
+				migratingRounds := 0
+				for round := 0; round < rounds; round++ {
+					for _, d := range []*ShardedDirectory{typed, point} {
+						switch round {
+						case resizeAt:
+							if err := d.ResizeShardSpec(resized, grown); err != nil {
+								t.Fatal(err)
+							}
+						case finishAt:
+							d.FinishResize(resized)
+						}
+					}
+					migrating := typed.ShardMigrating(resized)
+					if migrating {
+						migratingRounds++
+					}
+					for h, sh := range typed.shards {
+						_, fast := sh.dir.(*Cuckoo)
+						if want := tc.cuckoo && !(h == resized && migrating); fast != want {
+							t.Fatalf("round %d shard %d: takes the typed loop = %v, want %v", round, h, fast, want)
+						}
+					}
+					batches := make([][]Access, typed.ShardCount())
+					for i := 0; i < accessesPerRound; i++ {
+						kind := AccessRead
+						switch r.Uint64() % 4 {
+						case 0:
+							kind = AccessWrite
+						case 1:
+							kind = AccessEvict
+						}
+						a := Access{Kind: kind, Addr: r.Uint64() % 2560, Cache: int(r.Uint64() % 16)}
+						h := typed.ShardOf(a.Addr)
+						batches[h] = append(batches[h], a)
+					}
+					for h, batch := range batches {
+						var ops []Op
+						if withOps {
+							// Stale slot contents, as in reused engine
+							// ticket slots: every slot must be overwritten.
+							ops = make([]Op, len(batch))
+							for i := range ops {
+								ops[i] = Op{Invalidate: ^uint64(0), Attempts: -1}
+							}
+							typed.ApplyShardOps(h, batch, ops)
+						} else {
+							typed.ApplyShard(h, batch)
+						}
+						for i, a := range batch {
+							want := applyOneLocked(point, a)
+							if withOps && !reflect.DeepEqual(ops[i], want) {
+								t.Fatalf("round %d shard %d access %d (%v %#x cache %d): typed Op %+v, point Op %+v",
+									round, h, i, a.Kind, a.Addr, a.Cache, ops[i], want)
+							}
+						}
+					}
+					if migrating {
+						typed.MigrateShard(resized, stepRun)
+						point.MigrateShard(resized, stepRun)
+					}
+					if got, want := typed.CountersByShard(), point.CountersByShard(); !reflect.DeepEqual(got, want) {
+						t.Fatalf("round %d: CountersByShard %+v, point %+v", round, got, want)
+					}
+					if got, want := typed.Stats(), point.Stats(); !reflect.DeepEqual(got, want) {
+						t.Fatalf("round %d: Stats differ:\n typed %+v\n point %+v", round, got, want)
+					}
+					if got, want := census(t, typed), census(t, point); !reflect.DeepEqual(got, want) {
+						t.Fatalf("round %d: census differs (%d vs %d entries)", round, len(got), len(want))
+					}
+				}
+				if migratingRounds == 0 || typed.ShardMigrating(resized) {
+					t.Fatalf("resize ran over %d rounds and is migrating at the end = %v; want > 0 rounds, finished",
+						migratingRounds, typed.ShardMigrating(resized))
+				}
+				// The comparisons above are vacuous for the forced and
+				// multi-attempt counters unless the stream produced them.
+				st, c := typed.Stats(), typed.Counters()
+				if st.ForcedEvictions == 0 || c.ForcedBlocks == 0 {
+					t.Fatalf("stream forced no evictions (ForcedEvictions %d, ForcedBlocks %d)", st.ForcedEvictions, c.ForcedBlocks)
+				}
+				if tc.cuckoo && st.Attempts.FractionAtLeast(2) == 0 {
+					t.Fatal("no insertion took more than one attempt")
+				}
+			})
+		}
 	}
 }
 

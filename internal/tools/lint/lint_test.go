@@ -130,7 +130,7 @@ func TestRepoClean(t *testing.T) {
 	if len(hot) < 10 {
 		t.Errorf("indexed %d //cuckoo:hotpath functions, want >= 10 (annotations lost?)", len(hot))
 	}
-	for _, name := range []string{"Find", "insertAt", "Delete", "Index", "IndexAll", "Reindex", "ApplyShardOps", "flush", "drainLoop"} {
+	for _, name := range []string{"Find", "insertAt", "Delete", "Index", "IndexAll", "Reindex", "ApplyShardOps", "applyCuckoo", "flush", "drainLoop"} {
 		found := false
 		for _, fn := range hot {
 			if fn.Name() == name {
