@@ -196,12 +196,12 @@ const (
 	replayCores    = 16
 )
 
-// benchDir builds the replay cases' sharded cuckoo directory.
-func benchDir(b *testing.B, shards int) *directory.ShardedDirectory {
+// benchDir builds a sharded directory of cuckoo-4x{sets} slices.
+func benchDir(b *testing.B, shards, sets int) *directory.ShardedDirectory {
 	d, err := directory.BuildSharded(directory.Spec{
 		Org:       directory.OrgCuckoo,
 		NumCaches: replayCores,
-		Geometry:  directory.Geometry{Ways: 4, Sets: 8192},
+		Geometry:  directory.Geometry{Ways: 4, Sets: sets},
 	}, shards)
 	if err != nil {
 		b.Fatal(err)
@@ -217,7 +217,7 @@ func replayCase(shards, workers int) func(b *testing.B) {
 		}
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			d := benchDir(b, shards)
+			d := benchDir(b, shards, 8192)
 			b.StartTimer()
 			res, err := replay.ReplayWorkload(d, prof, replayCores, 11, replayAccesses,
 				replay.Options{Workers: workers, BatchSize: 256})
@@ -249,7 +249,7 @@ func engineReplayCase(shards, producers int) func(b *testing.B) {
 		var growFails uint64
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			d := benchDir(b, shards)
+			d := benchDir(b, shards, 8192)
 			b.StartTimer()
 			opts := replay.Options{BatchSize: 256, Via: replay.ViaEngine}
 			var res replay.Result
@@ -277,6 +277,28 @@ func engineReplayCase(shards, producers int) func(b *testing.B) {
 		if growFails > 0 {
 			b.ReportMetric(float64(growFails)/float64(b.N), "grow_failures")
 		}
+	}
+}
+
+// applyHitsCase times ApplyShard alone over pre-routed batches of 256
+// reads, all hits, on 8 shards of cuckoo-4x{sets} at 35% load.
+func applyHitsCase(sets int) func(b *testing.B) {
+	return func(b *testing.B) {
+		d := benchDir(b, 8, sets)
+		r := rng.New(0xa991)
+		byShard := make([][]directory.Access, d.ShardCount())
+		for range d.Capacity() * 35 / 100 {
+			a := directory.Access{Kind: directory.AccessRead, Addr: r.Uint64() >> 6, Cache: int(r.Uint64() % replayCores)}
+			d.Read(a.Addr, a.Cache)
+			byShard[d.ShardOf(a.Addr)] = append(byShard[d.ShardOf(a.Addr)], a)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h := i % len(byShard) // shard h's next window of 256 reads, wrapping
+			k := i / len(byShard) * 256 % (len(byShard[h]) - 255)
+			d.ApplyShard(h, byShard[h][k:k+256])
+		}
+		b.ReportMetric(256*float64(b.N)/b.Elapsed().Seconds(), "acc/s")
 	}
 }
 
@@ -313,6 +335,9 @@ func Cases() []Case {
 			Name:  fmt.Sprintf("replay/engine/shards=%d/producers=%d", sw.shards, sw.producers),
 			Bench: engineReplayCase(sw.shards, sw.producers),
 		})
+	}
+	for _, sets := range []int{512, 16384} { // 256 KB of pairs, in cache, and 8 MB
+		cases = append(cases, Case{fmt.Sprintf("apply/hits/sets=%d", sets), applyHitsCase(sets)})
 	}
 	return cases
 }

@@ -25,6 +25,7 @@ func benchGroup(b *testing.B, prefix string) {
 func BenchmarkTableFind(b *testing.B)   { benchGroup(b, "table/find/") }
 func BenchmarkTableInsert(b *testing.B) { benchGroup(b, "table/insert/") }
 func BenchmarkTableDelete(b *testing.B) { benchGroup(b, "table/delete/") }
+func BenchmarkApplyHits(b *testing.B)   { benchGroup(b, "apply/hits/") }
 func BenchmarkReplayPipeline(b *testing.B) {
 	if testing.Short() {
 		b.Skip("replay sweep needs real parallelism")
@@ -54,6 +55,8 @@ func TestCasesFixed(t *testing.T) {
 		"replay/shards=8/workers=4",
 		"replay/engine/shards=8/producers=1",
 		"replay/engine/shards=8/producers=4",
+		"apply/hits/sets=512",
+		"apply/hits/sets=16384",
 	} {
 		if !seen[want] {
 			t.Fatalf("case %q missing from the fixed set", want)

@@ -303,13 +303,21 @@ func TestFastInterfaceEquivalent(t *testing.T) {
 // TestDirectoryFastGenericEquivalent is the directory-level
 // differential: a Directory, whose Read, Write and Evict hand the
 // lookup's way indices on to the insert or delete that follows it,
-// against refDirectory, which hashes per way on every call. Both run
-// the same seeded Read/Write/Evict stream, narrow and full-width, over
-// every differential config; every forced eviction, invalidate mask and
-// LastAttempts must agree, then the event counts, attempt histograms
-// and contents.
+// against refDirectory, which hashes per way on every call. A third
+// Directory runs the stream as a batch applier does: each op's indices
+// come from a Prefetch made pipeDepth ops earlier, into a ring slot
+// the op then hands to ReadAt, WriteAt or EvictAt, with the ops in
+// between free to insert, displace or delete the same key. All three
+// run the same seeded Read/Write/Evict stream, narrow and full-width,
+// over every differential config; every forced eviction, invalidate
+// mask and LastAttempts must agree, then the event counts, attempt
+// histograms and contents.
 func TestDirectoryFastGenericEquivalent(t *testing.T) {
-	const caches = 4
+	const (
+		caches    = 4
+		pipeDepth = 4
+	)
+	sameForced := func(a, b *Forced) bool { return (a == nil) == (b == nil) && (a == nil || *a == *b) }
 	for _, cfg := range diffConfigs() {
 		t.Run(cfgName(cfg), func(t *testing.T) {
 			// diffOps' kinds read here as 0 = Read, 1 = Write,
@@ -317,47 +325,78 @@ func TestDirectoryFastGenericEquivalent(t *testing.T) {
 			for _, stream := range keyStreams(diffOps(11, 20_000, diffUniverse(cfg))) {
 				t.Run(stream.name, func(t *testing.T) {
 					fast := NewDirectory(DirConfig{Table: cfg, NumCaches: caches})
+					piped := NewDirectory(DirConfig{Table: cfg, NumCaches: caches})
 					ref := newRefDirectory(cfg)
+					// The invariant under test needs ops on one key closer
+					// together than pipeDepth.
+					near := 0
+					for i := pipeDepth; i < len(stream.ops); i++ {
+						for k := 1; k < pipeDepth; k++ {
+							if stream.ops[i-k].key == stream.ops[i].key {
+								near++
+							}
+						}
+					}
+					if near == 0 {
+						t.Fatalf("no two ops on one key within %d ops of each other", pipeDepth)
+					}
+					var ring [pipeDepth][hashfn.MaxWays]uint64
+					for i := range min(pipeDepth, len(stream.ops)) {
+						piped.Prefetch(stream.ops[i].key, &ring[i])
+					}
 					for i, op := range stream.ops {
 						addr, cache := op.key, int(op.val%caches)
+						idx := &ring[i%pipeDepth]
 						switch op.kind {
 						case 0:
 							fa, fb := fast.Read(addr, cache), ref.Read(addr, cache)
-							if (fa == nil) != (fb == nil) || (fa != nil && *fa != *fb) {
-								t.Fatalf("op %d: Read(%#x, %d) forced %v vs %v", i, addr, cache, fa, fb)
+							fp := piped.ReadAt(addr, cache, idx)
+							if !sameForced(fa, fb) || !sameForced(fp, fb) {
+								t.Fatalf("op %d: Read(%#x, %d) forced %v, ReadAt %v, reference %v", i, addr, cache, fa, fp, fb)
 							}
 						case 1:
 							ia, fa := fast.Write(addr, cache)
+							ip, fp := piped.WriteAt(addr, cache, idx)
 							ib, fb := ref.Write(addr, cache)
-							if ia != ib || (fa == nil) != (fb == nil) || (fa != nil && *fa != *fb) {
-								t.Fatalf("op %d: Write(%#x, %d) = (%#x, %v) vs (%#x, %v)", i, addr, cache, ia, fa, ib, fb)
+							if ia != ib || ip != ib || !sameForced(fa, fb) || !sameForced(fp, fb) {
+								t.Fatalf("op %d: Write(%#x, %d) = (%#x, %v), WriteAt (%#x, %v), reference (%#x, %v)",
+									i, addr, cache, ia, fa, ip, fp, ib, fb)
 							}
 						case 2:
 							fast.Evict(addr, cache)
+							piped.EvictAt(addr, cache, idx)
 							ref.Evict(addr, cache)
 						}
-						if fast.LastAttempts() != ref.last || fast.Len() != ref.t.Len() {
-							t.Fatalf("op %d: LastAttempts %d/%d Len %d/%d diverged",
-								i, fast.LastAttempts(), ref.last, fast.Len(), ref.t.Len())
+						if j := i + pipeDepth; j < len(stream.ops) {
+							piped.Prefetch(stream.ops[j].key, idx)
+						}
+						for _, d := range []*Directory{fast, piped} {
+							if d.LastAttempts() != ref.last || d.Len() != ref.t.Len() {
+								t.Fatalf("op %d: LastAttempts %d/%d Len %d/%d diverged",
+									i, d.LastAttempts(), ref.last, d.Len(), ref.t.Len())
+							}
 						}
 					}
-					sa, sb := fast.Stats(), ref.stats
-					if sa.Events != sb.Events {
-						t.Fatalf("events %v vs %v", sa.Events, sb.Events)
-					}
-					if sa.Events[EvInsertTag] == 0 || sa.Events[EvRemoveTag] == 0 {
-						t.Fatalf("stream never allocated and freed entries: %v", sa.Events)
-					}
-					if sa.ForcedEvictions != sb.ForcedEvictions || sa.ForcedBlocks != sb.ForcedBlocks {
-						t.Fatalf("forced %d/%d blocks vs %d/%d",
-							sa.ForcedEvictions, sa.ForcedBlocks, sb.ForcedEvictions, sb.ForcedBlocks)
-					}
-					for v := 0; v <= sa.Attempts.Max(); v++ {
-						if sa.Attempts.Bucket(v) != sb.Attempts.Bucket(v) {
-							t.Fatalf("attempt histogram at %d: %d vs %d", v, sa.Attempts.Bucket(v), sb.Attempts.Bucket(v))
+					sb := ref.stats
+					for _, d := range []*Directory{fast, piped} {
+						sa := d.Stats()
+						if sa.Events != sb.Events {
+							t.Fatalf("events %v vs %v", sa.Events, sb.Events)
 						}
+						if sa.Events[EvInsertTag] == 0 || sa.Events[EvRemoveTag] == 0 {
+							t.Fatalf("stream never allocated and freed entries: %v", sa.Events)
+						}
+						if sa.ForcedEvictions != sb.ForcedEvictions || sa.ForcedBlocks != sb.ForcedBlocks {
+							t.Fatalf("forced %d/%d blocks vs %d/%d",
+								sa.ForcedEvictions, sa.ForcedBlocks, sb.ForcedEvictions, sb.ForcedBlocks)
+						}
+						for v := 0; v <= sa.Attempts.Max(); v++ {
+							if sa.Attempts.Bucket(v) != sb.Attempts.Bucket(v) {
+								t.Fatalf("attempt histogram at %d: %d vs %d", v, sa.Attempts.Bucket(v), sb.Attempts.Bucket(v))
+							}
+						}
+						compareContents(t, d.t, ref.t)
 					}
-					compareContents(t, fast.t, ref.t)
 				})
 			}
 		})

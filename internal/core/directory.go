@@ -234,6 +234,14 @@ func (d *Directory) insert(addr, mask uint64, idx *[hashfn.MaxWays]uint64) *Forc
 //cuckoo:hotpath
 func (d *Directory) LastAttempts() int { return d.lastAttempts }
 
+// Prefetch puts addr's way indices, which no operation invalidates, in
+// idx for a later ReadAt, WriteAt or EvictAt, and starts their line fills.
+//
+//cuckoo:hotpath
+func (d *Directory) Prefetch(addr uint64, idx *[hashfn.MaxWays]uint64) {
+	d.t.prefetch(addr, idx)
+}
+
 // Read records a read (fill) of addr by cache: the cache becomes a sharer,
 // allocating a directory entry if the block was untracked. The returned
 // Forced is non-nil when the allocation displaced an entry out of the
@@ -241,18 +249,26 @@ func (d *Directory) LastAttempts() int { return d.lastAttempts }
 //
 //cuckoo:hotpath
 func (d *Directory) Read(addr uint64, cache int) *Forced {
+	var idx [hashfn.MaxWays]uint64
+	d.t.ix.IndexAll(addr, &idx)
+	return d.ReadAt(addr, cache, &idx)
+}
+
+// ReadAt is Read over addr's way indices, as Prefetch left them in idx.
+//
+//cuckoo:hotpath
+func (d *Directory) ReadAt(addr uint64, cache int, idx *[hashfn.MaxWays]uint64) *Forced {
 	d.checkCache(cache)
 	d.lastAttempts = 0
 	bit := uint64(1) << uint(cache)
-	var idx [hashfn.MaxWays]uint64
-	if p := d.t.find(addr, &idx); p != nil {
+	if p := d.t.findAt(addr, idx); p != nil {
 		if *p&bit == 0 {
 			*p |= bit
 			d.stats.Events.Inc(EvAddSharer)
 		}
 		return nil
 	}
-	return d.insert(addr, bit, &idx)
+	return d.insert(addr, bit, idx)
 }
 
 // Write records a write (exclusive fill or upgrade) of addr by cache. The
@@ -261,11 +277,19 @@ func (d *Directory) Read(addr uint64, cache int) *Forced {
 //
 //cuckoo:hotpath
 func (d *Directory) Write(addr uint64, cache int) (invalidate uint64, forced *Forced) {
+	var idx [hashfn.MaxWays]uint64
+	d.t.ix.IndexAll(addr, &idx)
+	return d.WriteAt(addr, cache, &idx)
+}
+
+// WriteAt is Write over addr's way indices, as Prefetch left them in idx.
+//
+//cuckoo:hotpath
+func (d *Directory) WriteAt(addr uint64, cache int, idx *[hashfn.MaxWays]uint64) (invalidate uint64, forced *Forced) {
 	d.checkCache(cache)
 	d.lastAttempts = 0
 	bit := uint64(1) << uint(cache)
-	var idx [hashfn.MaxWays]uint64
-	if p := d.t.find(addr, &idx); p != nil {
+	if p := d.t.findAt(addr, idx); p != nil {
 		inv := *p &^ bit
 		if inv != 0 {
 			d.stats.Events.Inc(EvInvalidate)
@@ -275,7 +299,7 @@ func (d *Directory) Write(addr uint64, cache int) (invalidate uint64, forced *Fo
 		*p = bit
 		return inv, nil
 	}
-	return 0, d.insert(addr, bit, &idx)
+	return 0, d.insert(addr, bit, idx)
 }
 
 // Evict records that cache no longer holds addr (clean or dirty eviction;
@@ -286,17 +310,25 @@ func (d *Directory) Write(addr uint64, cache int) (invalidate uint64, forced *Fo
 //
 //cuckoo:hotpath
 func (d *Directory) Evict(addr uint64, cache int) {
+	var idx [hashfn.MaxWays]uint64
+	d.t.ix.IndexAll(addr, &idx)
+	d.EvictAt(addr, cache, &idx)
+}
+
+// EvictAt is Evict over addr's way indices, as Prefetch left them in idx.
+//
+//cuckoo:hotpath
+func (d *Directory) EvictAt(addr uint64, cache int, idx *[hashfn.MaxWays]uint64) {
 	d.checkCache(cache)
 	bit := uint64(1) << uint(cache)
-	var idx [hashfn.MaxWays]uint64
-	p := d.t.find(addr, &idx)
+	p := d.t.findAt(addr, idx)
 	if p == nil || *p&bit == 0 {
 		return
 	}
 	*p &^= bit
 	d.stats.Events.Inc(EvRemoveSharer)
 	if *p == 0 {
-		d.t.deleteAt(addr, &idx)
+		d.t.deleteAt(addr, idx)
 		d.stats.Events.Inc(EvRemoveTag)
 	}
 }

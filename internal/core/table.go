@@ -5,13 +5,13 @@
 //
 // The table is the hardware structure of Figure 6: W direct-mapped ways,
 // each indexed by its own hash function; an entry holds a tag beside its
-// sharer vector. Lookup probes all ways in parallel (modelled as a scan;
-// the energy model accounts for the parallel read). Insertion displaces
-// conflicting entries to their alternate ways — the property that breaks
-// the transitivity of set conflicts (§4) — with a bounded attempt
-// budget; when the budget is exhausted the most recently displaced entry
-// is discarded, which for a directory means forcibly invalidating the
-// blocks it tracked.
+// sharer vector. Lookup probes all ways in parallel (batched applies
+// overlap successive lookups' line fills; the energy model accounts for
+// the parallel read). Insertion displaces conflicting entries to their
+// alternate ways — the property that breaks the transitivity of set
+// conflicts (§4) — with a bounded attempt budget; when the budget is
+// exhausted the most recently displaced entry is discarded, which for a
+// directory means forcibly invalidating the blocks it tracked.
 //
 // Two extensions discussed in the paper's related work are available for
 // ablation studies: bucketized ways (Panigrahy [30], BucketSize > 1) and a
@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"cuckoodir/internal/hashfn"
 )
@@ -148,9 +149,9 @@ type Result[V any] struct {
 // The probe pipeline is devirtualized and allocation-free: the hash
 // family is resolved into a concrete hashfn.Indexer once at NewTable,
 // which computes all d way-indices of a key in one batch. The
-// unexported find, insertAt and deleteAt let a caller carry the indices
-// from a lookup into the insert or delete of the same key, so a
-// directory operation hashes its address once; a key displaced during
+// unexported findAt, insertAt and deleteAt take those indices from the
+// caller, so a directory operation hashes its address once — and a
+// batched one hashes it ahead of time, in prefetch; a key displaced during
 // an insertion gets its next index from the set it left
 // (hashfn.Indexer.Reindex).
 //
@@ -246,16 +247,15 @@ func (t *Table[V]) bucketBase(way, set int) int {
 //cuckoo:hotpath
 func (t *Table[V]) Find(key uint64) *V {
 	var idx [hashfn.MaxWays]uint64
-	return t.find(key, &idx)
+	t.ix.IndexAll(key, &idx)
+	return t.findAt(key, &idx)
 }
 
-// find is Find that leaves key's way indices in idx, so an insertAt or
-// deleteAt of the same key that follows it hashes the key no second
-// time.
+// findAt is Find over key's way indices in idx, from IndexAll or
+// prefetch; an insertAt or deleteAt of the same key reuses them.
 //
 //cuckoo:hotpath
-func (t *Table[V]) find(key uint64, idx *[hashfn.MaxWays]uint64) *V {
-	t.ix.IndexAll(key, idx)
+func (t *Table[V]) findAt(key uint64, idx *[hashfn.MaxWays]uint64) *V {
 	for w := 0; w < t.cfg.Ways; w++ {
 		si := t.bucketBase(w, int(idx[w]))
 		for end := si + t.cfg.BucketSize; si < end; si++ {
@@ -268,6 +268,24 @@ func (t *Table[V]) find(key uint64, idx *[hashfn.MaxWays]uint64) *V {
 		return t.findStash(key)
 	}
 	return nil
+}
+
+// prefetch computes key's way indices into idx and starts the fill of
+// each bucket's first line, four ways per prefetch4 (lanes past the last
+// way repeat it). A prefetch is only a hint: results are the same without.
+//
+//cuckoo:hotpath
+func (t *Table[V]) prefetch(key uint64, idx *[hashfn.MaxWays]uint64) {
+	t.ix.IndexAll(key, idx)
+	last := t.cfg.Ways - 1
+	for w := 0; w <= last; w += 4 {
+		prefetch4(t.bucket(w, idx), t.bucket(min(w+1, last), idx),
+			t.bucket(min(w+2, last), idx), t.bucket(min(w+3, last), idx))
+	}
+}
+
+func (t *Table[V]) bucket(w int, idx *[hashfn.MaxWays]uint64) unsafe.Pointer {
+	return unsafe.Pointer(&t.pairs[t.bucketBase(w, int(idx[w]))])
 }
 
 // findStash returns a pointer to key's stash entry, or nil. Callers
@@ -302,11 +320,11 @@ func (t *Table[V]) Insert(key uint64, val V) Result[V] {
 	return t.insertAt(key, val, &idx)
 }
 
-// insertAt is Insert over key's way indices, as find left them in idx.
-// The indices serve both the lookup pass and the first displacement
-// step. Every probe is a key compare against the pair array — values
-// move only on update or displacement, and the live bitset is read only
-// where a probed key word is the vacancy sentinel.
+// insertAt is Insert over key's way indices in idx, from IndexAll or
+// prefetch. The indices serve both the lookup pass and the first
+// displacement step. Every probe is a key compare against the pair
+// array — values move only on update or displacement, and the live
+// bitset is read only where a probed key word is the vacancy sentinel.
 //
 //cuckoo:hotpath
 func (t *Table[V]) insertAt(key uint64, val V, idx *[hashfn.MaxWays]uint64) Result[V] {
@@ -406,7 +424,7 @@ func (t *Table[V]) Delete(key uint64) bool {
 	return t.deleteAt(key, &idx)
 }
 
-// deleteAt is Delete over key's way indices, as find left them in idx.
+// deleteAt is Delete over key's way indices in idx, from IndexAll or prefetch.
 //
 //cuckoo:hotpath
 func (t *Table[V]) deleteAt(key uint64, idx *[hashfn.MaxWays]uint64) bool {

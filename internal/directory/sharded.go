@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"cuckoodir/internal/core"
+	"cuckoodir/internal/hashfn"
 )
 
 // AccessKind discriminates the three directory operations in a batched
@@ -549,33 +550,46 @@ func (s *ShardedDirectory) ApplyShardOps(h int, accesses []Access, ops []Op) {
 	sh.mu.Unlock()
 }
 
+// prefetchDepth is how many accesses ahead applyCuckoo prefetches: 16
+// lines in flight on 4 ways, about one core's L1 fill buffers.
+const prefetchDepth = 4
+
 // applyCuckoo is ApplyShardOps' loop for a plain *Cuckoo slice, which
 // is what every benchmark shard holds: it calls core.Directory
 // directly, counts into c from the returned *Forced and LastAttempts
 // instead of from an Op, and builds an Op only when ops is non-nil. It
 // writes exactly the Ops and counts that applyOne and observe would.
 //
+// Access i probes with the indices Prefetch put in ring slot
+// i%prefetchDepth prefetchDepth accesses earlier (DESIGN.md §8).
+//
 //cuckoo:hotpath
 func applyCuckoo(d *core.Directory, accesses []Access, ops []Op, c *ShardCounters) {
+	var ring [prefetchDepth][hashfn.MaxWays]uint64
+	for i := range min(prefetchDepth, len(accesses)) {
+		d.Prefetch(accesses[i].Addr, &ring[i])
+	}
 	for i, a := range accesses {
+		idx := &ring[i%prefetchDepth]
 		var inv uint64
 		var f *Forced
+		n := 0
 		switch a.Kind {
 		case AccessRead:
 			c.Reads++
-			f = d.Read(a.Addr, a.Cache)
+			f = d.ReadAt(a.Addr, a.Cache, idx)
+			n = d.LastAttempts()
 		case AccessWrite:
 			c.Writes++
-			inv, f = d.Write(a.Addr, a.Cache)
+			inv, f = d.WriteAt(a.Addr, a.Cache, idx)
+			n = d.LastAttempts()
 		default:
 			c.Evicts++
-			d.Evict(a.Addr, a.Cache)
-			if ops != nil {
-				ops[i] = Op{}
-			}
-			continue
+			d.EvictAt(a.Addr, a.Cache, idx)
 		}
-		n := d.LastAttempts()
+		if j := i + prefetchDepth; j < len(accesses) {
+			d.Prefetch(accesses[j].Addr, idx)
+		}
 		if n > 0 {
 			c.Inserts++
 			c.Attempts += uint64(n)

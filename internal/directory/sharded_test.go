@@ -3,6 +3,7 @@ package directory
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -528,6 +529,13 @@ func TestApplyShardOpsMatchesApply(t *testing.T) {
 // multi-attempt inserts. Mid-stream one shard of each twin resizes, is
 // stepped and is finished, so it leaves the typed loop for applyOne and
 // comes back; the sparse spec never takes the typed loop.
+//
+// Each shard's round is cut into batches of 0, 1, 3, 4 and 5 accesses
+// around prefetchDepth, then the rest, and the cuckoo specs cover 2, 3,
+// 4 and 8 ways and 2-entry buckets, so every shape of applyCuckoo's
+// prefetch ring and of the table's prefetch runs. The 2560-address
+// stream repeats addresses within prefetchDepth accesses of each other,
+// where the ring's early indices must still be exact.
 func TestApplyCuckooMatchesInterfacePath(t *testing.T) {
 	const (
 		resized          = 1
@@ -537,30 +545,44 @@ func TestApplyCuckooMatchesInterfacePath(t *testing.T) {
 		stepRun          = 8
 		accessesPerRound = 256
 	)
-	// 2560 addresses over 16 caches overfill both organizations.
+	// 2560 addresses over 16 caches overfill every organization.
 	for _, tc := range []struct {
-		spec, grown string
-		cuckoo      bool
+		slice, grown string
+		bucket       int
 	}{
-		{"sharded-4(cuckoo-4x64)", "cuckoo-4x128", true},
-		{"sharded-4(sparse-8x64)", "sparse-8x128", false},
+		{"cuckoo-4x64", "cuckoo-4x128", 0},
+		{"cuckoo-2x128", "cuckoo-2x256", 0},
+		{"cuckoo-3x64", "cuckoo-3x128", 0},
+		{"cuckoo-8x32", "cuckoo-8x64", 0},
+		{"cuckoo-4x32", "cuckoo-4x64", 2},
+		{"sparse-8x64", "sparse-8x128", 0},
 	} {
+		cuckoo := strings.HasPrefix(tc.slice, "cuckoo")
+		name := fmt.Sprintf("sharded-4(%s)", tc.slice)
+		if tc.bucket > 1 {
+			name += fmt.Sprintf("/bucket=%d", tc.bucket)
+		}
+		spec := func(name string) Spec {
+			s, ok := ParseSpecName(name)
+			if !ok {
+				t.Fatalf("ParseSpecName(%q) failed", name)
+			}
+			s.NumCaches, s.Cuckoo.BucketSize = 16, tc.bucket
+			return s
+		}
 		for _, withOps := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/ops=%v", tc.spec, withOps), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/ops=%v", name, withOps), func(t *testing.T) {
 				mk := func() *ShardedDirectory {
-					d, err := BuildNamed(tc.spec, 16)
+					d, err := BuildSharded(spec(tc.slice), 4)
 					if err != nil {
 						t.Fatal(err)
 					}
-					return d.(*ShardedDirectory)
+					return d
 				}
 				typed, point := mk(), mk()
-				grown, ok := ParseSpecName(tc.grown)
-				if !ok {
-					t.Fatalf("ParseSpecName(%q) failed", tc.grown)
-				}
+				grown := spec(tc.grown)
 				r := rng.New(41)
-				migratingRounds := 0
+				migratingRounds, near := 0, 0
 				for round := 0; round < rounds; round++ {
 					for _, d := range []*ShardedDirectory{typed, point} {
 						switch round {
@@ -578,7 +600,7 @@ func TestApplyCuckooMatchesInterfacePath(t *testing.T) {
 					}
 					for h, sh := range typed.shards {
 						_, fast := sh.dir.(*Cuckoo)
-						if want := tc.cuckoo && !(h == resized && migrating); fast != want {
+						if want := cuckoo && !(h == resized && migrating); fast != want {
 							t.Fatalf("round %d shard %d: takes the typed loop = %v, want %v", round, h, fast, want)
 						}
 					}
@@ -595,24 +617,33 @@ func TestApplyCuckooMatchesInterfacePath(t *testing.T) {
 						h := typed.ShardOf(a.Addr)
 						batches[h] = append(batches[h], a)
 					}
-					for h, batch := range batches {
-						var ops []Op
-						if withOps {
-							// Stale slot contents, as in reused engine
-							// ticket slots: every slot must be overwritten.
-							ops = make([]Op, len(batch))
-							for i := range ops {
-								ops[i] = Op{Invalidate: ^uint64(0), Attempts: -1}
+					for h, rest := range batches {
+						for _, n := range []int{0, 1, 3, 4, 5, len(rest)} {
+							batch := rest[:min(n, len(rest))]
+							rest = rest[len(batch):]
+							var ops []Op
+							if withOps {
+								// Stale slot contents, as in reused engine
+								// ticket slots: every slot must be overwritten.
+								ops = make([]Op, len(batch))
+								for i := range ops {
+									ops[i] = Op{Invalidate: ^uint64(0), Attempts: -1}
+								}
+								typed.ApplyShardOps(h, batch, ops)
+							} else {
+								typed.ApplyShard(h, batch)
 							}
-							typed.ApplyShardOps(h, batch, ops)
-						} else {
-							typed.ApplyShard(h, batch)
-						}
-						for i, a := range batch {
-							want := applyOneLocked(point, a)
-							if withOps && !reflect.DeepEqual(ops[i], want) {
-								t.Fatalf("round %d shard %d access %d (%v %#x cache %d): typed Op %+v, point Op %+v",
-									round, h, i, a.Kind, a.Addr, a.Cache, ops[i], want)
+							for i, a := range batch {
+								for k := max(i-prefetchDepth+1, 0); k < i; k++ {
+									if batch[k].Addr == a.Addr {
+										near++
+									}
+								}
+								want := applyOneLocked(point, a)
+								if withOps && !reflect.DeepEqual(ops[i], want) {
+									t.Fatalf("round %d shard %d batch of %d access %d (%v %#x cache %d): typed Op %+v, point Op %+v",
+										round, h, len(batch), i, a.Kind, a.Addr, a.Cache, ops[i], want)
+								}
 							}
 						}
 					}
@@ -630,6 +661,9 @@ func TestApplyCuckooMatchesInterfacePath(t *testing.T) {
 						t.Fatalf("round %d: census differs (%d vs %d entries)", round, len(got), len(want))
 					}
 				}
+				if near == 0 {
+					t.Fatalf("no batch applied one address twice within %d accesses", prefetchDepth)
+				}
 				if migratingRounds == 0 || typed.ShardMigrating(resized) {
 					t.Fatalf("resize ran over %d rounds and is migrating at the end = %v; want > 0 rounds, finished",
 						migratingRounds, typed.ShardMigrating(resized))
@@ -640,7 +674,7 @@ func TestApplyCuckooMatchesInterfacePath(t *testing.T) {
 				if st.ForcedEvictions == 0 || c.ForcedBlocks == 0 {
 					t.Fatalf("stream forced no evictions (ForcedEvictions %d, ForcedBlocks %d)", st.ForcedEvictions, c.ForcedBlocks)
 				}
-				if tc.cuckoo && st.Attempts.FractionAtLeast(2) == 0 {
+				if cuckoo && st.Attempts.FractionAtLeast(2) == 0 {
 					t.Fatal("no insertion took more than one attempt")
 				}
 			})

@@ -251,8 +251,7 @@ type request struct {
 // per priority class, arbitrated by the drain policy.
 type classRings [qos.NumClasses]chan request
 
-// The drain loop's pops are open-coded over exactly two classes (the
-// same open-coding discipline as the 2-way probe fast path); this
+// The drain loop's pops are open-coded over exactly two classes; this
 // conversion fails to compile if qos.NumClasses ever changes without
 // this file keeping up.
 var _ [2]chan request = classRings{}
