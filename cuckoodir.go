@@ -19,7 +19,7 @@
 //     Spec in a ShardedDirectory, an address-interleaved, mutex-per-shard
 //     array of slices that is safe for concurrent use, offers a batched
 //     Apply path, and has a pluggable shard-home function. NewEngine puts
-//     an asynchronous submission front-end over it — bounded per-shard
+//     an asynchronous submission front-end over it — bounded per-drainer
 //     request queues drained by dedicated goroutines, with Tickets,
 //     callbacks, Flush and backpressure — so clients queue directory work
 //     instead of blocking in it. Shards resize online: an explicit
@@ -330,8 +330,8 @@ type QoSSched = qos.Sched
 func ParseQoSPolicy(s string) (QoSPolicy, error) { return qos.ParsePolicy(s) }
 
 // EngineQueueFullError is the error type behind ErrEngineQueueFull
-// rejections; it carries the shard and the QoS class that was shed
-// (errors.As-able, errors.Is(err, ErrEngineQueueFull) stays true).
+// rejections; it carries the QoS class that was shed (errors.As-able,
+// errors.Is(err, ErrEngineQueueFull) stays true).
 type EngineQueueFullError = engine.QueueFullError
 
 // QoSClassStats is one class's row in EngineStats.Classes: submission,

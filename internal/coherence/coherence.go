@@ -44,45 +44,6 @@ func SpecFactory(spec directory.Spec) Factory {
 	return directory.SliceFactory(spec)
 }
 
-// DrainMode selects how a home slice takes requests off its queue.
-type DrainMode uint8
-
-// Drain modes.
-const (
-	// DrainPerMessage (the default) is the reference behaviour: every
-	// arriving request is started by its own delivery event, and a
-	// request arriving while a prior insertion still occupies the slice
-	// schedules its own deferred lookup.
-	DrainPerMessage DrainMode = iota
-	// DrainBatch parks requests in a per-slice ready queue and pops ALL
-	// queued non-conflicting requests (distinct blocks — same-block
-	// requests serialize in the per-block queue as always) whose wait
-	// has expired in ONE drain, performing their directory lookups as a
-	// batch. Requests that queued behind one insertion's occupancy
-	// window thus drain together, and their own insertions all charge
-	// occupancy from the same response window — overlapping, because
-	// slice occupancy extends by max(), not sum. Each request's wait
-	// accounting and resume time are the same as per-message mode
-	// computes, so the mode is behaviour-preserving by construction (the
-	// batchdrain tests pin state equality); what changes is the
-	// mechanism — queue + drainer, the protocol-layer mirror of the
-	// DirectoryEngine — and the new drain-batch statistics that make the
-	// coalescing observable.
-	DrainBatch
-)
-
-// String names the mode.
-func (m DrainMode) String() string {
-	switch m {
-	case DrainPerMessage:
-		return "per-message"
-	case DrainBatch:
-		return "batch"
-	default:
-		return fmt.Sprintf("DrainMode(%d)", uint8(m))
-	}
-}
-
 // Config parameterizes the protocol system.
 type Config struct {
 	// Cores must equal the mesh tile count. Each core has one private
@@ -98,9 +59,6 @@ type Config struct {
 	// InsertCycle is the cost of one insertion write attempt at the
 	// directory (slice occupancy, not request latency).
 	InsertCycle event.Time
-	// Drain selects per-message (reference) or batched request draining
-	// at the home slices.
-	Drain DrainMode
 }
 
 // DefaultConfig returns a 16-core Private-L2-style system with ordinary
@@ -169,14 +127,6 @@ type DirTimingStats struct {
 	// writes; InsertWaitCycles the request delay actually caused by it.
 	InsertBusyCycles uint64
 	InsertWaitCycles uint64
-	// Batch-drain accounting (DrainBatch mode only): Drains counts drain
-	// events that popped at least one request, DrainedRequests the
-	// requests they popped, and MaxDrainBatch the largest single batch —
-	// DrainedRequests/Drains > 1 is the coalescing the mode exists to
-	// expose.
-	Drains          uint64
-	DrainedRequests uint64
-	MaxDrainBatch   uint64
 }
 
 // System is the protocol simulation.
@@ -288,11 +238,6 @@ func (s *System) DirStats() DirTimingStats {
 		agg.ForcedInvalidations += d.stats.ForcedInvalidations
 		agg.InsertBusyCycles += d.stats.InsertBusyCycles
 		agg.InsertWaitCycles += d.stats.InsertWaitCycles
-		agg.Drains += d.stats.Drains
-		agg.DrainedRequests += d.stats.DrainedRequests
-		if d.stats.MaxDrainBatch > agg.MaxDrainBatch {
-			agg.MaxDrainBatch = d.stats.MaxDrainBatch
-		}
 	}
 	return agg
 }

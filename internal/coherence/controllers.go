@@ -146,17 +146,9 @@ type txn struct {
 	m           msg
 	pendingAcks int
 	recalled    bool
-	arrived     event.Time
 	// needData is set on an upgrade whose requester lost its copy to a
 	// racing invalidation: the grant must carry the block.
 	needData bool
-}
-
-// readyTxn is one transaction parked in a slice's batch-drain queue,
-// with the resume time the per-message path would have given it.
-type readyTxn struct {
-	t        *txn
-	resumeAt event.Time
 }
 
 // dirCtl serializes coherence transactions per block at one home slice.
@@ -172,12 +164,7 @@ type dirCtl struct {
 	// sliceFreeAt models insertion occupancy: the slice cannot start a
 	// new transaction while a prior insertion's writes are in flight.
 	sliceFreeAt event.Time
-	// ready is the batch-drain request queue (DrainBatch mode):
-	// transactions already marked busy, waiting for a drain event to pop
-	// them. Resume times are monotone (now and sliceFreeAt only grow),
-	// so the queue drains FIFO from the front.
-	ready []readyTxn
-	stats DirTimingStats
+	stats       DirTimingStats
 }
 
 func newDirCtl(s *System, id int, dir directory.Directory) *dirCtl {
@@ -199,7 +186,7 @@ func (d *dirCtl) handle(m msg) {
 			d.queue[m.addr] = append(d.queue[m.addr], m)
 			return
 		}
-		d.intake(m)
+		d.start(m)
 	case putS, putM:
 		// Replacement notifications are processed immediately; Evict is
 		// a no-op for blocks already invalidated by a racing transaction.
@@ -222,12 +209,13 @@ func (d *dirCtl) handle(m msg) {
 	}
 }
 
-// admit opens a transaction for m — marks the block busy, counts the
+// start opens a transaction for m — marks the block busy, counts the
 // request and charges any wait for a previous insertion still occupying
-// the slice — and returns it with its lookup resume time. Shared by
-// both drain modes so their accounting and timing are identical.
-func (d *dirCtl) admit(m msg) (*txn, event.Time) {
-	t := &txn{m: m, arrived: d.s.q.Now()}
+// the slice — and schedules its lookup once the wait and the directory
+// latency elapse. New arrivals and per-block queue restarts both come
+// through here.
+func (d *dirCtl) start(m msg) {
+	t := &txn{m: m}
 	d.busy[m.addr] = t
 	d.stats.Requests++
 	wait := event.Time(0)
@@ -235,68 +223,7 @@ func (d *dirCtl) admit(m msg) (*txn, event.Time) {
 		wait = d.sliceFreeAt - d.s.q.Now()
 		d.stats.InsertWaitCycles += uint64(wait)
 	}
-	return t, d.s.q.Now() + wait + d.s.cfg.DirLatency
-}
-
-// intake admits a request through the configured drain mode. Both new
-// arrivals and per-block queue restarts come through here, so in batch
-// mode every request flows queue → drain.
-func (d *dirCtl) intake(m msg) {
-	if d.s.cfg.Drain == DrainBatch {
-		d.enqueueReady(m)
-		return
-	}
-	d.start(m)
-}
-
-// start begins a per-message transaction: its own event performs the
-// lookup once the wait and directory latency elapse.
-func (d *dirCtl) start(m msg) {
-	t, resumeAt := d.admit(m)
-	d.s.q.At(resumeAt, func() { d.lookupDone(t) })
-}
-
-// enqueueReady is the batch-drain intake: the transaction is admitted
-// with the exact wait and resume time start would compute, parked on
-// the ready queue, and a drain is scheduled at its resume time. A drain
-// pops every ready transaction whose resume time has arrived — so
-// requests that queued during one occupancy window leave in one batch,
-// and drains scheduled for transactions an earlier drain already popped
-// fall through empty.
-func (d *dirCtl) enqueueReady(m msg) {
-	t, resumeAt := d.admit(m)
-	d.ready = append(d.ready, readyTxn{t: t, resumeAt: resumeAt})
-	d.s.q.At(resumeAt, d.drainReady)
-}
-
-// drainReady pops all queued non-conflicting requests whose wait has
-// expired and performs their directory lookups as one batch.
-// Conflicting (same-block) requests never reach the ready queue — they
-// serialize in the per-block queue — so the popped batch touches
-// distinct blocks by construction.
-func (d *dirCtl) drainReady() {
-	now := d.s.q.Now()
-	n := 0
-	for n < len(d.ready) && d.ready[n].resumeAt <= now {
-		n++
-	}
-	if n == 0 {
-		return // an earlier drain this cycle already popped our request
-	}
-	batch := make([]readyTxn, n)
-	copy(batch, d.ready)
-	d.ready = d.ready[n:]
-	if len(d.ready) == 0 {
-		d.ready = nil // let the drained backing array go
-	}
-	d.stats.Drains++
-	d.stats.DrainedRequests += uint64(n)
-	if uint64(n) > d.stats.MaxDrainBatch {
-		d.stats.MaxDrainBatch = uint64(n)
-	}
-	for _, r := range batch {
-		d.lookupDone(r.t)
-	}
+	d.s.q.At(d.s.q.Now()+wait+d.s.cfg.DirLatency, func() { d.lookupDone(t) })
 }
 
 // lookupDone runs after the directory access latency: recall a dirty owner
@@ -408,7 +335,7 @@ func (d *dirCtl) respond(t *txn, dataNearby bool) {
 			} else {
 				d.queue[m.addr] = q[1:]
 			}
-			d.intake(next)
+			d.start(next)
 		}
 	})
 }

@@ -1,6 +1,6 @@
 // Package engine is the asynchronous submission front-end of the
 // sharded directory: a DirectoryEngine owns a ShardedDirectory and
-// drains bounded per-shard request queues with dedicated goroutines, so
+// drains bounded per-drainer request queues with dedicated goroutines, so
 // clients SUBMIT directory work and collect results later instead of
 // blocking in ApplyShard themselves.
 //
@@ -225,13 +225,11 @@ func (o Options) withDefaults(shards int) Options {
 // where its results and completion go.
 type request struct {
 	accs []directory.Access
-	// ops, when non-nil, receives each access's Op directly (the run is
-	// contiguous in its ticket). idxs, when non-nil, scatters drainer-
-	// scratch Ops into t.ops[idxs[k]] instead (the run is a routed
-	// sub-batch of a larger submission). At most one of the two is set.
-	ops  []directory.Op
-	idxs []int32
-	t    *Ticket
+	// t is the submission's ticket; nil for a detached request, which
+	// records no Ops. Access k's Op goes to t.ops[pos[k]] when pos is
+	// set (a routed sub-batch of a larger submission), else to t.ops[k].
+	t   *Ticket
+	pos []int32
 	// enq is when the request entered (or began blocking to enter) its
 	// ring; the drainer records now-enq into the class's latency
 	// histogram at completion. Zero on barriers and stop sentinels.
@@ -251,9 +249,9 @@ type request struct {
 // per priority class, arbitrated by the drain policy.
 type classRings [qos.NumClasses]chan request
 
-// The drain loop's pops are open-coded over exactly two classes; this
-// conversion fails to compile if qos.NumClasses ever changes without
-// this file keeping up.
+// The drainer's blocking pop is open-coded over exactly two classes;
+// this conversion fails to compile if qos.NumClasses ever changes
+// without this file keeping up.
 var _ [2]chan request = classRings{}
 
 // Ticket is a pollable completion handle for one submission.
@@ -449,15 +447,6 @@ func (s *Stats) Merge(o Stats) {
 	for c := range s.Classes {
 		s.Classes[c].Merge(o.Classes[c])
 	}
-}
-
-// MergeStats merges engine snapshots into one fresh aggregate.
-func MergeStats(snaps ...Stats) Stats {
-	var agg Stats
-	for _, s := range snaps {
-		agg.Merge(s)
-	}
-	return agg
 }
 
 // Engine is the asynchronous submission front-end. It is safe for
@@ -742,15 +731,15 @@ func (e *Engine) Submit(ctx context.Context, r Request) (*Ticket, error) {
 		queues = []int{0}
 	} else {
 		subAccs := make([][]directory.Access, D)
-		var subIdxs [][]int32
+		var subPos [][]int32
 		if recording {
-			subIdxs = make([][]int32, D)
+			subPos = make([][]int32, D)
 		}
 		for i, a := range accs {
 			q := e.queueOf(e.dir.ShardOf(a.Addr))
 			subAccs[q] = append(subAccs[q], a)
 			if recording {
-				subIdxs[q] = append(subIdxs[q], int32(i))
+				subPos[q] = append(subPos[q], int32(i))
 			}
 		}
 		for q, sub := range subAccs {
@@ -759,10 +748,10 @@ func (e *Engine) Submit(ctx context.Context, r Request) (*Ticket, error) {
 			}
 			rq := request{accs: sub, class: c}
 			// A whole batch landing on one queue keeps its results
-			// contiguous — no scatter indices needed. Detached batches
-			// record nothing at all.
+			// contiguous — no positions needed. Detached batches record
+			// nothing at all.
 			if recording && len(sub) != len(accs) {
-				rq.idxs = subIdxs[q]
+				rq.pos = subPos[q]
 			}
 			reqs = append(reqs, rq)
 			queues = append(queues, q)
@@ -771,13 +760,9 @@ func (e *Engine) Submit(ctx context.Context, r Request) (*Ticket, error) {
 
 	var t *Ticket
 	if recording {
-		ops := make([]directory.Op, len(accs))
-		t = newTicket(len(reqs), ops, r.Done)
+		t = newTicket(len(reqs), make([]directory.Op, len(accs)), r.Done)
 		for i := range reqs {
 			reqs[i].t = t
-			if reqs[i].idxs == nil {
-				reqs[i].ops = ops
-			}
 		}
 	}
 	if err := e.send(ctx, c, queues, reqs); err != nil {
@@ -1004,10 +989,18 @@ const (
 // here; the pop/apply loop itself is drainLoop, the annotated hot path.
 func (e *Engine) drain(qi int) {
 	defer e.wg.Done()
-	// buckets[b] holds the concat positions of the accesses homing onto
-	// shard qi+b*Drainers (the shards this drainer serves).
-	buckets := make([][]int32, (e.dir.ShardCount()-qi+e.opt.Drainers-1)/e.opt.Drainers)
-	e.drainLoop(qi, e.queues[qi], e.opt.Drainers == e.dir.ShardCount(), buckets)
+	// gathers[b] collects a run's accesses homing onto shard
+	// qi+b*Drainers (the shards this drainer serves).
+	gathers := make([]shardGather, (e.dir.ShardCount()-qi+e.opt.Drainers-1)/e.opt.Drainers)
+	e.drainLoop(qi, e.queues[qi], gathers)
+}
+
+// shardGather is one shard's share of a run: its accesses in pop order
+// and, when the run records Ops, the ticket slot each access's Op goes
+// to (nil for a detached request's access).
+type shardGather struct {
+	accs  []directory.Access
+	slots []*directory.Op
 }
 
 // drainSched is one drainer's scheduling state: which rings are still
@@ -1069,92 +1062,64 @@ func (s *drainSched) refill() {
 	}
 }
 
-// popNB is the policy-ordered non-blocking pop: strict priority always
-// tries the foreground ring first; weighted-deficit tries classes in
-// priority order among those holding credit. allowRefill distinguishes
-// a run's FIRST pop (refill once when every credited ring came up
-// empty, so a backlogged class with spent credit is never wrongly
-// declared idle) from the coalescing pops that extend a run (no refill:
-// a class that exhausts its credit mid-run stops extending THIS run and
-// earns fresh credit at the next run boundary — which is what bounds a
-// run's lower-priority burst, and with it the priority-inversion window
-// a just-arrived foreground request can be stuck behind, to roughly
-// Weights[bg]*Quantum accesses instead of the full coalescing cap).
-// Reports false when nothing can be popped.
+// popNB is the policy-ordered non-blocking pop: it tries the live
+// classes in priority order — under weighted-deficit only those holding
+// credit — and returns the first request any of them yields.
+// allowRefill distinguishes a run's FIRST pop (refill once when every
+// eligible ring came up empty, so a backlogged class with spent credit
+// is never wrongly declared idle) from the coalescing pops that extend
+// a run (no refill: a class that exhausts its credit mid-run stops
+// extending THIS run and earns fresh credit at the next run boundary —
+// which is what bounds a run's lower-priority burst, and with it the
+// priority-inversion window a just-arrived foreground request can be
+// stuck behind, to roughly Weights[bg]*Quantum accesses instead of the
+// full coalescing cap). Reports false when nothing can be popped.
 //
 //cuckoo:hotpath
 func (s *drainSched) popNB(rings classRings, allowRefill bool) (request, bool) {
-	if !s.weighted {
-		if s.live[qos.Foreground] {
-			//cuckoo:ignore the ring IS a channel by design; strict priority's foreground-first non-blocking pop
-			select {
-			case r := <-rings[qos.Foreground]:
-				return r, true
-			default:
+	refill := allowRefill && s.weighted
+	for {
+		for c, ring := range rings {
+			if !s.live[c] || (s.weighted && s.credits[c] <= 0) {
+				continue
 			}
-		}
-		if s.live[qos.Background] {
-			//cuckoo:ignore the ring IS a channel by design; strict priority's background non-blocking pop
+			//cuckoo:ignore the ring IS a channel by design; the policy-ordered non-blocking pop
 			select {
-			case r := <-rings[qos.Background]:
-				return r, true
-			default:
-			}
-		}
-		return request{}, false
-	}
-	for pass := 0; pass < 2; pass++ {
-		if s.live[qos.Foreground] && s.credits[qos.Foreground] > 0 {
-			//cuckoo:ignore the ring IS a channel by design; weighted-deficit's credited foreground pop
-			select {
-			case r := <-rings[qos.Foreground]:
+			case r := <-ring:
 				s.charge(r)
 				return r, true
 			default:
 			}
 		}
-		if s.live[qos.Background] && s.credits[qos.Background] > 0 {
-			//cuckoo:ignore the ring IS a channel by design; weighted-deficit's credited background pop
-			select {
-			case r := <-rings[qos.Background]:
-				s.charge(r)
-				return r, true
-			default:
-			}
-		}
-		// Nothing popped: either the credited rings are empty or the
+		// Nothing popped: either the eligible rings are empty or the
 		// non-empty rings are out of credit — one refill resolves the
 		// ambiguity (a second failure means genuinely empty).
-		if pass == 0 && allowRefill {
-			s.refill()
-			continue
+		if !refill {
+			return request{}, false
 		}
-		break
+		s.refill()
+		refill = false
 	}
-	return request{}, false
 }
 
-// popBlocking parks the drainer until any live ring delivers. The
-// arrival order decides between simultaneously-ready rings (both were
-// empty when popNB gave up); the policy re-asserts itself on the
-// coalescing pops that follow.
+// popBlocking parks the drainer until any live ring delivers; a retired
+// ring is left nil, and a nil channel never delivers. The arrival order
+// decides between simultaneously-ready rings (both were empty when
+// popNB gave up); the policy re-asserts itself on the coalescing pops
+// that follow.
 //
 //cuckoo:hotpath
 func (s *drainSched) popBlocking(rings classRings) request {
-	var r request
-	switch {
-	case s.live[qos.Foreground] && s.live[qos.Background]:
-		//cuckoo:ignore the rings ARE channels by design; this is the drainer's blocking pop over both classes
-		select {
-		case r = <-rings[qos.Foreground]:
-		case r = <-rings[qos.Background]:
+	for c := range rings {
+		if !s.live[c] {
+			rings[c] = nil
 		}
-	case s.live[qos.Foreground]:
-		//cuckoo:ignore the ring IS a channel by design; blocking pop with only the foreground ring live
-		r = <-rings[qos.Foreground]
-	default:
-		//cuckoo:ignore the ring IS a channel by design; blocking pop with only the background ring live
-		r = <-rings[qos.Background]
+	}
+	var r request
+	//cuckoo:ignore the rings ARE channels by design; this is the drainer's blocking pop over its live rings
+	select {
+	case r = <-rings[qos.Foreground]:
+	case r = <-rings[qos.Background]:
 	}
 	s.charge(r)
 	return r
@@ -1172,12 +1137,9 @@ func (s *drainSched) popBlocking(rings classRings) request {
 // drainer speed in the gaps, without a dedicated migration goroutine.
 //
 //cuckoo:hotpath
-func (e *Engine) drainLoop(qi int, rings classRings, singleShard bool, buckets [][]int32) {
+func (e *Engine) drainLoop(qi int, rings classRings, gathers []shardGather) {
 	var run []request
-	var concatAccs []directory.Access // run's accesses, concatenated
-	var concatOps []directory.Op      // their Ops, in concat order
-	var gatherAccs []directory.Access // per-shard gather (grouped path)
-	var gatherOps []directory.Op
+	var ops []directory.Op // one shard's Ops, before they reach their slots
 	sched := newDrainSched(e.opt.Sched)
 	for {
 		r, ok := sched.popNB(rings, true)
@@ -1217,7 +1179,7 @@ func (e *Engine) drainLoop(qi int, rings classRings, singleShard bool, buckets [
 			}
 		}
 		if len(run) > 0 {
-			e.applyRun(qi, run, singleShard, buckets, &concatAccs, &concatOps, &gatherAccs, &gatherOps)
+			e.applyRun(qi, run, gathers, &ops)
 			// One bounded migration step per applied run keeps a rehash
 			// progressing under sustained traffic; the load check may
 			// START one when the directory has an automatic-growth
@@ -1377,114 +1339,82 @@ func (e *Engine) resize(h int, begin func() error) error {
 	return nil
 }
 
-// applyRun applies one popped run. The run's requests are concatenated
-// in pop order into a single access stream; on the one-drainer-per-
-// shard layout that stream is applied with ONE ApplyShardOps call,
-// while grouped shards (Drainers < ShardCount) partition the
-// concatenation by home shard first — one call per touched shard for
-// the WHOLE run, not per request. Ops are recorded into a run-ordered
-// scratch and scattered back to each request's destination afterwards;
-// a run without any recording request skips Op storage entirely, and a
-// single-request run applies in place with no concatenation copy.
-func (e *Engine) applyRun(qi int, run []request, singleShard bool, buckets [][]int32,
-	concatAccs *[]directory.Access, concatOps *[]directory.Op,
-	gatherAccs *[]directory.Access, gatherOps *[]directory.Op) {
-	total, recording := 0, false
+// applyRun applies one popped run in one gather–apply–scatter pass.
+// Each access joins, in pop order, the gather of its home shard (one of
+// this drainer's), so a shard applies the WHOLE run's accesses through
+// one ApplyShardOps call, not one per request, and per-shard FIFO
+// holds. When any request of the run records Ops, each access also
+// carries its ticket slot; a shard's Ops land in the reused scratch and
+// are copied to their slots only once that shard has applied, so a
+// failed shard's slots keep the zero Ops Submit allocated. A run
+// without any recording request skips Op storage entirely.
+func (e *Engine) applyRun(qi int, run []request, gathers []shardGather, scratch *[]directory.Op) {
+	recording := false
 	for i := range run {
-		total += len(run[i].accs)
-		if run[i].ops != nil || run[i].idxs != nil {
-			recording = true
-		}
+		recording = recording || run[i].t != nil
 	}
-	// The concatenated view; a single-request run aliases its accesses.
-	view := run[0].accs
-	if len(run) > 1 {
-		*concatAccs = append((*concatAccs)[:0], run[0].accs...)
-		for i := 1; i < len(run); i++ {
-			*concatAccs = append(*concatAccs, run[i].accs...)
-		}
-		view = *concatAccs
+	for b := range gathers {
+		gathers[b].accs = gathers[b].accs[:0]
+		gathers[b].slots = gathers[b].slots[:0]
 	}
-	var ops []directory.Op
-	if recording {
-		// A lone whole-batch request writes straight into its ticket's
-		// storage — no scatter copy at all.
-		if len(run) == 1 && run[0].ops != nil {
-			ops = run[0].ops
-		} else {
-			if cap(*concatOps) < total {
-				*concatOps = make([]directory.Op, total)
+	for i := range run {
+		r := &run[i]
+		for k, a := range r.accs {
+			g := &gathers[e.dir.ShardOf(a.Addr)/e.opt.Drainers]
+			g.accs = append(g.accs, a)
+			if !recording {
+				continue
 			}
-			ops = (*concatOps)[:total]
+			var slot *directory.Op
+			if r.t != nil {
+				j := k
+				if r.pos != nil {
+					j = int(r.pos[k])
+				}
+				slot = &r.t.ops[j]
+			}
+			g.slots = append(g.slots, slot)
 		}
 	}
 	// runErr, when non-nil, says the engine contained a fault (panic or
 	// quarantined shard) while applying some shard of the run.
 	var runErr error
-	if singleShard {
-		runErr = e.applyShard(qi, view, ops)
-	} else {
-		// Partition the concatenation by home shard, preserving order.
-		for b := range buckets {
-			buckets[b] = buckets[b][:0]
+	for b := range gathers {
+		g := &gathers[b]
+		if len(g.accs) == 0 {
+			continue
 		}
-		for i, a := range view {
-			h := e.dir.ShardOf(a.Addr)
-			buckets[(h-qi)/e.opt.Drainers] = append(buckets[(h-qi)/e.opt.Drainers], int32(i))
+		var ops []directory.Op
+		if recording {
+			if cap(*scratch) < len(g.accs) {
+				*scratch = make([]directory.Op, len(g.accs))
+			}
+			ops = (*scratch)[:len(g.accs)]
 		}
-		for b, idxs := range buckets {
-			if len(idxs) == 0 {
-				continue
+		if err := e.applyShard(qi+b*e.opt.Drainers, g.accs, ops); err != nil {
+			if runErr == nil {
+				runErr = err
 			}
-			*gatherAccs = (*gatherAccs)[:0]
-			for _, i := range idxs {
-				*gatherAccs = append(*gatherAccs, view[i])
-			}
-			if ops == nil {
-				if err := e.applyShard(qi+b*e.opt.Drainers, *gatherAccs, nil); err != nil && runErr == nil {
-					runErr = err
-				}
-				continue
-			}
-			if cap(*gatherOps) < len(idxs) {
-				*gatherOps = make([]directory.Op, len(idxs))
-			}
-			gops := (*gatherOps)[:len(idxs)]
-			if err := e.applyShard(qi+b*e.opt.Drainers, *gatherAccs, gops); err != nil {
-				// The shard's Ops never materialized; leave the zero Ops
-				// in place and fail the run below.
-				if runErr == nil {
-					runErr = err
-				}
-				continue
-			}
-			for k, i := range idxs {
-				ops[i] = gops[k]
+			continue
+		}
+		for k, slot := range g.slots {
+			if slot != nil {
+				*slot = ops[k]
 			}
 		}
 	}
-	// Scatter each request's Op span to its destination and retire it,
-	// in pop order. One clock read covers the whole run's latency
-	// samples: enqueue-to-completion at power-of-two resolution does not
-	// need a per-request timestamp, and the drain path stays clock-cheap.
+	// Retire each request in pop order. One clock read covers the whole
+	// run's latency samples: enqueue-to-completion at power-of-two
+	// resolution does not need a per-request timestamp, and the drain
+	// path stays clock-cheap.
 	now := time.Now()
-	off := 0
 	for i := range run {
 		r := run[i]
-		n := len(r.accs)
-		if r.idxs != nil {
-			for k := 0; k < n; k++ {
-				r.t.ops[r.idxs[k]] = ops[off+k]
-			}
-		} else if r.ops != nil && &r.ops[0] != &ops[off] {
-			copy(r.ops, ops[off:off+n])
-		}
-		off += n
 		e.recs[qi].Record(r.class, now.Sub(r.enq))
 		err := runErr
 		if err != nil {
 			// Only requests touching a failed (now quarantined) shard
-			// fail; on grouped layouts the rest of the run applied.
+			// fail; the rest of the run applied.
 			err = e.checkQuarantined(r.accs)
 		}
 		e.finish(qi, r, err)

@@ -195,6 +195,89 @@ func TestGroupedRunFailsOnlyFaultedShard(t *testing.T) {
 	}
 }
 
+// TestErredTicketsCarryZeroOps: the drainer reuses its Op scratch from
+// run to run, and an erred ticket must still read zero Ops for its
+// failed span — never an earlier run's results. A first stalled run of
+// two requests leaves a fresh insert's Op (Attempts 1) in the scratch;
+// a second stalled run then panics on that shard. Covered on the
+// grouped layout (Drainers 2 over 4 shards: the run's first request
+// homes onto healthy shard 0) and the per-shard layout (Drainers 4 over
+// 4 shards: the whole run fails).
+func TestErredTicketsCarryZeroOps(t *testing.T) {
+	const faulty = 2
+	for _, tc := range []struct {
+		name     string
+		drainers int
+		first    int // home shard of each run's first request
+	}{
+		{"grouped", 2, 0},
+		{"per-shard", 4, faulty},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer goroutineCensus(t)()
+			dir := testDir(t, 4)
+			inj := faults.New()
+			eng, err := New(dir, Options{Drainers: tc.drainers, Faults: inj})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			ctx := context.Background()
+
+			// stalledRun parks the faulty shard's drainer on a one-access
+			// run, queues two requests behind it and releases them as one
+			// run, returning their tickets once both complete.
+			stalledRun := func(start uint64) (first, second *Ticket) {
+				t.Helper()
+				stall := inj.Arm(faults.DrainerStall, faults.Trigger{Key: faulty, Count: 1})
+				park := []directory.Access{{Kind: directory.AccessRead, Addr: addrOnShard(dir, faulty, start), Cache: 0}}
+				if _, err := eng.SubmitBatch(ctx, park); err != nil {
+					t.Fatal(err)
+				}
+				waitFor(t, "the drainer to park on the injected stall", func() bool { return stall.Fired() == 1 })
+				first, err = eng.SubmitBatch(ctx, []directory.Access{{Kind: directory.AccessRead, Addr: addrOnShard(dir, tc.first, start+64), Cache: 1}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				second, err = eng.SubmitBatch(ctx, []directory.Access{{Kind: directory.AccessWrite, Addr: addrOnShard(dir, faulty, start+128), Cache: 2}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				stall.Release()
+				// Wait's error is the ticket's Err, which the caller checks.
+				_ = first.Wait(ctx)
+				_ = second.Wait(ctx)
+				return first, second
+			}
+
+			// Warm the scratch: the fresh insert's Op is non-zero.
+			if _, warm := stalledRun(0); warm.Err() != nil || warm.Op().Attempts != 1 {
+				t.Fatalf("warm-up insert: err %v, Op %+v, want a clean 1-attempt insert", warm.Err(), warm.Op())
+			}
+			// The park request's apply is the first faulty-shard hit; the
+			// panic fires on the next one, the two-request run's.
+			inj.Arm(faults.ApplyPanic, faults.Trigger{Key: faulty, After: 1, Count: 1})
+			first, second := stalledRun(1 << 20)
+			if !errors.Is(second.Err(), ErrShardQuarantined) {
+				t.Fatalf("faulted-shard request: err %v, want ErrShardQuarantined", second.Err())
+			}
+			if tc.first != faulty && first.Err() != nil {
+				t.Fatalf("healthy-shard request of the faulted run: err %v, want nil", first.Err())
+			}
+			for _, tk := range []*Ticket{first, second} {
+				if tk.Err() == nil {
+					continue
+				}
+				for i, op := range tk.Ops() {
+					if !reflect.DeepEqual(op, directory.Op{}) {
+						t.Errorf("erred ticket Ops[%d] = %+v, want the zero Op", i, op)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestStallWatchdogAndRecovery: a stalled drainer with queued work
 // flips its Health row to Stalled (and the engine to Degraded) within
 // the stall threshold; the other drainers keep completing tickets

@@ -402,3 +402,150 @@ func TestHealthReportsClassLatency(t *testing.T) {
 		}
 	}
 }
+
+// TestDrainSchedPops pins the drain scheduler's pop rules white-box:
+// newDrainSched, popNB and popBlocking run directly on hand-filled
+// rings, with no drainer goroutine in between. Each pop names the
+// request it must return ("f1" = foreground request 1, "b2" =
+// background request 2) or "" when nothing may pop. The rules: strict
+// priority serves foreground first; weighted-deficit serves classes in
+// priority order among those holding credit, charges each pop its
+// access count, carries overdraft across a refill, and refills only on
+// a run's first pop (allowRefill) — never on the coalescing pops that
+// extend a run (DESIGN.md §13); a retired ring never delivers.
+func TestDrainSchedPops(t *testing.T) {
+	type pop struct {
+		refill bool // popNB's allowRefill (a run's first pop)
+		block  bool // popBlocking instead of popNB
+		want   string
+	}
+	// req is a queued request of n accesses whose first access carries
+	// its id.
+	type req struct {
+		name string
+		n    int
+	}
+	weighted := func(fg, bg, quantum int) qos.Sched {
+		return qos.Sched{Policy: qos.WeightedDeficit, Weights: [qos.NumClasses]int{fg, bg}, Quantum: quantum}
+	}
+	cases := []struct {
+		name    string
+		sched   qos.Sched
+		fg, bg  []req
+		retired []qos.Class
+		pops    []pop
+		credits [qos.NumClasses]int64 // after the pops (weighted only)
+	}{
+		{
+			name:  "strict-foreground-first",
+			sched: qos.Sched{},
+			fg:    []req{{"f1", 1}, {"f2", 600}},
+			bg:    []req{{"b1", 1}, {"b2", 1}},
+			// Strict priority keeps no credit: size never matters.
+			pops: []pop{{refill: true, want: "f1"}, {want: "f2"}, {want: "b1"}, {want: "b2"}, {want: ""}, {refill: true, want: ""}},
+		},
+		{
+			name:  "weighted-order-under-credit",
+			sched: weighted(2, 1, 1),
+			fg:    []req{{"f1", 1}, {"f2", 1}, {"f3", 1}},
+			bg:    []req{{"b1", 1}, {"b2", 1}},
+			pops: []pop{
+				{refill: true, want: "f1"}, // foreground's 2 credits
+				{want: "f2"},
+				{want: "b1"},               // then background's 1
+				{want: ""},                 // all spent: the run ends
+				{refill: true, want: "f3"}, // the next run refills
+				{want: "b2"},               // fg ring empty: bg has credit
+				{want: ""},
+			},
+			credits: [qos.NumClasses]int64{1, 0},
+		},
+		{
+			name:  "overdraft-carried-across-refill",
+			sched: weighted(1, 1, 2),
+			fg:    []req{{"f1", 5}, {"f2", 1}},
+			bg:    []req{{"b1", 1}},
+			pops: []pop{
+				{refill: true, want: "f1"}, // fg credit 2-5 = -3
+				{want: "b1"},               // fg overdrawn: bg serves
+				{want: ""},
+				{refill: true, want: ""},   // fg -3+2 = -1: still overdrawn
+				{refill: true, want: "f2"}, // fg -1+2 = 1
+			},
+			credits: [qos.NumClasses]int64{0, 2},
+		},
+		{
+			name:  "refill-only-on-allowRefill",
+			sched: weighted(1, 1, 1),
+			fg:    []req{{"f1", 1}, {"f2", 1}},
+			pops: []pop{
+				{refill: true, want: "f1"},
+				{want: ""}, {want: ""}, // backlogged but spent: no refill mid-run
+				{refill: true, want: "f2"},
+			},
+			credits: [qos.NumClasses]int64{0, 1},
+		},
+		{
+			name:    "retired-ring-never-delivers",
+			sched:   qos.Sched{},
+			fg:      []req{{"f1", 1}},
+			bg:      []req{{"b1", 1}, {"b2", 1}},
+			retired: []qos.Class{qos.Foreground},
+			pops:    []pop{{block: true, want: "b1"}, {refill: true, want: "b2"}, {refill: true, want: ""}},
+		},
+		{
+			name:  "blocking-pop-charges-credit",
+			sched: weighted(1, 1, 4),
+			bg:    []req{{"b1", 4}, {"b2", 3}},
+			pops:  []pop{{block: true, want: "b1"}, {want: ""}, {refill: true, want: "b2"}},
+			// b1 spends bg's 4 credits, so the coalescing pop finds none;
+			// the next run's first pop refills to 4 and b2 costs 3.
+			credits: [qos.NumClasses]int64{4, 1},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var rings classRings
+			for c := range rings {
+				rings[c] = make(chan request, 8)
+			}
+			var names []string
+			fill := func(c qos.Class, reqs []req) {
+				for _, q := range reqs {
+					accs := make([]directory.Access, q.n)
+					accs[0].Addr = uint64(len(names))
+					names = append(names, q.name)
+					rings[c] <- request{accs: accs, class: c}
+				}
+			}
+			fill(qos.Foreground, tc.fg)
+			fill(qos.Background, tc.bg)
+			s := newDrainSched(tc.sched)
+			for _, c := range tc.retired {
+				s.live[c] = false
+			}
+			for i, p := range tc.pops {
+				var r request
+				ok := true
+				if p.block {
+					r = s.popBlocking(rings)
+				} else {
+					r, ok = s.popNB(rings, p.refill)
+				}
+				got := ""
+				if ok {
+					got = names[r.accs[0].Addr]
+					if (got[0] == 'f') != (r.class == qos.Foreground) {
+						t.Fatalf("pop %d: %s came off the %v ring", i, got, r.class)
+					}
+				}
+				if got != p.want {
+					t.Fatalf("pop %d (%+v) = %q, want %q", i, p, got, p.want)
+				}
+			}
+			if tc.sched.Policy == qos.WeightedDeficit && s.credits != tc.credits {
+				t.Errorf("credits after the pops = %v, want %v", s.credits, tc.credits)
+			}
+		})
+	}
+}
