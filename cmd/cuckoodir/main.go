@@ -28,6 +28,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -212,6 +213,8 @@ func benchCmd(args []string) error {
 	runFilter := fs.String("run", "", "only run cases whose name matches this regexp (partial runs record only the selected rows)")
 	against := fs.String("against", "", "compare the run against this trajectory label and fail on regressions (see -maxregress)")
 	maxRegress := fs.Float64("maxregress", 2, "with -against: fail when any shared case is more than this factor slower than the baseline")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the selected cases to this file")
+	memProfile := fs.String("memprofile", "", "write an allocation profile of the selected cases to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -229,11 +232,34 @@ func benchCmd(args []string) error {
 		}
 		match = re.MatchString
 	}
+	stopCPU := func() error { return nil }
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return fmt.Errorf("bench: -cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return fmt.Errorf("bench: -cpuprofile: %w", err)
+		}
+		stopCPU = func() error {
+			pprof.StopCPUProfile()
+			return f.Close()
+		}
+	}
 	run := bench.RunSuite(*label, match, func(format string, a ...any) {
 		fmt.Printf(format, a...)
 	})
+	if err := stopCPU(); err != nil {
+		return fmt.Errorf("bench: -cpuprofile: %w", err)
+	}
 	if len(run.Results) == 0 {
 		return fmt.Errorf("bench: -run %q selected no cases", *runFilter)
+	}
+	if *memProfile != "" {
+		if err := writeAllocProfile(*memProfile); err != nil {
+			return fmt.Errorf("bench: -memprofile: %w", err)
+		}
 	}
 	// The headline acceptance ratio: devirtualized vs interface-dispatch
 	// path at the 70%-occupancy comparison point.
@@ -281,6 +307,22 @@ func benchCmd(args []string) error {
 		fmt.Printf("no case regressed more than %gx vs %q\n", *maxRegress, *against)
 	}
 	return nil
+}
+
+// writeAllocProfile writes the allocation profile (every sampled
+// allocation since the process started, and what of it is still live)
+// to path, as `go test -memprofile` does.
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // settle the live-heap figures
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // traceCmd implements `cuckoodir trace record|replay`.
@@ -462,13 +504,16 @@ func usage() {
   cuckoodir all [flags]           run the whole suite
   cuckoodir bench [-json] [-out FILE] [-label L] [-run REGEXP]
                   [-against L [-maxregress X]]
+                  [-cpuprofile FILE] [-memprofile FILE]
                                   run the fixed performance-benchmark suite
                                   (table find/insert/delete sweeps, sharded
                                   replay); -json appends the labeled run to
                                   the BENCH_cuckoo.json trajectory; -against
                                   compares the run to an existing trajectory
                                   label and exits nonzero when any shared case
-                                  is more than -maxregress times slower
+                                  is more than -maxregress times slower;
+                                  -cpuprofile and -memprofile write pprof CPU
+                                  and allocation profiles of the run
   cuckoodir trace record -file F [-workload W] [-n N] [-seed S]
   cuckoodir trace replay -file F [-config shared|private] [-workload W] [-dir ORG]
   cuckoodir trace replay -file F -dir ORG [-workers N] [-shards N] [-batch N] [-home mix|interleave]

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -147,6 +148,31 @@ func TestBenchCommand(t *testing.T) {
 		}
 		if len(tr.Runs) != 1 || tr.Runs[0].Label != "cli-test" || len(tr.Runs[0].Results) != 1 {
 			t.Fatalf("pass %d: trajectory = %+v", i, tr)
+		}
+	}
+}
+
+// TestBenchProfiles: -cpuprofile and -memprofile each write a non-empty
+// pprof profile of the selected cases, and an unwritable path is an
+// error.
+func TestBenchProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if err := run([]string{"bench", "-run", `^table/find/skew/occ=50$`, "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() == 0 {
+			t.Errorf("profile %s is empty", filepath.Base(path))
+		}
+	}
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		if err := run([]string{"bench", "-run", `^table/find/skew/occ=50$`, flag, filepath.Join(dir, "missing", "p")}); err == nil {
+			t.Errorf("%s into a missing directory accepted", flag)
 		}
 	}
 }

@@ -18,6 +18,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/bits"
@@ -30,7 +31,9 @@ import (
 
 	"cuckoodir/internal/core"
 	"cuckoodir/internal/directory"
+	"cuckoodir/internal/engine"
 	"cuckoodir/internal/hashfn"
+	"cuckoodir/internal/qos"
 	"cuckoodir/internal/replay"
 	"cuckoodir/internal/rng"
 	"cuckoodir/internal/workload"
@@ -280,6 +283,75 @@ func engineReplayCase(shards, producers int) func(b *testing.B) {
 	}
 }
 
+// The engine submit cycle of perfbench's engine-rr-mixed client:
+// submitFg foreground tickets of submitFgBatch accesses, then one
+// detached background batch of submitBgBatch.
+const (
+	submitFg      = 4
+	submitFgBatch = 64
+	submitBgBatch = 256
+	submitCycle   = submitFg*submitFgBatch + submitBgBatch
+)
+
+// engineSubmitCase times that cycle on an engine with the given drainer
+// count over 8 shards of a cuckoo-4x8192 directory already warmed with
+// the cycled stream, so every access hits and the directory allocates
+// nothing. One op is one cycle: the four tickets are waited, the
+// detached batch is covered by a Flush after the loop. The accesses are
+// generated before the timer starts, so the allocation columns read
+// what the engine leaves per cycle.
+func engineSubmitCase(drainers int) func(b *testing.B) {
+	return func(b *testing.B) {
+		prof, err := workload.ByName("oracle")
+		if err != nil {
+			b.Fatal(err)
+		}
+		accs := make([]directory.Access, 0, 128*submitCycle)
+		src := replay.Synthesize(prof, replayCores, 11, cap(accs))
+		for range cap(accs) {
+			rec, err := src.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			kind := directory.AccessRead
+			if rec.Access.Write {
+				kind = directory.AccessWrite
+			}
+			accs = append(accs, directory.Access{Kind: kind, Addr: rec.Access.Addr, Cache: rec.Core})
+		}
+		d := benchDir(b, 8, 8192)
+		d.Apply(accs)
+		eng, err := engine.New(d, engine.Options{Drainers: drainers, Sched: qos.Sched{Policy: qos.WeightedDeficit}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer eng.Close()
+		ctx := context.Background()
+		var tickets [submitFg]*engine.Ticket
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cycle := accs[i%(len(accs)/submitCycle)*submitCycle:][:submitCycle]
+			for j := range tickets {
+				if tickets[j], err = eng.SubmitBatch(ctx, cycle[j*submitFgBatch:][:submitFgBatch]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := eng.SubmitDetachedClass(ctx, qos.Background, cycle[submitFg*submitFgBatch:]); err != nil {
+				b.Fatal(err)
+			}
+			for _, t := range tickets {
+				if err := t.Wait(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if err := eng.Flush(ctx); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(submitCycle*float64(b.N)/b.Elapsed().Seconds(), "acc/s")
+	}
+}
+
 // applyHitsCase times ApplyShard alone over pre-routed batches of 256
 // reads, all hits, on 8 shards of cuckoo-4x{sets} at 35% load.
 func applyHitsCase(sets int) func(b *testing.B) {
@@ -339,6 +411,9 @@ func Cases() []Case {
 	for _, sets := range []int{512, 16384} { // 256 KB of pairs, in cache, and 8 MB
 		cases = append(cases, Case{fmt.Sprintf("apply/hits/sets=%d", sets), applyHitsCase(sets)})
 	}
+	for _, drainers := range []int{1, 8} {
+		cases = append(cases, Case{fmt.Sprintf("engine/submit/drainers=%d", drainers), engineSubmitCase(drainers)})
+	}
 	return cases
 }
 
@@ -348,6 +423,12 @@ type Result struct {
 	OpsPerSec float64 `json:"ops_per_sec"`
 	// AccPerSec is the replay pipeline throughput (replay cases only).
 	AccPerSec float64 `json:"acc_per_sec,omitempty"`
+	// BytesPerOp and AllocsPerOp are the heap bytes and objects one op
+	// allocates, as testing.BenchmarkResult counts them. Rows recorded
+	// before these columns existed leave them out; a recorded zero is a
+	// measured zero.
+	BytesPerOp  *int64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *int64 `json:"allocs_per_op,omitempty"`
 	// Notes flags rows whose numbers need a caveat to be interpretable —
 	// today, multi-worker/multi-producer cases recorded on a host that
 	// serializes them (GOMAXPROCS=1 or a single-CPU box), where "more
@@ -422,8 +503,11 @@ func RunSuite(label string, match func(name string) bool, logf func(format strin
 			continue
 		}
 		br := testing.Benchmark(c.Bench)
+		bytes, allocs := br.AllocedBytesPerOp(), br.AllocsPerOp()
 		res := Result{
-			NsPerOp: float64(br.NsPerOp()),
+			NsPerOp:     float64(br.NsPerOp()),
+			BytesPerOp:  &bytes,
+			AllocsPerOp: &allocs,
 		}
 		if res.NsPerOp > 0 {
 			res.OpsPerSec = 1e9 / res.NsPerOp
@@ -443,9 +527,9 @@ func RunSuite(label string, match func(name string) bool, logf func(format strin
 		run.Results[c.Name] = res
 		if logf != nil {
 			if res.AccPerSec > 0 {
-				logf("%-32s %12.0f ns/op %14.0f acc/s\n", c.Name, res.NsPerOp, res.AccPerSec)
+				logf("%-32s %12.0f ns/op %14.0f acc/s %10d B/op %8d allocs/op\n", c.Name, res.NsPerOp, res.AccPerSec, bytes, allocs)
 			} else {
-				logf("%-32s %12.1f ns/op %14.0f ops/s\n", c.Name, res.NsPerOp, res.OpsPerSec)
+				logf("%-32s %12.1f ns/op %14.0f ops/s %10d B/op %8d allocs/op\n", c.Name, res.NsPerOp, res.OpsPerSec, bytes, allocs)
 			}
 			if res.Notes != "" {
 				logf("  warning: %s\n", res.Notes)

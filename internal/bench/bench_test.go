@@ -22,10 +22,11 @@ func benchGroup(b *testing.B, prefix string) {
 	}
 }
 
-func BenchmarkTableFind(b *testing.B)   { benchGroup(b, "table/find/") }
-func BenchmarkTableInsert(b *testing.B) { benchGroup(b, "table/insert/") }
-func BenchmarkTableDelete(b *testing.B) { benchGroup(b, "table/delete/") }
-func BenchmarkApplyHits(b *testing.B)   { benchGroup(b, "apply/hits/") }
+func BenchmarkTableFind(b *testing.B)    { benchGroup(b, "table/find/") }
+func BenchmarkTableInsert(b *testing.B)  { benchGroup(b, "table/insert/") }
+func BenchmarkTableDelete(b *testing.B)  { benchGroup(b, "table/delete/") }
+func BenchmarkApplyHits(b *testing.B)    { benchGroup(b, "apply/hits/") }
+func BenchmarkEngineSubmit(b *testing.B) { benchGroup(b, "engine/submit/") }
 func BenchmarkReplayPipeline(b *testing.B) {
 	if testing.Short() {
 		b.Skip("replay sweep needs real parallelism")
@@ -57,6 +58,8 @@ func TestCasesFixed(t *testing.T) {
 		"replay/engine/shards=8/producers=4",
 		"apply/hits/sets=512",
 		"apply/hits/sets=16384",
+		"engine/submit/drainers=1",
+		"engine/submit/drainers=8",
 	} {
 		if !seen[want] {
 			t.Fatalf("case %q missing from the fixed set", want)

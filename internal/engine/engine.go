@@ -230,6 +230,11 @@ type request struct {
 	// set (a routed sub-batch of a larger submission), else to t.ops[k].
 	t   *Ticket
 	pos []int32
+	// buf is the pooled buffer accs (and pos) live in when the engine
+	// made the copy; nil when accs aliases the caller's batch. Whoever
+	// retires the request returns it: send for a request that never
+	// entered a ring, the drainer for one it applied.
+	buf *reqBuf
 	// enq is when the request entered (or began blocking to enter) its
 	// ring; the drainer records now-enq into the class's latency
 	// histogram at completion. Zero on barriers and stop sentinels.
@@ -244,6 +249,39 @@ type request struct {
 	barrier bool
 	stop    bool
 }
+
+// reqBuf is one pooled request buffer: the accesses of a copy the engine
+// makes (a one-drainer detached batch, or one drainer's sub-batch of a
+// routed submission) and, when the submission records Ops, each
+// access's position in the batch. Neither slice holds pointers, so a
+// pooled buffer keeps no caller data reachable.
+type reqBuf struct {
+	accs []directory.Access
+	pos  []int32
+}
+
+// reqBufs pools request buffers. A sync.Pool rather than a free list:
+// it drops idle buffers at GC, so a burst cannot pin memory for the
+// engine's lifetime, and it needs no sizing constant.
+var reqBufs = sync.Pool{New: func() any { return new(reqBuf) }}
+
+// getReqBuf takes an empty buffer from the pool.
+func getReqBuf() *reqBuf { return reqBufs.Get().(*reqBuf) }
+
+// putReqBuf returns b (nil is a no-op) to the pool. A buffer grown past
+// one run's access bound is dropped: pooling it would keep an outsized
+// batch's memory alive for every later small one.
+func putReqBuf(b *reqBuf) {
+	if b == nil || cap(b.accs) > maxCoalesceAccs {
+		return
+	}
+	b.accs, b.pos = b.accs[:0], b.pos[:0]
+	reqBufs.Put(b)
+}
+
+// stackDrainers is the largest drainer count whose routing scratch
+// Submit keeps on its stack; a larger engine routes through the heap.
+const stackDrainers = 16
 
 // classRings is one drainer's per-class ring set: one bounded MPSC ring
 // per priority class, arbitrated by the drain policy.
@@ -714,47 +752,59 @@ func (e *Engine) Submit(ctx context.Context, r Request) (*Ticket, error) {
 		}
 	}
 
-	// Route the batch: per-drainer sub-batches, in batch order.
+	// Route the batch: per-drainer sub-batches, in batch order. Up to
+	// stackDrainers drainers, the routing scratch lives in arrays on this
+	// stack; only a larger engine pays a heap fallback.
 	D := e.opt.Drainers
 	recording := !r.Detached
-	var reqs []request
-	var queues []int
+	var reqArr [stackDrainers]request
+	var queueArr [stackDrainers]int
+	reqs, queues := reqArr[:0], queueArr[:0]
+	if D > stackDrainers {
+		reqs, queues = make([]request, 0, D), make([]int, 0, D)
+	}
 	if D == 1 {
+		rq := request{accs: accs, class: c}
 		if !recording {
 			// A detached submission has no ticket, so the caller can
 			// never know when buffer reuse is safe — take a copy instead
 			// of aliasing the batch (the multi-drainer routing below
 			// copies as a side effect of splitting).
-			accs = append([]directory.Access(nil), accs...)
+			rq.buf = getReqBuf()
+			rq.buf.accs = append(rq.buf.accs, accs...)
+			rq.accs = rq.buf.accs
 		}
-		reqs = []request{{accs: accs, class: c}}
-		queues = []int{0}
+		reqs, queues = append(reqs, rq), append(queues, 0)
 	} else {
-		subAccs := make([][]directory.Access, D)
-		var subPos [][]int32
-		if recording {
-			subPos = make([][]int32, D)
+		var subArr [stackDrainers]*reqBuf
+		subs := subArr[:]
+		if D > stackDrainers {
+			subs = make([]*reqBuf, D)
 		}
 		for i, a := range accs {
 			q := e.queueOf(e.dir.ShardOf(a.Addr))
-			subAccs[q] = append(subAccs[q], a)
+			b := subs[q]
+			if b == nil {
+				b = getReqBuf()
+				subs[q] = b
+			}
+			b.accs = append(b.accs, a)
 			if recording {
-				subPos[q] = append(subPos[q], int32(i))
+				b.pos = append(b.pos, int32(i))
 			}
 		}
-		for q, sub := range subAccs {
-			if len(sub) == 0 {
+		for q, b := range subs[:D] {
+			if b == nil {
 				continue
 			}
-			rq := request{accs: sub, class: c}
+			rq := request{accs: b.accs, class: c, buf: b}
 			// A whole batch landing on one queue keeps its results
 			// contiguous — no positions needed. Detached batches record
 			// nothing at all.
-			if recording && len(sub) != len(accs) {
-				rq.pos = subPos[q]
+			if recording && len(b.accs) != len(accs) {
+				rq.pos = b.pos
 			}
-			reqs = append(reqs, rq)
-			queues = append(queues, q)
+			reqs, queues = append(reqs, rq), append(queues, q)
 		}
 	}
 
@@ -789,13 +839,26 @@ func (e *Engine) SubmitDetachedClass(ctx context.Context, c qos.Class, accs []di
 	return err
 }
 
-// send enqueues reqs[i] on class c's ring of drainer queues[i] under
-// the submission lock, applying the backpressure policy. Backpressure
-// is per class: under RejectWhenFull it first reserves space on every
-// target ring of c — the whole submission enqueues or none of it does,
-// and a refusal carries the class (QueueFullError) — while under
-// BlockWhenFull only class c's rings can block the submitter.
+// send enqueues reqs (see enqueue) and gives back the pooled buffers of
+// the requests that never entered a ring — all of them on a refusal,
+// the unsent remainder on a mid-enqueue cancellation. The drainer gives
+// back the rest once it retires them.
 func (e *Engine) send(ctx context.Context, c qos.Class, queues []int, reqs []request) error {
+	sent, err := e.enqueue(ctx, c, queues, reqs)
+	for i := sent; i < len(reqs); i++ {
+		putReqBuf(reqs[i].buf)
+	}
+	return err
+}
+
+// enqueue puts reqs[i] on class c's ring of drainer queues[i] under the
+// submission lock, applying the backpressure policy, and reports how
+// many requests entered a ring. Backpressure is per class: under
+// RejectWhenFull it first reserves space on every target ring of c —
+// the whole submission enqueues or none of it does, and a refusal
+// carries the class (QueueFullError) — while under BlockWhenFull only
+// class c's rings can block the submitter.
+func (e *Engine) enqueue(ctx context.Context, c qos.Class, queues []int, reqs []request) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -805,12 +868,12 @@ func (e *Engine) send(ctx context.Context, c qos.Class, queues []int, reqs []req
 	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
 		e.shed.Add(1)
 		e.clsShed[c].Add(1)
-		return ErrDeadlineExceeded
+		return 0, ErrDeadlineExceeded
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	if e.faults != nil {
 		// Injected saturation, keyed by the submission's CLASS: the
@@ -821,7 +884,7 @@ func (e *Engine) send(ctx context.Context, c qos.Class, queues []int, reqs []req
 		if ferr := e.faults.Fire(faults.QueueSaturation, int(c)); ferr != nil {
 			e.rejected.Add(1)
 			e.clsRej[c].Add(1)
-			return queueFullErrs[c]
+			return 0, queueFullErrs[c]
 		}
 	}
 	// Stamp enqueue time once per submission: the drainer's completion
@@ -835,14 +898,14 @@ func (e *Engine) send(ctx context.Context, c qos.Class, queues []int, reqs []req
 		if !e.reserve(c, queues) {
 			e.rejected.Add(1)
 			e.clsRej[c].Add(1)
-			return queueFullErrs[c]
+			return 0, queueFullErrs[c]
 		}
 		// Reserved space means the buffered sends below cannot block.
 		for i, q := range queues {
 			e.queues[q][c] <- reqs[i]
 			e.account(reqs[i])
 		}
-		return nil
+		return len(reqs), nil
 	}
 	for i, q := range queues {
 		e.depth[di(q, c)].Add(1)
@@ -863,10 +926,10 @@ func (e *Engine) send(ctx context.Context, c qos.Class, queues []int, reqs []req
 					reqs[j].t.complete()
 				}
 			}
-			return ctx.Err()
+			return i, ctx.Err()
 		}
 	}
-	return nil
+	return len(reqs), nil
 }
 
 // reserve atomically claims one slot on class c's ring of every queue
@@ -1395,13 +1458,16 @@ func (e *Engine) applyRun(qi int, run []request, gathers []shardGather, scratch 
 			if runErr == nil {
 				runErr = err
 			}
-			continue
-		}
-		for k, slot := range g.slots {
-			if slot != nil {
-				*slot = ops[k]
+		} else {
+			for k, slot := range g.slots {
+				if slot != nil {
+					*slot = ops[k]
+				}
 			}
 		}
+		// The slots point into the run's tickets: drop them so an idle
+		// drainer keeps no completed ticket reachable.
+		clear(g.slots)
 	}
 	// Retire each request in pop order. One clock read covers the whole
 	// run's latency samples: enqueue-to-completion at power-of-two
@@ -1417,7 +1483,14 @@ func (e *Engine) applyRun(qi int, run []request, gathers []shardGather, scratch 
 			// fail; the rest of the run applied.
 			err = e.checkQuarantined(r.accs)
 		}
+		// Nothing reads the buffer past this point, so it goes back
+		// before the completion that may wake a waiting submitter.
+		putReqBuf(r.buf)
 		e.finish(qi, r, err)
+		// Release the request: the drainer reuses run's backing array,
+		// and a stale entry would keep the caller's batch and ticket
+		// reachable while the drainer idles.
+		run[i] = request{}
 	}
 }
 
