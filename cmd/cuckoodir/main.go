@@ -232,34 +232,18 @@ func benchCmd(args []string) error {
 		}
 		match = re.MatchString
 	}
-	stopCPU := func() error { return nil }
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fmt.Errorf("bench: -cpuprofile: %w", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return fmt.Errorf("bench: -cpuprofile: %w", err)
-		}
-		stopCPU = func() error {
-			pprof.StopCPUProfile()
-			return f.Close()
-		}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return fmt.Errorf("bench: %w", err)
 	}
 	run := bench.RunSuite(*label, match, func(format string, a ...any) {
 		fmt.Printf(format, a...)
 	})
-	if err := stopCPU(); err != nil {
-		return fmt.Errorf("bench: -cpuprofile: %w", err)
+	if err := stopProfiles(); err != nil {
+		return fmt.Errorf("bench: %w", err)
 	}
 	if len(run.Results) == 0 {
 		return fmt.Errorf("bench: -run %q selected no cases", *runFilter)
-	}
-	if *memProfile != "" {
-		if err := writeAllocProfile(*memProfile); err != nil {
-			return fmt.Errorf("bench: -memprofile: %w", err)
-		}
 	}
 	// The headline acceptance ratio: devirtualized vs interface-dispatch
 	// path at the 70%-occupancy comparison point.
@@ -309,6 +293,39 @@ func benchCmd(args []string) error {
 	return nil
 }
 
+// startProfiles starts a pprof CPU profile into cpuPath when it is set,
+// and returns the function that stops it and then, when memPath is
+// set, writes the allocation profile there. `bench` and `trace replay`
+// share it for their -cpuprofile and -memprofile flags.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	stopCPU := func() error { return nil }
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+		stopCPU = func() error {
+			pprof.StopCPUProfile()
+			return f.Close()
+		}
+	}
+	return func() error {
+		if err := stopCPU(); err != nil {
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		if memPath != "" {
+			if err := writeAllocProfile(memPath); err != nil {
+				return fmt.Errorf("-memprofile: %w", err)
+			}
+		}
+		return nil
+	}, nil
+}
+
 // writeAllocProfile writes the allocation profile (every sampled
 // allocation since the process started, and what of it is still live)
 // to path, as `go test -memprofile` does.
@@ -326,7 +343,7 @@ func writeAllocProfile(path string) error {
 }
 
 // traceCmd implements `cuckoodir trace record|replay`.
-func traceCmd(args []string) error {
+func traceCmd(args []string) (retErr error) {
 	if len(args) == 0 {
 		return fmt.Errorf("trace needs a subcommand: record or replay")
 	}
@@ -347,11 +364,16 @@ func traceCmd(args []string) error {
 	drainers := fs.Int("drainers", 0, "engine drainer goroutines (with -engine; 0 = one per shard)")
 	background := fs.Float64("background", 0, "fraction (0..1) of batches submitted as the Background QoS class (with -engine)")
 	sched := fs.String("sched", "", "engine drain policy between QoS classes: strict or wdrr (with -engine; default strict)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the replay to this file")
+	memProfile := fs.String("memprofile", "", "write an allocation profile of the replay to this file")
 	if err := fs.Parse(rest); err != nil {
 		return err
 	}
 	if (*queue != 0 || *drainers != 0 || *background != 0 || *sched != "") && !*engineFlag {
 		return fmt.Errorf("trace: -queue/-drainers/-background/-sched need -engine")
+	}
+	if (*cpuProfile != "" || *memProfile != "") && sub != "replay" {
+		return fmt.Errorf("trace: -cpuprofile/-memprofile profile a replay")
 	}
 	if *file == "" {
 		return fmt.Errorf("trace: -file is required")
@@ -383,6 +405,15 @@ func traceCmd(args []string) error {
 		if err != nil {
 			return err
 		}
+		stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+		if err != nil {
+			return fmt.Errorf("trace: %w", err)
+		}
+		defer func() {
+			if perr := stopProfiles(); perr != nil && retErr == nil {
+				retErr = fmt.Errorf("trace: %w", perr)
+			}
+		}()
 		cfgKind := cmpsim.SharedL2
 		if *kind == "private" {
 			cfgKind = cmpsim.PrivateL2
@@ -518,6 +549,7 @@ func usage() {
   cuckoodir trace replay -file F [-config shared|private] [-workload W] [-dir ORG]
   cuckoodir trace replay -file F -dir ORG [-workers N] [-shards N] [-batch N] [-home mix|interleave]
                          [-engine [-queue N] [-drainers N] [-background F] [-sched strict|wdrr]]
+                         [-cpuprofile FILE] [-memprofile FILE]
                                   parallel batched replay through a sharded
                                   directory (selected by -workers/-shards/-batch/-home/-engine
                                   or a sharded -dir name like "sharded-8(cuckoo-4x1024)");
@@ -531,7 +563,9 @@ func usage() {
                                   "^grow=LOAD[xFACTOR]" policy (e.g.
                                   "sharded-8^grow=0.85(cuckoo-4x1024)") resizes
                                   overloaded shards online during the replay and
-                                  reports the migrations in the result line
+                                  reports the migrations in the result line;
+                                  -cpuprofile and -memprofile write pprof CPU
+                                  and allocation profiles of either replay
 
 flags (run/all):
   -scale quick|full   measurement scale (default quick)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -174,5 +175,40 @@ func TestBenchProfiles(t *testing.T) {
 		if err := run([]string{"bench", "-run", `^table/find/skew/occ=50$`, flag, filepath.Join(dir, "missing", "p")}); err == nil {
 			t.Errorf("%s into a missing directory accepted", flag)
 		}
+	}
+}
+
+// TestTraceReplayProfiles: `trace replay` writes non-empty CPU and
+// allocation profiles, on the sequential and the parallel path, and an
+// unwritable profile path is an error.
+func TestTraceReplayProfiles(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "prof.trc")
+	if err := run([]string{"trace", "record", "-file", file, "-workload", "apache", "-n", "20000"}); err != nil {
+		t.Fatal(err)
+	}
+	for i, extra := range [][]string{nil, {"-workers", "2"}} {
+		cpu, mem := filepath.Join(dir, fmt.Sprintf("cpu%d.pprof", i)), filepath.Join(dir, fmt.Sprintf("mem%d.pprof", i))
+		args := append([]string{"trace", "replay", "-file", file, "-dir", "cuckoo-4x512", "-cpuprofile", cpu, "-memprofile", mem}, extra...)
+		if err := run(args); err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{cpu, mem} {
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fi.Size() == 0 {
+				t.Errorf("%v: profile %s is empty", extra, filepath.Base(path))
+			}
+		}
+	}
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		if err := run([]string{"trace", "replay", "-file", file, "-dir", "cuckoo-4x512", flag, filepath.Join(dir, "missing", "p")}); err == nil {
+			t.Errorf("%s into a missing directory accepted", flag)
+		}
+	}
+	if err := run([]string{"trace", "record", "-file", file, "-n", "100", "-cpuprofile", filepath.Join(dir, "rec.pprof")}); err == nil {
+		t.Error("trace record accepted -cpuprofile")
 	}
 }

@@ -374,6 +374,55 @@ func applyHitsCase(sets int) func(b *testing.B) {
 	}
 }
 
+// applyChurnCase times ApplyShard over pre-routed batches of 256
+// accesses that alternate an evict of a resident block with a read of a
+// new one, on 8 shards of cuckoo-4x{sets} held at 85% load, the
+// regime of replay-dss-churn: every read misses and inserts, and every
+// evict frees an entry. The stream cycles through a pool of addresses
+// an eighth longer than the resident set: step k evicts pool[k] and
+// reads pool[k+resident], so the directory's contents repeat each
+// cycle and each shard's accesses can be replayed as a ring.
+func applyChurnCase(sets int) func(b *testing.B) {
+	return func(b *testing.B) {
+		const batch = 256
+		d := benchDir(b, 8, sets)
+		resident := d.Capacity() * 85 / 100
+		r := rng.New(0xc4a2)
+		pool := make([]uint64, resident+resident/8)
+		for i := range pool {
+			pool[i] = r.Uint64() >> 6
+		}
+		for i := range resident {
+			d.Read(pool[i], i%replayCores)
+		}
+		byShard := make([][]directory.Access, d.ShardCount())
+		for k := range pool {
+			in := (k + resident) % len(pool)
+			for _, a := range []directory.Access{
+				{Kind: directory.AccessEvict, Addr: pool[k], Cache: k % replayCores},
+				{Kind: directory.AccessRead, Addr: pool[in], Cache: in % replayCores},
+			} {
+				byShard[d.ShardOf(a.Addr)] = append(byShard[d.ShardOf(a.Addr)], a)
+			}
+		}
+		for h, accs := range byShard { // a window may wrap past the ring's end
+			byShard[h] = append(accs, accs[:batch]...)
+		}
+		next := make([]int, len(byShard))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h := i % len(byShard)
+			k := next[h]
+			d.ApplyShard(h, byShard[h][k:k+batch])
+			if k += batch; k >= len(byShard[h])-batch {
+				k -= len(byShard[h]) - batch
+			}
+			next[h] = k
+		}
+		b.ReportMetric(batch*float64(b.N)/b.Elapsed().Seconds(), "acc/s")
+	}
+}
+
 // Cases returns the fixed suite, in stable order. The set is part of
 // the trajectory contract: adding a case is fine (new rows appear in
 // later runs); renaming one breaks comparability, so don't.
@@ -413,6 +462,9 @@ func Cases() []Case {
 	}
 	for _, drainers := range []int{1, 8} {
 		cases = append(cases, Case{fmt.Sprintf("engine/submit/drainers=%d", drainers), engineSubmitCase(drainers)})
+	}
+	for _, sets := range []int{512, 16384} { // as apply/hits, at 85% load and every read a miss
+		cases = append(cases, Case{fmt.Sprintf("apply/churn/sets=%d", sets), applyChurnCase(sets)})
 	}
 	return cases
 }

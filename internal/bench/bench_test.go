@@ -26,6 +26,7 @@ func BenchmarkTableFind(b *testing.B)    { benchGroup(b, "table/find/") }
 func BenchmarkTableInsert(b *testing.B)  { benchGroup(b, "table/insert/") }
 func BenchmarkTableDelete(b *testing.B)  { benchGroup(b, "table/delete/") }
 func BenchmarkApplyHits(b *testing.B)    { benchGroup(b, "apply/hits/") }
+func BenchmarkApplyChurn(b *testing.B)   { benchGroup(b, "apply/churn/") }
 func BenchmarkEngineSubmit(b *testing.B) { benchGroup(b, "engine/submit/") }
 func BenchmarkReplayPipeline(b *testing.B) {
 	if testing.Short() {
@@ -58,6 +59,8 @@ func TestCasesFixed(t *testing.T) {
 		"replay/engine/shards=8/producers=4",
 		"apply/hits/sets=512",
 		"apply/hits/sets=16384",
+		"apply/churn/sets=512",
+		"apply/churn/sets=16384",
 		"engine/submit/drainers=1",
 		"engine/submit/drainers=8",
 	} {

@@ -303,15 +303,15 @@ func TestFastInterfaceEquivalent(t *testing.T) {
 // TestDirectoryFastGenericEquivalent is the directory-level
 // differential: a Directory, whose Read, Write and Evict hand the
 // lookup's way indices on to the insert or delete that follows it,
-// against refDirectory, which hashes per way on every call. A third
-// Directory runs the stream as a batch applier does: each op's indices
-// come from a Prefetch made pipeDepth ops earlier, into a ring slot
-// the op then hands to ReadAt, WriteAt or EvictAt, with the ops in
-// between free to insert, displace or delete the same key. All three
-// run the same seeded Read/Write/Evict stream, narrow and full-width,
-// over every differential config; every forced eviction, invalidate
-// mask and LastAttempts must agree, then the event counts, attempt
-// histograms and contents.
+// against refDirectory, which hashes per way on every call. Two more
+// Directories run the stream as a batch applier does: each op's indices
+// come from a Prefetch (piped) or an Index (indexed) made pipeDepth ops
+// earlier, into a ring slot the op then hands to ReadAt, WriteAt or
+// EvictAt, with the ops in between free to insert, displace or delete
+// the same key. All four run the same seeded Read/Write/Evict stream,
+// narrow and full-width, over every differential config; every forced
+// eviction, invalidate mask and LastAttempts must agree, then the event
+// counts, attempt histograms and contents.
 func TestDirectoryFastGenericEquivalent(t *testing.T) {
 	const (
 		caches    = 4
@@ -326,6 +326,7 @@ func TestDirectoryFastGenericEquivalent(t *testing.T) {
 				t.Run(stream.name, func(t *testing.T) {
 					fast := NewDirectory(DirConfig{Table: cfg, NumCaches: caches})
 					piped := NewDirectory(DirConfig{Table: cfg, NumCaches: caches})
+					indexed := NewDirectory(DirConfig{Table: cfg, NumCaches: caches})
 					ref := newRefDirectory(cfg)
 					// The invariant under test needs ops on one key closer
 					// together than pipeDepth.
@@ -340,37 +341,42 @@ func TestDirectoryFastGenericEquivalent(t *testing.T) {
 					if near == 0 {
 						t.Fatalf("no two ops on one key within %d ops of each other", pipeDepth)
 					}
-					var ring [pipeDepth][hashfn.MaxWays]uint64
+					var ring, iring [pipeDepth][hashfn.MaxWays]uint64
 					for i := range min(pipeDepth, len(stream.ops)) {
 						piped.Prefetch(stream.ops[i].key, &ring[i])
+						indexed.Index(stream.ops[i].key, &iring[i])
 					}
 					for i, op := range stream.ops {
 						addr, cache := op.key, int(op.val%caches)
-						idx := &ring[i%pipeDepth]
+						idx, iidx := &ring[i%pipeDepth], &iring[i%pipeDepth]
 						switch op.kind {
 						case 0:
 							fa, fb := fast.Read(addr, cache), ref.Read(addr, cache)
-							fp := piped.ReadAt(addr, cache, idx)
-							if !sameForced(fa, fb) || !sameForced(fp, fb) {
-								t.Fatalf("op %d: Read(%#x, %d) forced %v, ReadAt %v, reference %v", i, addr, cache, fa, fp, fb)
+							fp, fi := piped.ReadAt(addr, cache, idx), indexed.ReadAt(addr, cache, iidx)
+							if !sameForced(fa, fb) || !sameForced(fp, fb) || !sameForced(fi, fb) {
+								t.Fatalf("op %d: Read(%#x, %d) forced %v, prefetched ReadAt %v, indexed ReadAt %v, reference %v",
+									i, addr, cache, fa, fp, fi, fb)
 							}
 						case 1:
 							ia, fa := fast.Write(addr, cache)
 							ip, fp := piped.WriteAt(addr, cache, idx)
+							ii, fi := indexed.WriteAt(addr, cache, iidx)
 							ib, fb := ref.Write(addr, cache)
-							if ia != ib || ip != ib || !sameForced(fa, fb) || !sameForced(fp, fb) {
-								t.Fatalf("op %d: Write(%#x, %d) = (%#x, %v), WriteAt (%#x, %v), reference (%#x, %v)",
-									i, addr, cache, ia, fa, ip, fp, ib, fb)
+							if ia != ib || ip != ib || ii != ib || !sameForced(fa, fb) || !sameForced(fp, fb) || !sameForced(fi, fb) {
+								t.Fatalf("op %d: Write(%#x, %d) = (%#x, %v), prefetched WriteAt (%#x, %v), indexed WriteAt (%#x, %v), reference (%#x, %v)",
+									i, addr, cache, ia, fa, ip, fp, ii, fi, ib, fb)
 							}
 						case 2:
 							fast.Evict(addr, cache)
 							piped.EvictAt(addr, cache, idx)
+							indexed.EvictAt(addr, cache, iidx)
 							ref.Evict(addr, cache)
 						}
 						if j := i + pipeDepth; j < len(stream.ops) {
 							piped.Prefetch(stream.ops[j].key, idx)
+							indexed.Index(stream.ops[j].key, iidx)
 						}
-						for _, d := range []*Directory{fast, piped} {
+						for _, d := range []*Directory{fast, piped, indexed} {
 							if d.LastAttempts() != ref.last || d.Len() != ref.t.Len() {
 								t.Fatalf("op %d: LastAttempts %d/%d Len %d/%d diverged",
 									i, d.LastAttempts(), ref.last, d.Len(), ref.t.Len())
@@ -378,7 +384,7 @@ func TestDirectoryFastGenericEquivalent(t *testing.T) {
 						}
 					}
 					sb := ref.stats
-					for _, d := range []*Directory{fast, piped} {
+					for _, d := range []*Directory{fast, piped, indexed} {
 						sa := d.Stats()
 						if sa.Events != sb.Events {
 							t.Fatalf("events %v vs %v", sa.Events, sb.Events)

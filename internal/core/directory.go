@@ -207,13 +207,10 @@ func badCache(cache, n int) {
 
 // insert allocates a new entry for addr with the given sharer mask and
 // updates statistics. idx holds addr's way indices from the lookup that
-// missed, so the insertion does not hash addr again. It returns the
-// forced eviction, if any.
+// missed, so the insertion neither hashes addr again nor repeats the
+// lookup. It returns the forced eviction, if any.
 func (d *Directory) insert(addr, mask uint64, idx *[hashfn.MaxWays]uint64) *Forced {
 	res := d.t.insertAt(addr, mask, idx)
-	if res.Present {
-		panic("core: insert of an existing tag — caller must look up first")
-	}
 	d.stats.Events.Inc(EvInsertTag)
 	d.stats.Attempts.Add(res.Attempts)
 	d.lastAttempts = res.Attempts
@@ -234,13 +231,28 @@ func (d *Directory) insert(addr, mask uint64, idx *[hashfn.MaxWays]uint64) *Forc
 //cuckoo:hotpath
 func (d *Directory) LastAttempts() int { return d.lastAttempts }
 
-// Prefetch puts addr's way indices, which no operation invalidates, in
-// idx for a later ReadAt, WriteAt or EvictAt, and starts their line fills.
+// Index puts addr's way indices, which no operation invalidates, in idx
+// for a later ReadAt, WriteAt or EvictAt. It starts no line fill: it is
+// Prefetch for a table that stays in cache, where a fill hides no wait.
+//
+//cuckoo:hotpath
+func (d *Directory) Index(addr uint64, idx *[hashfn.MaxWays]uint64) {
+	d.t.ix.IndexAll(addr, idx)
+}
+
+// Prefetch is Index that also starts the line fills of addr's d
+// buckets, so a later ReadAt, WriteAt or EvictAt finds them in cache.
 //
 //cuckoo:hotpath
 func (d *Directory) Prefetch(addr uint64, idx *[hashfn.MaxWays]uint64) {
 	d.t.prefetch(addr, idx)
 }
+
+// TableBytes returns the size of the slice's pair array, the memory its
+// probes read.
+//
+//cuckoo:hotpath
+func (d *Directory) TableBytes() int { return d.t.Bytes() }
 
 // Read records a read (fill) of addr by cache: the cache becomes a sharer,
 // allocating a directory entry if the block was untracked. The returned
@@ -254,14 +266,19 @@ func (d *Directory) Read(addr uint64, cache int) *Forced {
 	return d.ReadAt(addr, cache, &idx)
 }
 
-// ReadAt is Read over addr's way indices, as Prefetch left them in idx.
+// ReadAt is Read over addr's way indices, as Index or Prefetch left
+// them in idx.
 //
 //cuckoo:hotpath
 func (d *Directory) ReadAt(addr uint64, cache int, idx *[hashfn.MaxWays]uint64) *Forced {
 	d.checkCache(cache)
 	d.lastAttempts = 0
 	bit := uint64(1) << uint(cache)
-	if p := d.t.findAt(addr, idx); p != nil {
+	_, p := d.t.findAt(addr, idx)
+	if p == nil && len(d.t.stash) != 0 {
+		p = d.t.findStash(addr)
+	}
+	if p != nil {
 		if *p&bit == 0 {
 			*p |= bit
 			d.stats.Events.Inc(EvAddSharer)
@@ -282,14 +299,19 @@ func (d *Directory) Write(addr uint64, cache int) (invalidate uint64, forced *Fo
 	return d.WriteAt(addr, cache, &idx)
 }
 
-// WriteAt is Write over addr's way indices, as Prefetch left them in idx.
+// WriteAt is Write over addr's way indices, as Index or Prefetch left
+// them in idx.
 //
 //cuckoo:hotpath
 func (d *Directory) WriteAt(addr uint64, cache int, idx *[hashfn.MaxWays]uint64) (invalidate uint64, forced *Forced) {
 	d.checkCache(cache)
 	d.lastAttempts = 0
 	bit := uint64(1) << uint(cache)
-	if p := d.t.findAt(addr, idx); p != nil {
+	_, p := d.t.findAt(addr, idx)
+	if p == nil && len(d.t.stash) != 0 {
+		p = d.t.findStash(addr)
+	}
+	if p != nil {
 		inv := *p &^ bit
 		if inv != 0 {
 			d.stats.Events.Inc(EvInvalidate)
@@ -315,20 +337,29 @@ func (d *Directory) Evict(addr uint64, cache int) {
 	d.EvictAt(addr, cache, &idx)
 }
 
-// EvictAt is Evict over addr's way indices, as Prefetch left them in idx.
+// EvictAt is Evict over addr's way indices, as Index or Prefetch left
+// them in idx. When the last sharer leaves it frees the pair its lookup
+// found, without probing again.
 //
 //cuckoo:hotpath
 func (d *Directory) EvictAt(addr uint64, cache int, idx *[hashfn.MaxWays]uint64) {
 	d.checkCache(cache)
 	bit := uint64(1) << uint(cache)
-	p := d.t.findAt(addr, idx)
+	si, p := d.t.findAt(addr, idx)
+	if p == nil && len(d.t.stash) != 0 {
+		p = d.t.findStash(addr)
+	}
 	if p == nil || *p&bit == 0 {
 		return
 	}
 	*p &^= bit
 	d.stats.Events.Inc(EvRemoveSharer)
 	if *p == 0 {
-		d.t.deleteAt(addr, idx)
+		if si >= 0 {
+			d.t.deleteSlot(si)
+		} else {
+			d.t.deleteStash(addr)
+		}
 		d.stats.Events.Inc(EvRemoveTag)
 	}
 }

@@ -151,9 +151,11 @@ type Result[V any] struct {
 // which computes all d way-indices of a key in one batch. The
 // unexported findAt, insertAt and deleteAt take those indices from the
 // caller, so a directory operation hashes its address once — and a
-// batched one hashes it ahead of time, in prefetch; a key displaced during
-// an insertion gets its next index from the set it left
-// (hashfn.Indexer.Reindex).
+// batched one hashes it ahead of time (Directory.Index and Prefetch);
+// a key displaced during an insertion gets its next index from the set
+// it left (hashfn.Indexer.Reindex). findAt is the only probe: an
+// insertion builds on the lookup that missed, and a directory evict
+// frees the pair its lookup found (deleteSlot).
 //
 // Entries live in one dense array of pairs, each a key next to its
 // value (vacant pairs hold the packedEmpty key), plus a live bitset that
@@ -208,12 +210,6 @@ func (t *Table[V]) liveBit(si int) bool {
 func (t *Table[V]) setLive(si int)   { t.live[si>>6] |= 1 << (uint(si) & 63) }
 func (t *Table[V]) clearLive(si int) { t.live[si>>6] &^= 1 << (uint(si) & 63) }
 
-// holds reports whether pair si stores key: the key compare decides,
-// and the bitset breaks the tie only for the sentinel key.
-func (t *Table[V]) holds(si int, key uint64) bool {
-	return t.pairs[si].key == key && (key != packedEmpty || t.liveBit(si))
-}
-
 // vacant reports whether pair si is free.
 func (t *Table[V]) vacant(si int) bool {
 	return t.pairs[si].key == packedEmpty && !t.liveBit(si)
@@ -224,6 +220,11 @@ func (t *Table[V]) Config() Config { return t.cfg }
 
 // Capacity returns the number of entry slots (excluding any stash).
 func (t *Table[V]) Capacity() int { return len(t.pairs) }
+
+// Bytes returns the size of the pair array, the memory probes read.
+//
+//cuckoo:hotpath
+func (t *Table[V]) Bytes() int { return len(t.pairs) * int(unsafe.Sizeof(pair[V]{})) }
 
 // Len returns the number of valid entries (excluding any stash).
 func (t *Table[V]) Len() int { return t.used }
@@ -248,26 +249,59 @@ func (t *Table[V]) bucketBase(way, set int) int {
 func (t *Table[V]) Find(key uint64) *V {
 	var idx [hashfn.MaxWays]uint64
 	t.ix.IndexAll(key, &idx)
-	return t.findAt(key, &idx)
+	_, p := t.findAt(key, &idx)
+	if p == nil && len(t.stash) != 0 {
+		p = t.findStash(key)
+	}
+	return p
 }
 
-// findAt is Find over key's way indices in idx, from IndexAll or
-// prefetch; an insertAt or deleteAt of the same key reuses them.
+// findAt is the table's one probe: it returns the index of the pair
+// that holds key among the buckets key's way indices in idx name (from
+// IndexAll), and a pointer to its value, or -1 and nil. It does not
+// look in the stash; that is the caller's fallback. An insertAt or
+// deleteSlot of the same key builds on its result instead of probing
+// again. The pointer comes back with the index so that a hit's caller
+// need not re-derive it after the call.
+//
+// Every probed pair is compared, with no early exit: keys are unique,
+// so at most one matches, and the match is kept with a conditional
+// move, so a hit pays no mispredicted branch on the way it sits in.
+// Only the sentinel key, which vacant pairs also hold, needs the live
+// bitset, and it takes findSentinel.
 //
 //cuckoo:hotpath
-func (t *Table[V]) findAt(key uint64, idx *[hashfn.MaxWays]uint64) *V {
+func (t *Table[V]) findAt(key uint64, idx *[hashfn.MaxWays]uint64) (int, *V) {
+	if key == packedEmpty {
+		return t.findSentinel(idx)
+	}
+	hit := -1
 	for w := 0; w < t.cfg.Ways; w++ {
 		si := t.bucketBase(w, int(idx[w]))
 		for end := si + t.cfg.BucketSize; si < end; si++ {
-			if t.holds(si, key) {
-				return &t.pairs[si].val
+			if t.pairs[si].key == key {
+				hit = si
 			}
 		}
 	}
-	if len(t.stash) != 0 {
-		return t.findStash(key)
+	if hit < 0 {
+		return -1, nil
 	}
-	return nil
+	return hit, &t.pairs[hit].val
+}
+
+// findSentinel is findAt for the sentinel key: a pair holding it is an
+// entry only when its live bit is set.
+func (t *Table[V]) findSentinel(idx *[hashfn.MaxWays]uint64) (int, *V) {
+	for w := 0; w < t.cfg.Ways; w++ {
+		si := t.bucketBase(w, int(idx[w]))
+		for end := si + t.cfg.BucketSize; si < end; si++ {
+			if t.pairs[si].key == packedEmpty && t.liveBit(si) {
+				return si, &t.pairs[si].val
+			}
+		}
+	}
+	return -1, nil
 }
 
 // prefetch computes key's way indices into idx and starts the fill of
@@ -290,7 +324,12 @@ func (t *Table[V]) bucket(w int, idx *[hashfn.MaxWays]uint64) unsafe.Pointer {
 
 // findStash returns a pointer to key's stash entry, or nil. Callers
 // skip the call entirely when the stash is empty — a StashSize > 0
-// table with nothing parked pays nothing on lookups.
+// table with nothing parked pays nothing on lookups. It stays out of
+// line: inlined into Directory.ReadAt and WriteAt, its loop grows the
+// hit path that every access takes, for a fallback only a non-empty
+// stash reaches.
+//
+//go:noinline
 func (t *Table[V]) findStash(key uint64) *V {
 	for i := range t.stash {
 		if t.stash[i].Key == key {
@@ -306,7 +345,8 @@ func (t *Table[V]) Contains(key uint64) bool { return t.Find(key) != nil }
 // Insert stores val under key.
 //
 // The procedure follows §4.2: a lookup precedes the insertion; if the
-// lookup reveals a vacant eligible slot the entry is written there and the
+// key is present its value is updated. Otherwise, if one of the key's
+// buckets has a vacant slot the entry is written there and the
 // insertion counts one attempt. Otherwise entries are iteratively
 // displaced, starting at the way where the previous insertion stopped and
 // advancing cyclically, each write counting one attempt, until a displaced
@@ -317,70 +357,66 @@ func (t *Table[V]) Contains(key uint64) bool { return t.Find(key) != nil }
 func (t *Table[V]) Insert(key uint64, val V) Result[V] {
 	var idx [hashfn.MaxWays]uint64
 	t.ix.IndexAll(key, &idx)
+	_, p := t.findAt(key, &idx)
+	if p == nil && len(t.stash) != 0 {
+		p = t.findStash(key)
+	}
+	if p != nil {
+		*p = val
+		return Result[V]{Present: true}
+	}
 	return t.insertAt(key, val, &idx)
 }
 
-// insertAt is Insert over key's way indices in idx, from IndexAll or
-// prefetch. The indices serve both the lookup pass and the first
-// displacement step. Every probe is a key compare against the pair
-// array — values move only on update or displacement, and the live
-// bitset is read only where a probed key word is the vacancy sentinel.
+// insertAt inserts key, which the caller's lookup over the same way
+// indices in idx has just missed in the table and the stash: the
+// insertion builds on that lookup instead of repeating it. Its first
+// pass only looks for a vacancy, and the displacement loop starts in a
+// bucket that pass found full. A vacancy test reads the pair's key word,
+// and the live bitset only where that word is the sentinel.
 //
 //cuckoo:hotpath
 func (t *Table[V]) insertAt(key uint64, val V, idx *[hashfn.MaxWays]uint64) Result[V] {
 	ways, bs := t.cfg.Ways, t.cfg.BucketSize
 
-	// Lookup pass: find the key or a vacant slot. Ways are scanned from
-	// nextWay so vacancy selection also rotates, keeping the distribution
-	// of entries across ways uniform.
-	vacantWay, vacantSlot := -1, -1
+	// Vacancy pass. Ways are scanned from nextWay so vacancy selection
+	// also rotates, keeping the distribution of entries across ways
+	// uniform.
 	w := t.nextWay
 	for i := 0; i < ways; i++ {
 		si := t.bucketBase(w, int(idx[w]))
 		for end := si + bs; si < end; si++ {
-			if t.holds(si, key) {
-				t.pairs[si].val = val
-				return Result[V]{Present: true}
-			}
-			if vacantWay == -1 && t.vacant(si) {
-				vacantWay, vacantSlot = w, si
+			if t.vacant(si) {
+				t.pairs[si] = pair[V]{val: val, key: key}
+				t.setLive(si)
+				t.used++
+				t.nextWay = w
+				return Result[V]{Attempts: 1}
 			}
 		}
 		if w++; w == ways {
 			w = 0
 		}
 	}
-	for i := range t.stash {
-		if t.stash[i].Key == key {
-			t.stash[i].Val = val
-			return Result[V]{Present: true}
-		}
-	}
 
-	if vacantWay != -1 {
-		t.pairs[vacantSlot] = pair[V]{val: val, key: key}
-		t.setLive(vacantSlot)
-		t.used++
-		t.nextWay = vacantWay
-		return Result[V]{Attempts: 1}
-	}
-
-	// Displacement loop. The lookup pass proved every bucket of key
-	// full, so the first step (w == nextWay, index idx[w]) always
-	// swaps; vacancy checks matter only for displaced keys arriving at
-	// their alternate way.
+	// Displacement loop. The vacancy pass proved every bucket of key
+	// full, so the first step (w == nextWay, index idx[w]) swaps
+	// without a vacancy check; the check matters only for displaced
+	// keys arriving at their alternate way.
 	cur := Entry[V]{Key: key, Val: val}
 	w = t.nextWay
 	set := int(idx[w])
 	for attempt := 1; ; attempt++ {
 		base := t.bucketBase(w, set)
-		for si := base; si < base+bs; si++ {
-			if t.vacant(si) {
-				t.pairs[si] = pair[V]{val: cur.Val, key: cur.Key}
-				t.setLive(si)
-				t.used++
-				t.nextWay = w
-				return Result[V]{Attempts: attempt}
+		if attempt > 1 {
+			for si := base; si < base+bs; si++ {
+				if t.vacant(si) {
+					t.pairs[si] = pair[V]{val: cur.Val, key: cur.Key}
+					t.setLive(si)
+					t.used++
+					t.nextWay = w
+					return Result[V]{Attempts: attempt}
+				}
 			}
 		}
 		if attempt == t.cfg.MaxAttempts {
@@ -424,28 +460,31 @@ func (t *Table[V]) Delete(key uint64) bool {
 	return t.deleteAt(key, &idx)
 }
 
-// deleteAt is Delete over key's way indices in idx, from IndexAll or prefetch.
+// deleteAt is Delete over key's way indices in idx, from IndexAll.
 //
 //cuckoo:hotpath
 func (t *Table[V]) deleteAt(key uint64, idx *[hashfn.MaxWays]uint64) bool {
-	for w := 0; w < t.cfg.Ways; w++ {
-		si := t.bucketBase(w, int(idx[w]))
-		for end := si + t.cfg.BucketSize; si < end; si++ {
-			if t.holds(si, key) {
-				t.pairs[si] = pair[V]{key: packedEmpty}
-				t.clearLive(si)
-				t.used--
-				if len(t.stash) != 0 {
-					t.drainStashInto(si)
-				}
-				return true
-			}
-		}
+	if si, _ := t.findAt(key, idx); si >= 0 {
+		t.deleteSlot(si)
+		return true
 	}
 	if len(t.stash) != 0 {
 		return t.deleteStash(key)
 	}
 	return false
+}
+
+// deleteSlot frees pair si, which a lookup found, and moves one stash
+// entry eligible for the freed position back into the table.
+//
+//cuckoo:hotpath
+func (t *Table[V]) deleteSlot(si int) {
+	t.pairs[si] = pair[V]{key: packedEmpty}
+	t.clearLive(si)
+	t.used--
+	if len(t.stash) != 0 {
+		t.drainStashInto(si)
+	}
 }
 
 // deleteStash removes key's stash entry, if any.

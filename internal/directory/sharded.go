@@ -535,7 +535,7 @@ func (s *ShardedDirectory) ApplyShardOps(h int, accesses []Access, ops []Op) {
 	sh.mu.Lock()
 	var c ShardCounters
 	if cd, ok := sh.dir.(*Cuckoo); ok {
-		applyCuckoo(cd.d, accesses, ops, &c)
+		applyCuckoo(cd.d, accesses, ops, &c, s.fills(cd.d))
 	} else if ops == nil {
 		for _, a := range accesses {
 			c.observe(a.Kind, applyOne(sh.dir, a))
@@ -550,9 +550,39 @@ func (s *ShardedDirectory) ApplyShardOps(h int, accesses []Access, ops []Op) {
 	sh.mu.Unlock()
 }
 
-// prefetchDepth is how many accesses ahead applyCuckoo prefetches: 16
-// lines in flight on 4 ways, about one core's L1 fill buffers.
+// prefetchDepth is how many accesses ahead applyCuckoo computes way
+// indices: with fills, 16 lines in flight on 4 ways, about one core's
+// L1 fill buffers.
 const prefetchDepth = 4
+
+// fillBytes is the directory footprint (shard count x one slice's pair
+// array) from which applyCuckoo starts line fills ahead of its probes.
+// Below it the tables stay in a core's L2, a fill hides no wait, and
+// computing bucket addresses and issuing prefetches only costs. Hits on
+// 8 shards x 4 ways at 35% load, in 256-access batches, on a 2-vCPU
+// Xeon host with 2 MiB of L2 per core (median ns per access over 6
+// interleaved 1 s runs):
+//
+//	sets/way (footprint)   with fills   without
+//	  512 (256 KiB)            72.6        68.7
+//	 2048   (1 MiB)            73.0        65.8
+//	 4096   (2 MiB)            70.8       112.9
+//	 8192   (4 MiB)            88.8       240.4
+//	16384   (8 MiB)            97.8       269.9
+//
+// Skipping fills on a big table costs up to x2.8 and filling a small
+// one about x1.1 (x1.4 in other sweeps), so the threshold errs low,
+// leaving room for hosts with a smaller L2.
+const fillBytes = 512 << 10
+
+// fills reports whether applyCuckoo should start line fills on a shard
+// holding d. It reads the slice's current size, so the mode follows an
+// online resize.
+//
+//cuckoo:hotpath
+func (s *ShardedDirectory) fills(d *core.Directory) bool {
+	return len(s.shards)*d.TableBytes() >= fillBytes
+}
 
 // applyCuckoo is ApplyShardOps' loop for a plain *Cuckoo slice, which
 // is what every benchmark shard holds: it calls core.Directory
@@ -560,14 +590,19 @@ const prefetchDepth = 4
 // instead of from an Op, and builds an Op only when ops is non-nil. It
 // writes exactly the Ops and counts that applyOne and observe would.
 //
-// Access i probes with the indices Prefetch put in ring slot
-// i%prefetchDepth prefetchDepth accesses earlier (DESIGN.md §8).
+// Access i probes with the indices put in ring slot i%prefetchDepth
+// prefetchDepth accesses earlier: by Prefetch, which also starts the
+// probe lines' fills, when fill is set, else by Index (DESIGN.md §8).
 //
 //cuckoo:hotpath
-func applyCuckoo(d *core.Directory, accesses []Access, ops []Op, c *ShardCounters) {
+func applyCuckoo(d *core.Directory, accesses []Access, ops []Op, c *ShardCounters, fill bool) {
 	var ring [prefetchDepth][hashfn.MaxWays]uint64
 	for i := range min(prefetchDepth, len(accesses)) {
-		d.Prefetch(accesses[i].Addr, &ring[i])
+		if fill {
+			d.Prefetch(accesses[i].Addr, &ring[i])
+		} else {
+			d.Index(accesses[i].Addr, &ring[i])
+		}
 	}
 	for i, a := range accesses {
 		idx := &ring[i%prefetchDepth]
@@ -588,7 +623,11 @@ func applyCuckoo(d *core.Directory, accesses []Access, ops []Op, c *ShardCounter
 			d.EvictAt(a.Addr, a.Cache, idx)
 		}
 		if j := i + prefetchDepth; j < len(accesses) {
-			d.Prefetch(accesses[j].Addr, idx)
+			if fill {
+				d.Prefetch(accesses[j].Addr, idx)
+			} else {
+				d.Index(accesses[j].Addr, idx)
+			}
 		}
 		if n > 0 {
 			c.Inserts++

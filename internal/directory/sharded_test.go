@@ -533,9 +533,11 @@ func TestApplyShardOpsMatchesApply(t *testing.T) {
 // Each shard's round is cut into batches of 0, 1, 3, 4 and 5 accesses
 // around prefetchDepth, then the rest, and the cuckoo specs cover 2, 3,
 // 4 and 8 ways and 2-entry buckets, so every shape of applyCuckoo's
-// prefetch ring and of the table's prefetch runs. The 2560-address
+// index ring and of the table's line fills runs. The 2560-address
 // stream repeats addresses within prefetchDepth accesses of each other,
-// where the ring's early indices must still be exact.
+// where the ring's early indices must still be exact. Every spec is far
+// below fillBytes, so ApplyShardOps runs it without fills; each cuckoo
+// spec runs a second time through applyFilling, with fills.
 func TestApplyCuckooMatchesInterfacePath(t *testing.T) {
 	const (
 		resized          = 1
@@ -570,8 +572,15 @@ func TestApplyCuckooMatchesInterfacePath(t *testing.T) {
 			s.NumCaches, s.Cuckoo.BucketSize = 16, tc.bucket
 			return s
 		}
-		for _, withOps := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/ops=%v", name, withOps), func(t *testing.T) {
+		for _, mode := range []struct{ fill, withOps bool }{{false, false}, {false, true}, {true, false}, {true, true}} {
+			if mode.fill && !cuckoo {
+				continue
+			}
+			withOps, sub := mode.withOps, name
+			if mode.fill {
+				sub += "/fills"
+			}
+			t.Run(fmt.Sprintf("%s/ops=%v", sub, withOps), func(t *testing.T) {
 				mk := func() *ShardedDirectory {
 					d, err := BuildSharded(spec(tc.slice), 4)
 					if err != nil {
@@ -580,6 +589,9 @@ func TestApplyCuckooMatchesInterfacePath(t *testing.T) {
 					return d
 				}
 				typed, point := mk(), mk()
+				if fill, _ := shardFills(typed, 0); fill {
+					t.Fatalf("ApplyShardOps fills on %s, so no subtest runs the index-only loop", name)
+				}
 				grown := spec(tc.grown)
 				r := rng.New(41)
 				migratingRounds, near := 0, 0
@@ -629,8 +641,13 @@ func TestApplyCuckooMatchesInterfacePath(t *testing.T) {
 								for i := range ops {
 									ops[i] = Op{Invalidate: ^uint64(0), Attempts: -1}
 								}
+							}
+							switch {
+							case mode.fill:
+								applyFilling(typed, h, batch, ops)
+							case withOps:
 								typed.ApplyShardOps(h, batch, ops)
-							} else {
+							default:
 								typed.ApplyShard(h, batch)
 							}
 							for i, a := range batch {
@@ -679,6 +696,78 @@ func TestApplyCuckooMatchesInterfacePath(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// applyFilling is ApplyShardOps with line fills forced on: a plain
+// cuckoo shard runs applyCuckoo with fills whatever the directory's
+// size, and any other shard takes ApplyShardOps.
+func applyFilling(s *ShardedDirectory, h int, batch []Access, ops []Op) {
+	sh := s.shards[h]
+	sh.mu.Lock()
+	cd, ok := sh.dir.(*Cuckoo)
+	if !ok {
+		sh.mu.Unlock()
+		s.ApplyShardOps(h, batch, ops)
+		return
+	}
+	var c ShardCounters
+	applyCuckoo(cd.d, batch, ops, &c, true)
+	sh.ctr.flush(c)
+	sh.mu.Unlock()
+}
+
+// shardFills reports whether ApplyShardOps would start line fills on
+// shard h, and whether the shard takes the typed loop at all.
+func shardFills(s *ShardedDirectory, h int) (fill, typed bool) {
+	sh := s.shards[h]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	cd, ok := sh.dir.(*Cuckoo)
+	return ok && s.fills(cd.d), ok
+}
+
+// TestApplyFillGate pins applyCuckoo's size gate: a 256 KiB directory
+// (replay-dss-churn's) gets no line fills, an 8 MiB one
+// (replay-oltp-warm's) does, and resizing every shard across fillBytes
+// flips the mode both ways.
+func TestApplyFillGate(t *testing.T) {
+	spec := func(sets int) Spec {
+		return Spec{Org: OrgCuckoo, NumCaches: 16, Geometry: Geometry{Ways: 4, Sets: sets}}
+	}
+	want := func(d *ShardedDirectory, fill bool) {
+		t.Helper()
+		for h := range d.ShardCount() {
+			got, typed := shardFills(d, h)
+			if !typed || got != fill {
+				t.Fatalf("%s shard %d: fills = %v (typed loop %v), want %v", d.Name(), h, got, typed, fill)
+			}
+		}
+	}
+	small, err := BuildSharded(spec(512), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := BuildSharded(spec(16384), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := 8 * big.shards[0].dir.(*Cuckoo).d.TableBytes(); got != 8<<20 {
+		t.Fatalf("8 x cuckoo-4x16384 holds %d pair bytes, want 8 MiB", got)
+	}
+	want(small, false)
+	want(big, true)
+	for _, step := range []struct {
+		sets int
+		fill bool
+	}{{16384, true}, {512, false}} {
+		for h := range small.ShardCount() {
+			if err := small.ResizeShardSpec(h, spec(step.sets)); err != nil {
+				t.Fatal(err)
+			}
+			small.FinishResize(h)
+		}
+		want(small, step.fill)
 	}
 }
 

@@ -95,6 +95,72 @@ func TestSubmitAllocs(t *testing.T) {
 	}
 }
 
+// TestRoutedFreshBuffers: a routed submission sizes each sub-batch
+// before filling it, so with the pool empty a sub-batch costs its
+// reqBuf plus one allocation per slice it fills (the accesses, and the
+// positions when the submission records Ops), however many accesses it
+// carries. Appending into a fresh buffer one access at a time would
+// regrow it through every size class instead.
+func TestRoutedFreshBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of Puts under the race detector")
+	}
+	const drainers = 3
+	accs := make([]directory.Access, 64)
+	for i := range accs {
+		accs[i] = directory.Access{Kind: directory.AccessRead, Addr: uint64(i) * 64, Cache: i % testCores}
+	}
+	ctx := context.Background()
+	eng, err := New(testDir(t, 8), Options{Drainers: drainers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for _, tc := range []struct {
+		name string
+		want uint64 // what the caller owns, plus drainers x (reqBuf + slices)
+		run  func() error
+	}{
+		{"detached+Flush", 2 + drainers*2, func() error {
+			if _, err := eng.Submit(ctx, Request{Accesses: accs, Detached: true}); err != nil {
+				return err
+			}
+			return eng.Flush(ctx)
+		}},
+		{"ticketed+Wait", 3 + drainers*3, func() error {
+			tk, err := eng.SubmitBatch(ctx, accs)
+			if err != nil {
+				return err
+			}
+			return tk.Wait(ctx)
+		}},
+	} {
+		for range 8 {
+			if err := tc.run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const rounds = 20
+		var total uint64
+		for range rounds {
+			// Empty the pool: a buffer with no capacity came from New,
+			// so every Get before it found nothing pooled.
+			for b := getReqBuf(); cap(b.accs) != 0 || cap(b.pos) != 0; b = getReqBuf() {
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := tc.run(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			total += after.Mallocs - before.Mallocs
+		}
+		if got := total / rounds; got != tc.want {
+			t.Errorf("%s into fresh buffers: %d allocations, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestDrainedRunReleased: once a run has applied, the drainer keeps
 // nothing of it reachable. An idle drainer must not pin its last run —
 // the caller's batch, its ticket and Ops — until a later run happens to

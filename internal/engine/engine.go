@@ -268,6 +268,17 @@ var reqBufs = sync.Pool{New: func() any { return new(reqBuf) }}
 // getReqBuf takes an empty buffer from the pool.
 func getReqBuf() *reqBuf { return reqBufs.Get().(*reqBuf) }
 
+// reserve makes room in b for n accesses, and for n positions when pos
+// is set, allocating each slice that is short of it once.
+func (b *reqBuf) reserve(n int, pos bool) {
+	if cap(b.accs) < n {
+		b.accs = make([]directory.Access, 0, n)
+	}
+	if pos && cap(b.pos) < n {
+		b.pos = make([]int32, 0, n)
+	}
+}
+
 // putReqBuf returns b (nil is a no-op) to the pool. A buffer grown past
 // one run's access bound is dropped: pooling it would keep an outsized
 // batch's memory alive for every later small one.
@@ -785,7 +796,13 @@ func (e *Engine) Submit(ctx context.Context, r Request) (*Ticket, error) {
 			q := e.queueOf(e.dir.ShardOf(a.Addr))
 			b := subs[q]
 			if b == nil {
+				// A sub-batch holds at most the whole batch: sizing its
+				// buffer for that up front costs a fresh buffer one
+				// allocation per slice instead of a regrowth through
+				// every size class, and a pooled buffer never regrows
+				// for a batch no longer than the ones before it.
 				b = getReqBuf()
+				b.reserve(len(accs), recording)
 				subs[q] = b
 			}
 			b.accs = append(b.accs, a)
