@@ -437,10 +437,10 @@ func traceCmd(args []string) (retErr error) {
 		if err != nil {
 			return err
 		}
-		if err := spec.WithCaches(cfg.NumCaches()).Validate(); err != nil {
+		sys, err := cmpsim.New(cfg, prof, 0, spec)
+		if err != nil {
 			return fmt.Errorf("trace: -dir %q: %w", dirName, err)
 		}
-		sys := cmpsim.New(cfg, prof, 0, cmpsim.SpecFactory(spec))
 		count, err := trace.Replay(rd, sys)
 		if err != nil {
 			return err

@@ -483,10 +483,8 @@ type SystemConfig = cmpsim.Config
 // System is the functional tiled-CMP simulator.
 type System = cmpsim.System
 
-// DirectoryFactory builds one directory slice for a simulated system.
-type DirectoryFactory = cmpsim.DirectoryFactory
-
-// CuckooSize is a "(ways) x (sets)" Cuckoo geometry.
+// CuckooSize is a "(ways) x (sets)" Cuckoo geometry; its Spec method
+// returns the slice spec NewSystem and NewProtocolSystem take.
 type CuckooSize = cmpsim.CuckooSize
 
 // DefaultSystemConfig returns the paper's 16-core configuration for the
@@ -496,32 +494,12 @@ func DefaultSystemConfig(kind SystemKind) SystemConfig {
 }
 
 // NewSystem builds a functional simulation of the given workload on cfg,
-// with directory slices built by factory.
-func NewSystem(cfg SystemConfig, prof Workload, seed uint64, factory DirectoryFactory) *System {
-	return cmpsim.New(cfg, prof, seed, factory)
-}
-
-// SpecSlices returns a factory building one slice per tile from the given
-// spec — the declarative way to put any organization under the functional
-// simulator.
-func SpecSlices(s Spec) DirectoryFactory { return cmpsim.SpecFactory(s) }
-
-// CuckooSlices returns a factory building Cuckoo slices of the given
-// geometry (the paper's skewing hash functions).
-func CuckooSlices(size CuckooSize) DirectoryFactory {
-	return cmpsim.CuckooFactory(size, nil)
-}
-
-// IdealSlices returns a factory building exact reference slices with 1x
-// occupancy reporting.
-func IdealSlices(cfg SystemConfig) DirectoryFactory {
-	return cmpsim.IdealFactory(cfg)
-}
-
-// SparseSlices returns a factory building Sparse slices at the given
-// associativity and provisioning factor.
-func SparseSlices(cfg SystemConfig, assoc int, factor float64) DirectoryFactory {
-	return cmpsim.SparseFactory(cfg, assoc, factor)
+// with one directory slice per tile built from the slice spec (for
+// example CuckooSize.Spec, SystemConfig.SparseSpec or
+// SystemConfig.IdealSpec). It returns an error for an invalid config,
+// workload or spec.
+func NewSystem(cfg SystemConfig, prof Workload, seed uint64, slice Spec) (*System, error) {
+	return cmpsim.New(cfg, prof, seed, slice)
 }
 
 // ChosenCuckooSize returns the geometry §5.2 selects: 4x512 for Shared-L2,
@@ -540,22 +518,16 @@ type ProtocolConfig = coherence.Config
 // used for the timing-facing experiments (§4.2).
 type ProtocolSystem = coherence.System
 
-// ProtocolFactory builds one directory slice for a protocol system.
-type ProtocolFactory = coherence.Factory
-
 // DefaultProtocolConfig returns a 16-core Private-L2-style system on a
 // 4x4 mesh with period-typical latencies.
 func DefaultProtocolConfig() ProtocolConfig { return coherence.DefaultConfig() }
 
 // NewProtocolSystem builds an event-driven protocol simulation of the
-// given workload.
-func NewProtocolSystem(cfg ProtocolConfig, prof Workload, seed uint64, factory ProtocolFactory) *ProtocolSystem {
-	return coherence.New(cfg, prof, seed, factory)
+// given workload, with one home slice per core built from the slice
+// spec. It returns an error for an invalid config, workload or spec.
+func NewProtocolSystem(cfg ProtocolConfig, prof Workload, seed uint64, slice Spec) (*ProtocolSystem, error) {
+	return coherence.New(cfg, prof, seed, slice)
 }
-
-// ProtocolSpecSlices returns a protocol factory building one home slice
-// per core from the given spec.
-func ProtocolSpecSlices(s Spec) ProtocolFactory { return coherence.SpecFactory(s) }
 
 // Workload is a synthetic stand-in for one Table 2 application.
 type Workload = workload.Profile

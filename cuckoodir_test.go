@@ -138,13 +138,24 @@ func TestPublicOrganizations(t *testing.T) {
 	}
 }
 
+// mustSystem is NewSystem for configurations and specs the test knows
+// are valid.
+func mustSystem(t *testing.T, cfg SystemConfig, prof Workload, seed uint64, slice Spec) *System {
+	t.Helper()
+	sys, err := NewSystem(cfg, prof, seed, slice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
 func TestPublicSystemRun(t *testing.T) {
 	prof, err := WorkloadByName("apache")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultSystemConfig(SharedL2)
-	sys := NewSystem(cfg, prof, 1, CuckooSlices(ChosenCuckooSize(SharedL2)))
+	sys := mustSystem(t, cfg, prof, 1, ChosenCuckooSize(SharedL2).Spec())
 	sys.Run(200000)
 	if sys.DirStats().Events.Total() == 0 {
 		t.Fatal("no directory events")
@@ -159,10 +170,10 @@ func TestPublicProtocolRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := NewProtocolSystem(DefaultProtocolConfig(), prof, 2,
-		func(_, n int) Directory {
-			return MustBuild(Spec{Org: OrgCuckoo, NumCaches: n, Geometry: Geometry{Ways: 3, Sets: 8192}})
-		})
+	sys, err := NewProtocolSystem(DefaultProtocolConfig(), prof, 2, Spec{Org: OrgCuckoo, Geometry: Geometry{Ways: 3, Sets: 8192}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	sys.Run(50000)
 	if sys.AvgMissLatency() <= 0 {
 		t.Fatal("no misses measured")
@@ -209,7 +220,7 @@ func TestPublicTraceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := SystemConfig{Kind: SharedL2, Cores: 4, TrackedSets: 64, TrackedAssoc: 2}
-	sys := NewSystem(cfg, prof, 9, CuckooSlices(CuckooSize{Ways: 4, Sets: 64}))
+	sys := mustSystem(t, cfg, prof, 9, CuckooSize{Ways: 4, Sets: 64}.Spec())
 	replayed, err := ReplayTrace(rd, sys)
 	if err != nil || replayed != 1000 {
 		t.Fatalf("replay: %d, %v", replayed, err)
@@ -225,13 +236,13 @@ func TestPublicSparseSlices(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := SystemConfig{Kind: PrivateL2, Cores: 4, TrackedSets: 128, TrackedAssoc: 4}
-	sys := NewSystem(cfg, prof, 4, SparseSlices(cfg, 8, 2))
+	sys := mustSystem(t, cfg, prof, 4, cfg.SparseSpec(8, 2))
 	sys.Run(100000)
 	if sys.DirStats().Events.Total() == 0 {
 		t.Fatal("no events")
 	}
 	// Ideal slices on the same config for occupancy.
-	sys2 := NewSystem(cfg, prof, 4, IdealSlices(cfg))
+	sys2 := mustSystem(t, cfg, prof, 4, cfg.IdealSpec())
 	sys2.Run(100000)
 	if sys2.MeanOccupancy() <= 0 {
 		t.Fatal("no occupancy samples")

@@ -21,14 +21,20 @@ func main() {
 			cfg := cuckoodir.DefaultSystemConfig(kind)
 
 			// Pass 1: exact reference directory for true occupancy.
-			ideal := cuckoodir.NewSystem(cfg, prof, 1, cuckoodir.IdealSlices(cfg))
+			ideal, err := cuckoodir.NewSystem(cfg, prof, 1, cfg.IdealSpec())
+			if err != nil {
+				log.Fatal(err)
+			}
 			ideal.Run(1_500_000)
 			ideal.ResetStats()
 			ideal.Run(500_000)
 
 			// Pass 2: the Cuckoo directory at the size §5.2 selects.
 			size := cuckoodir.ChosenCuckooSize(kind)
-			ck := cuckoodir.NewSystem(cfg, prof, 1, cuckoodir.CuckooSlices(size))
+			ck, err := cuckoodir.NewSystem(cfg, prof, 1, size.Spec())
+			if err != nil {
+				log.Fatal(err)
+			}
 			ck.Run(1_500_000)
 			ck.ResetStats()
 			ck.Run(500_000)

@@ -17,12 +17,10 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg := cuckoodir.DefaultProtocolConfig()
-	size := cuckoodir.ChosenCuckooSize(cuckoodir.PrivateL2)
-	sys := cuckoodir.NewProtocolSystem(cfg, prof, 42,
-		cuckoodir.ProtocolSpecSlices(cuckoodir.Spec{
-			Org:      cuckoodir.OrgCuckoo,
-			Geometry: cuckoodir.Geometry{Ways: size.Ways, Sets: size.Sets},
-		}))
+	sys, err := cuckoodir.NewProtocolSystem(cfg, prof, 42, cuckoodir.ChosenCuckooSize(cuckoodir.PrivateL2).Spec())
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	const warm, measure = 300_000, 300_000
 	sys.Run(warm)

@@ -96,29 +96,33 @@ func (c Config) FramesPerCache() int { return c.TrackedSets * c.TrackedAssoc }
 // OneXSliceCapacity returns the "1x" provisioning-factor capacity of one
 // directory slice: the worst-case number of distinct blocks that map to it
 // (total tracked frames divided by slice count), the baseline of Figure 9.
+// It is 0 for a configuration without slices.
 func (c Config) OneXSliceCapacity() int {
+	if c.Slices() <= 0 {
+		return 0
+	}
 	return c.NumCaches() * c.FramesPerCache() / c.Slices()
 }
 
-// validate panics on malformed configurations.
-func (c Config) validate() {
+// validate reports a malformed configuration.
+func (c Config) validate() error {
+	if c.Kind != SharedL2 && c.Kind != PrivateL2 {
+		return fmt.Errorf("cmpsim: unknown %v", c.Kind)
+	}
 	if c.Cores <= 0 || c.Cores&(c.Cores-1) != 0 {
-		panic(fmt.Sprintf("cmpsim: Cores = %d, need a power of two", c.Cores))
+		return fmt.Errorf("cmpsim: Cores = %d, need a power of two", c.Cores)
 	}
 	if c.TrackedSets <= 0 || c.TrackedSets&(c.TrackedSets-1) != 0 {
-		panic(fmt.Sprintf("cmpsim: TrackedSets = %d, need a power of two", c.TrackedSets))
+		return fmt.Errorf("cmpsim: TrackedSets = %d, need a power of two", c.TrackedSets)
 	}
 	if c.TrackedAssoc <= 0 {
-		panic("cmpsim: non-positive TrackedAssoc")
+		return fmt.Errorf("cmpsim: TrackedAssoc = %d, need > 0", c.TrackedAssoc)
 	}
 	if c.NumCaches() > 64 {
-		panic("cmpsim: more than 64 tracked caches")
+		return fmt.Errorf("cmpsim: %d tracked caches (%v, %d cores), at most 64", c.NumCaches(), c.Kind, c.Cores)
 	}
+	return nil
 }
-
-// DirectoryFactory builds one directory slice. slice is the tile index;
-// numCaches the tracked cache count.
-type DirectoryFactory func(slice, numCaches int) directory.Directory
 
 // System is one simulated CMP running one workload against one directory
 // organization.
@@ -135,9 +139,21 @@ type System struct {
 	occEvery uint64
 }
 
-// New builds a system running the given workload profile.
-func New(cfg Config, prof workload.Profile, seed uint64, factory DirectoryFactory) *System {
-	cfg.validate()
+// New builds a system running the given workload profile, with one
+// directory slice per tile built from the slice spec bound to the
+// system's tracked-cache count. It checks the configuration, the profile
+// and the spec before it builds anything.
+func New(cfg Config, prof workload.Profile, seed uint64, slice directory.Spec) (*System, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if err := prof.Validate(cfg.Cores); err != nil {
+		return nil, fmt.Errorf("cmpsim: %w", err)
+	}
+	slice = slice.WithCaches(cfg.NumCaches())
+	if err := slice.ValidateFor(cfg.TrackedSets, cfg.TrackedAssoc); err != nil {
+		return nil, fmt.Errorf("cmpsim: slice: %w", err)
+	}
 	s := &System{
 		cfg:       cfg,
 		sliceMask: uint64(cfg.Slices() - 1),
@@ -150,16 +166,12 @@ func New(cfg Config, prof workload.Profile, seed uint64, factory DirectoryFactor
 		}))
 	}
 	for i := 0; i < cfg.Slices(); i++ {
-		d := factory(i, cfg.NumCaches())
-		if d.NumCaches() != cfg.NumCaches() {
-			panic("cmpsim: factory built a directory for the wrong cache count")
-		}
-		s.slices = append(s.slices, d)
+		s.slices = append(s.slices, directory.MustBuild(slice))
 	}
 	for c := 0; c < cfg.Cores; c++ {
 		s.gens = append(s.gens, workload.NewGenerator(prof, c, cfg.Cores, seed))
 	}
-	return s
+	return s, nil
 }
 
 // Config returns the system configuration.
@@ -248,7 +260,7 @@ func (s *System) applyOp(addr uint64, requester int, op directory.Op) {
 	// Write invalidations: every listed cache drops its copy. Inexact
 	// directories may list non-holders (spurious); Remove tolerates that.
 	for m := op.Invalidate; m != 0; m &= m - 1 {
-		c := trailingZeros(m)
+		c := bits.TrailingZeros64(m)
 		if c != requester {
 			s.caches[c].Remove(addr)
 		}
@@ -260,12 +272,10 @@ func (s *System) applyOp(addr uint64, requester int, op directory.Op) {
 	// insertion fails.
 	for _, f := range op.Forced {
 		for m := f.Sharers; m != 0; m &= m - 1 {
-			s.caches[trailingZeros(m)].Remove(f.Addr)
+			s.caches[bits.TrailingZeros64(m)].Remove(f.Addr)
 		}
 	}
 }
-
-func trailingZeros(m uint64) int { return bits.TrailingZeros64(m) }
 
 // occupancyNow returns current tracked entries / aggregate 1x capacity.
 func (s *System) occupancyNow() float64 {
@@ -354,7 +364,7 @@ func (s *System) CheckConsistency() error {
 				return false
 			}
 			for m := sharers; m != 0; m &= m - 1 {
-				cid := trailingZeros(m)
+				cid := bits.TrailingZeros64(m)
 				if !s.caches[cid].Contains(addr) {
 					err = fmt.Errorf("cmpsim: slice %d lists cache %d for %#x, which it does not hold", si, cid, addr)
 					return false

@@ -1,6 +1,7 @@
 package cmpsim
 
 import (
+	"strings"
 	"testing"
 
 	"cuckoodir/internal/cache"
@@ -88,19 +89,36 @@ func smallProfile() workload.Profile {
 	}
 }
 
+// mustNew is New for configurations and specs the test knows are valid.
+func mustNew(t testing.TB, cfg Config, prof workload.Profile, seed uint64, slice directory.Spec) *System {
+	t.Helper()
+	sys, err := New(cfg, prof, seed, slice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
 func TestConsistencyAllOrganizations(t *testing.T) {
 	cfg := smallConfig(SharedL2)
-	factories := map[string]DirectoryFactory{
-		"ideal":   IdealFactory(cfg),
-		"duptag":  DuplicateTagFactory(cfg),
-		"cuckoo":  CuckooFactory(CuckooSize{4, 64}, nil),
-		"sparse":  SparseFactory(cfg, 8, 2),
-		"skewed":  SkewedFactory(cfg, 4, 2),
-		"tagless": TaglessFactory(cfg, 64, 2),
+	specs := map[string]directory.Spec{
+		"ideal": cfg.IdealSpec(),
+		"duptag": {
+			Org:      directory.OrgDuplicateTag,
+			Geometry: directory.Geometry{Ways: cfg.TrackedAssoc, Sets: cfg.TrackedSets},
+		},
+		"cuckoo": CuckooSize{4, 64}.Spec(),
+		"sparse": cfg.SparseSpec(8, 2),
+		"skewed": cfg.SkewedSpec(4, 2),
+		"tagless": {
+			Org:      directory.OrgTagless,
+			Geometry: directory.Geometry{Sets: cfg.TrackedSets},
+			Tagless:  directory.TaglessParams{BucketBits: 64, Hashes: 2},
+		},
 	}
-	for name, f := range factories {
+	for name, spec := range specs {
 		t.Run(name, func(t *testing.T) {
-			sys := New(cfg, smallProfile(), 99, f)
+			sys := mustNew(t, cfg, smallProfile(), 99, spec)
 			for i := 0; i < 5; i++ {
 				sys.Run(20000)
 				if err := sys.CheckConsistency(); err != nil {
@@ -113,7 +131,7 @@ func TestConsistencyAllOrganizations(t *testing.T) {
 
 func TestConsistencyPrivateL2(t *testing.T) {
 	cfg := smallConfig(PrivateL2)
-	sys := New(cfg, smallProfile(), 7, CuckooFactory(CuckooSize{4, 128}, nil))
+	sys := mustNew(t, cfg, smallProfile(), 7, CuckooSize{4, 128}.Spec())
 	sys.Run(100000)
 	if err := sys.CheckConsistency(); err != nil {
 		t.Fatal(err)
@@ -124,7 +142,7 @@ func TestSharedL2SplitsCodeAndData(t *testing.T) {
 	cfg := smallConfig(SharedL2)
 	prof := smallProfile()
 	prof.DisablePaging = true // the assertions below use logical ranges
-	sys := New(cfg, prof, 1, IdealFactory(cfg))
+	sys := mustNew(t, cfg, prof, 1, cfg.IdealSpec())
 	sys.Run(50000)
 	// I-caches (even ids) hold only code-region blocks; D-caches (odd)
 	// only data-region blocks.
@@ -147,7 +165,7 @@ func TestSharedL2SplitsCodeAndData(t *testing.T) {
 
 func TestStatsAggregation(t *testing.T) {
 	cfg := smallConfig(SharedL2)
-	sys := New(cfg, smallProfile(), 3, CuckooFactory(CuckooSize{4, 64}, nil))
+	sys := mustNew(t, cfg, smallProfile(), 3, CuckooSize{4, 64}.Spec())
 	sys.Run(30000)
 	ds := sys.DirStats()
 	if ds.Events.Total() == 0 {
@@ -177,7 +195,7 @@ func TestWritesInvalidateOtherCaches(t *testing.T) {
 	// Two cores read the same shared block, then one writes it: the other
 	// core's copy must vanish.
 	cfg := smallConfig(PrivateL2)
-	sys := New(cfg, smallProfile(), 5, IdealFactory(cfg))
+	sys := mustNew(t, cfg, smallProfile(), 5, cfg.IdealSpec())
 	addr := workload.SharedBase + 1
 	sys.access(0, workload.Access{Addr: addr})
 	sys.access(1, workload.Access{Addr: addr})
@@ -202,7 +220,7 @@ func TestForcedEvictionRemovesCachedBlocks(t *testing.T) {
 	// constantly; every forced eviction must actually remove the block
 	// from the caches (consistency holds throughout).
 	cfg := smallConfig(PrivateL2)
-	sys := New(cfg, smallProfile(), 11, SparseFactory(cfg, 1, 0.05))
+	sys := mustNew(t, cfg, smallProfile(), 11, cfg.SparseSpec(1, 0.05))
 	sys.Run(50000)
 	if sys.DirStats().ForcedEvictions == 0 {
 		t.Fatal("expected forced evictions with a tiny sparse directory")
@@ -215,7 +233,7 @@ func TestForcedEvictionRemovesCachedBlocks(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	cfg := smallConfig(SharedL2)
 	run := func() uint64 {
-		sys := New(cfg, smallProfile(), 42, CuckooFactory(CuckooSize{3, 64}, nil))
+		sys := mustNew(t, cfg, smallProfile(), 42, CuckooSize{3, 64}.Spec())
 		sys.Run(20000)
 		return sys.DirStats().Events.Total()
 	}
@@ -224,27 +242,14 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-func TestFactoryCacheCountMismatchPanics(t *testing.T) {
-	cfg := smallConfig(SharedL2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	// Factory ignores the requested cache count and builds for 1 cache.
-	New(cfg, smallProfile(), 1, func(_, _ int) directory.Directory {
-		return directory.MustBuild(directory.Spec{Org: directory.OrgIdeal, NumCaches: 1})
-	})
-}
-
 func TestInjectMatchesStep(t *testing.T) {
 	// Feeding the generator stream through Inject must match Run exactly.
 	cfg := smallConfig(SharedL2)
 	prof := smallProfile()
-	a := New(cfg, prof, 21, CuckooFactory(CuckooSize{Ways: 4, Sets: 64}, nil))
+	a := mustNew(t, cfg, prof, 21, CuckooSize{Ways: 4, Sets: 64}.Spec())
 	a.Run(20000)
 
-	b := New(cfg, prof, 21, CuckooFactory(CuckooSize{Ways: 4, Sets: 64}, nil))
+	b := mustNew(t, cfg, prof, 21, CuckooSize{Ways: 4, Sets: 64}.Spec())
 	gens := make([]*workload.Generator, cfg.Cores)
 	for c := range gens {
 		gens[c] = workload.NewGenerator(prof, c, cfg.Cores, 21)
@@ -271,7 +276,7 @@ func TestInjectMatchesStep(t *testing.T) {
 
 func TestSystemAccessors(t *testing.T) {
 	cfg := smallConfig(SharedL2)
-	sys := New(cfg, smallProfile(), 2, IdealFactory(cfg))
+	sys := mustNew(t, cfg, smallProfile(), 2, cfg.IdealSpec())
 	if sys.Config() != cfg {
 		t.Error("Config accessor wrong")
 	}
@@ -284,9 +289,9 @@ func TestSystemAccessors(t *testing.T) {
 	}
 }
 
-func TestInCacheFactory(t *testing.T) {
+func TestInCacheSlices(t *testing.T) {
 	cfg := smallConfig(SharedL2)
-	sys := New(cfg, smallProfile(), 3, InCacheFactory(4096))
+	sys := mustNew(t, cfg, smallProfile(), 3, directory.Spec{Org: directory.OrgInCache, Capacity: 4096})
 	sys.Run(30000)
 	if err := sys.CheckConsistency(); err != nil {
 		t.Fatal(err)
@@ -296,22 +301,45 @@ func TestInCacheFactory(t *testing.T) {
 	}
 }
 
-func TestConfigValidatePanics(t *testing.T) {
-	cases := []Config{
-		{Kind: SharedL2, Cores: 3, TrackedSets: 64, TrackedAssoc: 2},  // non-power-of-two cores
-		{Kind: SharedL2, Cores: 4, TrackedSets: 63, TrackedAssoc: 2},  // bad sets
-		{Kind: SharedL2, Cores: 4, TrackedSets: 64, TrackedAssoc: 0},  // bad assoc
-		{Kind: SharedL2, Cores: 64, TrackedSets: 64, TrackedAssoc: 2}, // >64 caches
+// TestNewErrors: New rejects a malformed configuration, profile or
+// slice spec with an error that names the fault, before it builds
+// anything.
+func TestNewErrors(t *testing.T) {
+	good := smallConfig(SharedL2)
+	cuckoo := CuckooSize{4, 64}.Spec()
+	remote := smallProfile()
+	remote.RemoteFrac = 0.1
+	cases := []struct {
+		name string
+		cfg  Config
+		prof workload.Profile
+		spec directory.Spec
+		want string
+	}{
+		{"cores not a power of two", Config{Kind: SharedL2, Cores: 3, TrackedSets: 64, TrackedAssoc: 2}, smallProfile(), cuckoo, "Cores = 3"},
+		{"zero cores", Config{Kind: PrivateL2, TrackedSets: 64, TrackedAssoc: 2}, smallProfile(), cuckoo, "Cores = 0"},
+		{"sets not a power of two", Config{Kind: SharedL2, Cores: 4, TrackedSets: 63, TrackedAssoc: 2}, smallProfile(), cuckoo, "TrackedSets = 63"},
+		{"zero associativity", Config{Kind: SharedL2, Cores: 4, TrackedSets: 64, TrackedAssoc: 0}, smallProfile(), cuckoo, "TrackedAssoc = 0"},
+		{"more than 64 caches", Config{Kind: SharedL2, Cores: 64, TrackedSets: 64, TrackedAssoc: 2}, smallProfile(), cuckoo, "128 tracked caches"},
+		{"unknown kind", Config{Kind: Kind(9), Cores: 4, TrackedSets: 64, TrackedAssoc: 2}, smallProfile(), cuckoo, "unknown Kind(9)"},
+		{"zero profile", good, workload.Profile{}, cuckoo, "footprints"},
+		{"remote reads on one core", Config{Kind: PrivateL2, Cores: 1, TrackedSets: 64, TrackedAssoc: 2}, remote, cuckoo, "RemoteFrac"},
+		{"zero spec", good, smallProfile(), directory.Spec{}, "unknown organization"},
+		{"zero cuckoo size", good, smallProfile(), CuckooSize{}.Spec(), "Ways = 0"},
+		{"sparse associativity 0", good, smallProfile(), good.SparseSpec(0, 2), "Ways = 0"},
+		{"dup-tag narrower than the caches", good, smallProfile(),
+			directory.Spec{Org: directory.OrgDuplicateTag, Geometry: directory.Geometry{Ways: 1, Sets: 64}}, "share a set"},
 	}
-	for i, cfg := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d did not panic", i)
-				}
-			}()
-			New(cfg, smallProfile(), 1, IdealFactory(cfg))
-		}()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := New(tc.cfg, tc.prof, 1, tc.spec)
+			if err == nil || sys != nil {
+				t.Fatalf("New = %v, %v; want an error", sys, err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -329,44 +357,23 @@ func TestKindStringUnknown(t *testing.T) {
 	}()
 }
 
-func TestDirStatsMergesMixedHistogramRanges(t *testing.T) {
-	// Mixing slice types with different attempt-histogram ranges (ideal=1,
-	// cuckoo=32) must still merge.
-	cfg := smallConfig(SharedL2)
-	sys := New(cfg, smallProfile(), 5, func(slice, n int) directory.Directory {
-		if slice == 0 {
-			return directory.MustBuild(directory.Spec{Org: directory.OrgIdeal, NumCaches: n})
-		}
-		return directory.MustBuild(directory.Spec{
-			Org:       directory.OrgCuckoo,
-			NumCaches: n,
-			Geometry:  directory.Geometry{Ways: 4, Sets: 64},
-		})
-	})
-	sys.Run(20000)
-	ds := sys.DirStats()
-	if ds.Events.Total() == 0 || ds.Attempts.Count() == 0 {
-		t.Fatal("mixed-range merge lost data")
-	}
-}
-
 func TestProvisionedSets(t *testing.T) {
 	cfg := DefaultConfig(SharedL2) // 1x = 2048
-	if got := provisionedSets(cfg, 8, 2); got != 512 {
+	if got := cfg.provisionedSets(8, 2); got != 512 {
 		t.Errorf("sparse 2x sets = %d, want 512", got)
 	}
-	if got := provisionedSets(cfg, 8, 8); got != 2048 {
+	if got := cfg.provisionedSets(8, 8); got != 2048 {
 		t.Errorf("sparse 8x sets = %d, want 2048", got)
 	}
 	prv := DefaultConfig(PrivateL2) // 1x = 16384
-	if got := provisionedSets(prv, 8, 2); got != 4096 {
+	if got := prv.provisionedSets(8, 2); got != 4096 {
 		t.Errorf("private sparse 2x sets = %d, want 4096", got)
 	}
 }
 
 func BenchmarkSystemStep(b *testing.B) {
 	cfg := DefaultConfig(SharedL2)
-	sys := New(cfg, mustProfile(b, "oracle"), 1, CuckooFactory(ChosenCuckooSize(SharedL2), nil))
+	sys := mustNew(b, cfg, mustProfile(b, "oracle"), 1, ChosenCuckooSize(SharedL2).Spec())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys.Step()

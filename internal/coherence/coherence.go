@@ -23,6 +23,7 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cuckoodir/internal/cache"
 	"cuckoodir/internal/core"
@@ -31,18 +32,6 @@ import (
 	"cuckoodir/internal/noc"
 	"cuckoodir/internal/workload"
 )
-
-// Factory builds one directory slice for the protocol.
-type Factory func(slice, numCaches int) directory.Directory
-
-// SpecFactory adapts a directory.Spec to a protocol slice factory: every
-// home slice is one directory built from the spec, bound to the system's
-// core count. Building an invalid spec panics (the protocol system has no
-// error path for construction); validate the spec first when it comes
-// from user input.
-func SpecFactory(spec directory.Spec) Factory {
-	return directory.SliceFactory(spec)
-}
 
 // Config parameterizes the protocol system.
 type Config struct {
@@ -145,14 +134,42 @@ type System struct {
 	coreStats CoreStats
 }
 
-// New builds a protocol system running the given workload.
-func New(cfg Config, prof workload.Profile, seed uint64, factory Factory) *System {
-	if cfg.Cores != cfg.Mesh.Width*cfg.Mesh.Height {
-		panic(fmt.Sprintf("coherence: %d cores on a %dx%d mesh",
-			cfg.Cores, cfg.Mesh.Width, cfg.Mesh.Height))
+// validate reports a malformed configuration.
+func (c Config) validate() error {
+	if c.Cores <= 0 || c.Cores&(c.Cores-1) != 0 {
+		return fmt.Errorf("coherence: Cores = %d, need a power of two", c.Cores)
 	}
-	if cfg.Cores&(cfg.Cores-1) != 0 {
-		panic("coherence: core count must be a power of two")
+	if c.Mesh.Width <= 0 || c.Mesh.Height <= 0 || c.Cores != c.Mesh.Width*c.Mesh.Height {
+		return fmt.Errorf("coherence: %d cores on a %dx%d mesh, need one core per tile",
+			c.Cores, c.Mesh.Width, c.Mesh.Height)
+	}
+	if c.CacheSets <= 0 || c.CacheSets&(c.CacheSets-1) != 0 {
+		return fmt.Errorf("coherence: CacheSets = %d, need a power of two", c.CacheSets)
+	}
+	if c.CacheAssoc <= 0 {
+		return fmt.Errorf("coherence: CacheAssoc = %d, need > 0", c.CacheAssoc)
+	}
+	return nil
+}
+
+// New builds a protocol system running the given workload, with one home
+// slice per core built from the slice spec bound to the core count. It
+// checks the configuration, the profile and the spec before it builds
+// anything.
+func New(cfg Config, prof workload.Profile, seed uint64, slice directory.Spec) (*System, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if err := prof.Validate(cfg.Cores); err != nil {
+		return nil, fmt.Errorf("coherence: %w", err)
+	}
+	slice = slice.WithCaches(cfg.Cores)
+	if err := slice.ValidateFor(cfg.CacheSets, cfg.CacheAssoc); err != nil {
+		return nil, fmt.Errorf("coherence: slice: %w", err)
+	}
+	if slice.Org == directory.OrgDuplicateTag {
+		return nil, fmt.Errorf("coherence: slice %s: duplicate-tag slices are unsupported: a replacement notice can wait "+
+			"behind a busy block at its home while the fill that replaced it goes ahead, overflowing the mirrored set", slice)
 	}
 	q := &event.Queue{}
 	s := &System{
@@ -166,16 +183,12 @@ func New(cfg Config, prof workload.Profile, seed uint64, factory Factory) *Syste
 			Sets:  cfg.CacheSets,
 			Assoc: cfg.CacheAssoc,
 		}))
-		d := factory(i, cfg.Cores)
-		if d.NumCaches() != cfg.Cores {
-			panic("coherence: directory built for wrong cache count")
-		}
-		s.dirs = append(s.dirs, newDirCtl(s, i, d))
+		s.dirs = append(s.dirs, newDirCtl(s, i, directory.MustBuild(slice)))
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		s.cores = append(s.cores, newCoreCtl(s, i, workload.NewGenerator(prof, i, cfg.Cores, seed)))
 	}
-	return s
+	return s, nil
 }
 
 // home returns the slice index of addr.
@@ -307,10 +320,7 @@ func (s *System) CheckConsistency() error {
 				return false
 			}
 			for m := sharers; m != 0; m &= m - 1 {
-				cid := 0
-				for mm := m &^ (m - 1); mm > 1; mm >>= 1 {
-					cid++
-				}
+				cid := bits.TrailingZeros64(m)
 				if !s.caches[cid].Contains(addr) {
 					err = fmt.Errorf("coherence: slice %d lists cache %d for %#x, which it does not hold", si, cid, addr)
 					return false

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"strings"
 	"testing"
 
 	"cuckoodir/internal/core"
@@ -33,15 +34,25 @@ func testProfile() workload.Profile {
 	}
 }
 
-var idealFactory = SpecFactory(directory.Spec{Org: directory.OrgIdeal})
+var idealSpec = directory.Spec{Org: directory.OrgIdeal}
 
-var cuckooFactory = SpecFactory(directory.Spec{
+var cuckooSpec = directory.Spec{
 	Org:      directory.OrgCuckoo,
 	Geometry: directory.Geometry{Ways: 4, Sets: 64},
-})
+}
+
+// mustNew is New for configurations and specs the test knows are valid.
+func mustNew(t testing.TB, cfg Config, prof workload.Profile, seed uint64, slice directory.Spec) *System {
+	t.Helper()
+	sys, err := New(cfg, prof, seed, slice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
 
 func TestRunCompletesAccesses(t *testing.T) {
-	sys := New(smallCfg(), testProfile(), 1, idealFactory)
+	sys := mustNew(t, smallCfg(), testProfile(), 1, idealSpec)
 	end := sys.Run(10000)
 	if end == 0 {
 		t.Fatal("no cycles elapsed")
@@ -56,9 +67,9 @@ func TestRunCompletesAccesses(t *testing.T) {
 }
 
 func TestConsistencyAfterDrain(t *testing.T) {
-	for name, f := range map[string]Factory{"ideal": idealFactory, "cuckoo": cuckooFactory} {
+	for name, spec := range map[string]directory.Spec{"ideal": idealSpec, "cuckoo": cuckooSpec} {
 		t.Run(name, func(t *testing.T) {
-			sys := New(smallCfg(), testProfile(), 3, f)
+			sys := mustNew(t, smallCfg(), testProfile(), 3, spec)
 			sys.Run(30000)
 			sys.Drain()
 			if err := sys.CheckConsistency(); err != nil {
@@ -69,7 +80,7 @@ func TestConsistencyAfterDrain(t *testing.T) {
 }
 
 func TestDirectoryStatsFlow(t *testing.T) {
-	sys := New(smallCfg(), testProfile(), 5, cuckooFactory)
+	sys := mustNew(t, smallCfg(), testProfile(), 5, cuckooSpec)
 	sys.Run(20000)
 	fs := sys.DirectoryStats()
 	if fs.Events[core.EvInsertTag] == 0 {
@@ -97,7 +108,7 @@ func TestInvalidationsHappen(t *testing.T) {
 	p := testProfile()
 	p.SharedFrac = 0.8
 	p.WriteFrac = 0.5
-	sys := New(smallCfg(), p, 7, idealFactory)
+	sys := mustNew(t, smallCfg(), p, 7, idealSpec)
 	sys.Run(20000)
 	if sys.DirStats().Invalidations == 0 {
 		t.Fatal("no invalidations despite heavy write sharing")
@@ -112,7 +123,7 @@ func TestRecallsHappen(t *testing.T) {
 	p := testProfile()
 	p.SharedFrac = 0.8
 	p.WriteFrac = 0.4
-	sys := New(smallCfg(), p, 9, idealFactory)
+	sys := mustNew(t, smallCfg(), p, 9, idealSpec)
 	sys.Run(20000)
 	if sys.DirStats().Recalls == 0 {
 		t.Fatal("no recalls despite migratory sharing")
@@ -120,7 +131,7 @@ func TestRecallsHappen(t *testing.T) {
 }
 
 func TestMissLatencyPlausible(t *testing.T) {
-	sys := New(smallCfg(), testProfile(), 11, idealFactory)
+	sys := mustNew(t, smallCfg(), testProfile(), 11, idealSpec)
 	sys.Run(20000)
 	avg := sys.AvgMissLatency()
 	// A miss costs at least a round trip (2 router traversals) and at
@@ -134,7 +145,7 @@ func TestMissLatencyPlausible(t *testing.T) {
 }
 
 func TestResetStats(t *testing.T) {
-	sys := New(smallCfg(), testProfile(), 13, cuckooFactory)
+	sys := mustNew(t, smallCfg(), testProfile(), 13, cuckooSpec)
 	sys.Run(5000)
 	sys.ResetStats()
 	if sys.CoreStats() != (CoreStats{}) {
@@ -155,7 +166,7 @@ func TestResetStats(t *testing.T) {
 
 func TestCuckooInsertionWaitTiny(t *testing.T) {
 	// §4.2: insertion occupancy must cost requests almost nothing.
-	sys := New(smallCfg(), testProfile(), 15, cuckooFactory)
+	sys := mustNew(t, smallCfg(), testProfile(), 15, cuckooSpec)
 	sys.Run(30000)
 	ds := sys.DirStats()
 	if ds.Requests == 0 {
@@ -169,7 +180,7 @@ func TestCuckooInsertionWaitTiny(t *testing.T) {
 
 func TestDeterministicTiming(t *testing.T) {
 	run := func() (uint64, uint64) {
-		sys := New(smallCfg(), testProfile(), 21, cuckooFactory)
+		sys := mustNew(t, smallCfg(), testProfile(), 21, cuckooSpec)
 		end := sys.Run(10000)
 		return uint64(end), sys.MeshStats().Messages
 	}
@@ -180,31 +191,48 @@ func TestDeterministicTiming(t *testing.T) {
 	}
 }
 
+// TestConfigValidation: New rejects a malformed configuration, profile
+// or slice spec with an error that names the fault.
 func TestConfigValidation(t *testing.T) {
-	cfg := smallCfg()
-	cfg.Cores = 8 // mesh is 2x2
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic on core/mesh mismatch")
+	withCfg := func(edit func(*Config)) Config {
+		cfg := smallCfg()
+		edit(&cfg)
+		return cfg
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+		prof workload.Profile
+		spec directory.Spec
+		want string
+	}{
+		{"cores off the mesh", withCfg(func(c *Config) { c.Cores = 8 }), testProfile(), idealSpec, "8 cores on a 2x2 mesh"},
+		{"cores not a power of two", withCfg(func(c *Config) { c.Cores, c.Mesh.Width, c.Mesh.Height = 3, 3, 1 }), testProfile(), idealSpec, "Cores = 3"},
+		{"zero cores", withCfg(func(c *Config) { c.Cores, c.Mesh.Width, c.Mesh.Height = 0, 0, 0 }), testProfile(), idealSpec, "Cores = 0"},
+		{"negative mesh", withCfg(func(c *Config) { c.Mesh.Width, c.Mesh.Height = -2, -2 }), testProfile(), idealSpec, "-2x-2 mesh"},
+		{"sets not a power of two", withCfg(func(c *Config) { c.CacheSets = 3 }), testProfile(), idealSpec, "CacheSets = 3"},
+		{"zero associativity", withCfg(func(c *Config) { c.CacheAssoc = 0 }), testProfile(), idealSpec, "CacheAssoc = 0"},
+		{"zero profile", smallCfg(), workload.Profile{}, idealSpec, "footprints"},
+		{"zero spec", smallCfg(), testProfile(), directory.Spec{}, "unknown organization"},
+		{"bad cuckoo geometry", smallCfg(), testProfile(), directory.Spec{Org: directory.OrgCuckoo, Geometry: directory.Geometry{Ways: 4, Sets: 63}}, "Sets = 63"},
+		{"duplicate-tag slice", smallCfg(), testProfile(), directory.Spec{Org: directory.OrgDuplicateTag, Geometry: directory.Geometry{Ways: 4, Sets: 64}}, "duplicate-tag slices are unsupported"},
+		{"saturating tagless filter", smallCfg(), testProfile(), directory.Spec{Org: directory.OrgTagless, Geometry: directory.Geometry{Sets: 1}, Tagless: directory.TaglessParams{BucketBits: 32, Hashes: 8}}, "8-bit counters"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := New(tc.cfg, tc.prof, 1, tc.spec)
+			if err == nil || sys != nil {
+				t.Fatalf("New = %v, %v; want an error", sys, err)
 			}
-		}()
-		New(cfg, testProfile(), 1, idealFactory)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic on wrong factory cache count")
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
-		}()
-		New(smallCfg(), testProfile(), 1, func(_, _ int) directory.Directory {
-			return directory.MustBuild(directory.Spec{Org: directory.OrgIdeal, NumCaches: 2})
 		})
-	}()
+	}
 }
 
 func BenchmarkProtocolStep(b *testing.B) {
-	sys := New(smallCfg(), testProfile(), 1, cuckooFactory)
+	sys := mustNew(b, smallCfg(), testProfile(), 1, cuckooSpec)
 	b.ResetTimer()
 	sys.Run(uint64(b.N))
 }

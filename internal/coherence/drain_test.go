@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cuckoodir/internal/cache"
+	"cuckoodir/internal/directory"
 )
 
 // simState flattens the functionally-visible simulation state: every
@@ -82,25 +83,25 @@ func TestBatchDrainStateMatchesPerMessage(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
-		f    Factory
+		spec directory.Spec
 		seed uint64
 	}{
-		{"ideal", smallCfg(), idealFactory, 3},
-		{"cuckoo", smallCfg(), cuckooFactory, 5},
-		{"cuckoo-seed7", smallCfg(), cuckooFactory, 7},
-		{"cuckoo-slow-insert", slowInsert, cuckooFactory, 9},
+		{"ideal", smallCfg(), idealSpec, 3},
+		{"cuckoo", smallCfg(), cuckooSpec, 5},
+		{"cuckoo-seed7", smallCfg(), cuckooSpec, 7},
+		{"cuckoo-slow-insert", slowInsert, cuckooSpec, 9},
 	}
 	const accesses = 30_000
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bat := New(tc.cfg, testProfile(), tc.seed, tc.f)
+			bat := mustNew(t, tc.cfg, testProfile(), tc.seed, tc.spec)
 			bat.Run(accesses)
 			bat.Drain()
 			if n := bat.q.Pending(); n != 0 {
 				t.Fatalf("Drain left %d events pending", n)
 			}
 
-			ref := New(tc.cfg, testProfile(), tc.seed, tc.f)
+			ref := mustNew(t, tc.cfg, testProfile(), tc.seed, tc.spec)
 			ref.Run(accesses)
 			for ref.q.Step() {
 			}

@@ -249,6 +249,44 @@ func TestDirStatsMerge(t *testing.T) {
 	}
 }
 
+// TestDirStatsMergesMixedHistogramRanges: MergeDirStats merges slices
+// whose attempt histograms have different ranges — an ideal directory's
+// (range 1: every insert takes one attempt) with a cuckoo directory's
+// (range 32) — in either order, losing no event or attempt.
+func TestDirStatsMergesMixedHistogramRanges(t *testing.T) {
+	d := NewDirectory(DirConfig{Table: Config{Ways: 4, SetsPerWay: 16}, NumCaches: 4})
+	for a := uint64(0); a < 56; a++ { // 56 of 64 slots: some inserts displace
+		d.Read(a*0x9e37, int(a%4))
+	}
+	cuckoo := d.Stats()
+	ideal := NewDirStats(1)
+	for range 5 {
+		ideal.Events.Inc(EvInsertTag)
+		ideal.Attempts.Add(1)
+	}
+	if cuckoo.Attempts.Max() != DefaultMaxAttempts || cuckoo.Attempts.Mean() <= 1 {
+		t.Fatalf("cuckoo histogram: range %d, mean %.2f; want range %d and some displacements",
+			cuckoo.Attempts.Max(), cuckoo.Attempts.Mean(), DefaultMaxAttempts)
+	}
+	for name, m := range map[string]*DirStats{
+		"ideal first":  MergeDirStats(ideal, cuckoo),
+		"cuckoo first": MergeDirStats(cuckoo, ideal),
+	} {
+		if m.Attempts.Max() != DefaultMaxAttempts {
+			t.Errorf("%s: merged range %d, want %d", name, m.Attempts.Max(), DefaultMaxAttempts)
+		}
+		if m.Events.Total() != ideal.Events.Total()+cuckoo.Events.Total() ||
+			m.Attempts.Count() != ideal.Attempts.Count()+cuckoo.Attempts.Count() {
+			t.Errorf("%s: merge lost data: %d events, %d attempts", name, m.Events.Total(), m.Attempts.Count())
+		}
+		for v := 1; v <= DefaultMaxAttempts; v++ {
+			if got, want := m.Attempts.Bucket(v), ideal.Attempts.Bucket(v)+cuckoo.Attempts.Bucket(v); got != want {
+				t.Errorf("%s: %d-attempt bucket %d, want %d", name, v, got, want)
+			}
+		}
+	}
+}
+
 // TestDirectoryMatchesOracle replays a random fill/evict/write stream into
 // the Cuckoo directory and a map-based oracle. The oracle is updated for
 // forced evictions, after which the two must agree exactly.

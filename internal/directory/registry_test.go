@@ -253,6 +253,38 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// TestSpecValidateFor: a Duplicate-Tag or Tagless spec must hold every
+// block of the tracked cache sets that map onto one of its sets, and the
+// registry's mirrors fit the paper's caches.
+func TestSpecValidateFor(t *testing.T) {
+	cases := []struct {
+		name        string
+		sets, assoc int
+		fits        bool
+	}{
+		{"dup-tag-2x512", 512, 2, true},       // Shared-L2 L1 mirror
+		{"dup-tag-16x1024", 1024, 16, true},   // Private-L2 mirror
+		{"dup-tag-16x1024", 512, 2, true},     // wider than needed
+		{"dup-tag-4x512", 1024, 2, true},      // two cache sets per set, twice the ways
+		{"dup-tag-2x512", 1024, 2, false},     // the same sets with too few ways
+		{"dup-tag-2x512", 1024, 16, false},    // a Private-L2 cache in an L1 mirror
+		{"tagless-1024x32x2", 1024, 16, true}, // 16 blocks x 2 probe bits per filter
+		{"tagless-512x32x2", 1024, 16, true},  // 32 blocks x 2
+		{"tagless-1x32x8", 64, 16, false},     // 1024 blocks x 8 overflow 8-bit counters
+		{"cuckoo-4x64", 1 << 20, 64, true},    // only dup-tag and tagless are bounded
+		{"cuckoo-1x64", 64, 2, false},         // and Validate still applies
+	}
+	for _, tc := range cases {
+		spec, ok := LookupSpec(tc.name)
+		if !ok {
+			t.Fatalf("unknown name %q", tc.name)
+		}
+		if err := spec.WithCaches(16).ValidateFor(tc.sets, tc.assoc); (err == nil) != tc.fits {
+			t.Errorf("%s on %dx%d caches: ValidateFor = %v, want fits=%v", tc.name, tc.sets, tc.assoc, err, tc.fits)
+		}
+	}
+}
+
 // TestShardedNames: the sharded-N(...) grammar resolves through the
 // registry, round-trips through Spec.String, and builds a
 // ShardedDirectory with the named shard count and home function.

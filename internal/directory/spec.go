@@ -299,6 +299,32 @@ func (s Spec) validate(allowUnboundCaches bool) error {
 	return nil
 }
 
+// ValidateFor is Validate for slices that track private caches of
+// cacheSets x cacheAssoc frames: it also checks that they cannot
+// overflow, a bound Validate cannot check without the caches. Each set
+// of a Duplicate-Tag slice holds at most Ways blocks of one cache, and
+// each Tagless filter counts its blocks' probe bits in 8-bit counters;
+// both take the blocks of every cache set that maps onto one of their
+// sets.
+func (s Spec) ValidateFor(cacheSets, cacheAssoc int) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	perSet := cacheAssoc
+	if s.Geometry.Sets > 0 && cacheSets > s.Geometry.Sets {
+		perSet *= cacheSets / s.Geometry.Sets
+	}
+	switch {
+	case s.Org == OrgDuplicateTag && s.Geometry.Ways < perSet:
+		return fmt.Errorf("directory: spec %s: up to %d blocks of a %dx%d (sets x ways) cache share a set, more than its %d ways",
+			s, perSet, cacheSets, cacheAssoc, s.Geometry.Ways)
+	case s.Org == OrgTagless && s.Tagless.Hashes*perSet > 0xff:
+		return fmt.Errorf("directory: spec %s: up to %d blocks of a %dx%d (sets x ways) cache share a filter, and their %d probe bits each overflow its 8-bit counters",
+			s, perSet, cacheSets, cacheAssoc, s.Tagless.Hashes)
+	}
+	return nil
+}
+
 // maxEntries bounds a spec's total entry-slot count: far beyond any
 // plausible configuration, and low enough that the constructors' slot
 // arithmetic (Ways*Sets*BucketSize, grid rows x filter bits) can never
@@ -362,8 +388,8 @@ func (s Spec) hashFamily() hashfn.Family {
 }
 
 // Build constructs the directory slice a spec describes. It is the single
-// construction path every factory, experiment and the CLI go through; the
-// legacy New* constructors are thin wrappers over it.
+// construction path the simulators, experiments and the CLI go through;
+// the legacy New* constructors are thin wrappers over it.
 func Build(s Spec) (Directory, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -419,15 +445,4 @@ func MustBuild(s Spec) Directory {
 		panic(err)
 	}
 	return d
-}
-
-// SliceFactory returns a per-slice constructor that builds one directory
-// from the spec, bound to the caller's tracked-cache count — the shape
-// both simulators' factory types share. Building an invalid spec panics
-// (the simulators have no error path for construction); validate the
-// spec first when it comes from user input.
-func SliceFactory(spec Spec) func(slice, numCaches int) Directory {
-	return func(_, numCaches int) Directory {
-		return MustBuild(spec.WithCaches(numCaches))
-	}
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"cuckoodir/internal/cmpsim"
+	"cuckoodir/internal/directory"
 	"cuckoodir/internal/stats"
 	"cuckoodir/internal/workload"
 )
@@ -127,11 +128,15 @@ func accessBudget(kind cmpsim.Kind, s Scale) (warm, measure int) {
 	}
 }
 
-// runSystem builds, warms and measures one system.
-func runSystem(cfg cmpsim.Config, prof workload.Profile, o Options,
-	factory cmpsim.DirectoryFactory) *cmpsim.System {
+// runSystem builds, warms and measures one system. Experiments have no
+// error path: a spec the simulator refuses panics, as an Options.Orgs
+// name orgOverrides cannot resolve does.
+func runSystem(cfg cmpsim.Config, prof workload.Profile, o Options, slice directory.Spec) *cmpsim.System {
 	warm, measure := accessBudget(cfg.Kind, o.Scale)
-	sys := cmpsim.New(cfg, prof, o.Seed+1, factory)
+	sys, err := cmpsim.New(cfg, prof, o.Seed+1, slice)
+	if err != nil {
+		panic(err)
+	}
 	sys.Run(warm)
 	sys.ResetStats()
 	sys.Run(measure)

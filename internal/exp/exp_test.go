@@ -176,6 +176,7 @@ func TestLatencyQuick(t *testing.T) {
 		t.Skip("simulation experiment")
 	}
 	ts := runExp(t, "latency")
+	checkGolden(t, "latency", ts)
 	// Wait fraction column must be tiny for the cuckoo row.
 	body := ts[0].String()
 	if !strings.Contains(body, "cuckoo") {
@@ -232,6 +233,7 @@ func TestFig8Quick(t *testing.T) {
 		t.Skip("simulation experiment")
 	}
 	ts := runExp(t, "fig8")
+	checkGolden(t, "fig8", ts)
 	tb := ts[0]
 	// Every row: private occupancy >= shared occupancy (sharing shrinks
 	// the shared-config block count relative to capacity).
@@ -252,6 +254,7 @@ func TestFig9Quick(t *testing.T) {
 		t.Skip("simulation experiment")
 	}
 	ts := runExp(t, "fig9")
+	checkGolden(t, "fig9", ts)
 	if len(ts) != 2 {
 		t.Fatalf("fig9 tables = %d", len(ts))
 	}
@@ -281,6 +284,7 @@ func TestFig10Quick(t *testing.T) {
 		t.Skip("simulation experiment")
 	}
 	ts := runExp(t, "fig10")
+	checkGolden(t, "fig10", ts)
 	tb := ts[0]
 	for r := 0; r < tb.NumRows(); r++ {
 		for _, col := range []int{2, 3} {
@@ -298,6 +302,7 @@ func TestFig11Quick(t *testing.T) {
 		t.Skip("simulation experiment")
 	}
 	ts := runExp(t, "fig11")
+	checkGolden(t, "fig11", ts)
 	tb := ts[0]
 	if tb.NumRows() != 32 {
 		t.Fatalf("rows = %d, want 32", tb.NumRows())
@@ -333,6 +338,7 @@ func TestFig12Quick(t *testing.T) {
 		t.Skip("simulation experiment")
 	}
 	ts := runExp(t, "fig12")
+	checkGolden(t, "fig12", ts)
 	if len(ts) != 2 {
 		t.Fatalf("fig12 tables = %d", len(ts))
 	}
@@ -357,6 +363,7 @@ func TestMixQuick(t *testing.T) {
 		t.Skip("simulation experiment")
 	}
 	ts := runExp(t, "mix")
+	checkGolden(t, "mix", ts)
 	tb := ts[0]
 	if tb.NumRows() != 5 {
 		t.Fatalf("mix rows = %d", tb.NumRows())
@@ -380,6 +387,7 @@ func TestHashesQuick(t *testing.T) {
 		t.Skip("simulation experiment")
 	}
 	ts := runExp(t, "hashes")
+	checkGolden(t, "hashes", ts)
 	tb := ts[0]
 	if tb.NumRows()%2 != 0 {
 		t.Fatalf("hashes rows = %d, want skew/strong pairs", tb.NumRows())
@@ -418,6 +426,7 @@ func TestFormatsQuick(t *testing.T) {
 		t.Skip("simulation experiment")
 	}
 	ts := runExp(t, "formats")
+	checkGolden(t, "formats", ts)
 	tb := ts[0]
 	if tb.NumRows() != 4 {
 		t.Fatalf("formats rows = %d", tb.NumRows())

@@ -170,7 +170,9 @@ func hashesExp() Experiment {
 				} else {
 					fam = hashfn.Strong{}
 				}
-				sys := runSystem(cfg, prof, o, cmpsim.CuckooFactory(pt.size, fam))
+				spec := pt.size.Spec()
+				spec.Cuckoo.Hash = fam
+				sys := runSystem(cfg, prof, o, spec)
 				return sys.DirStats()
 			})
 			for pi, pt := range points {
@@ -294,7 +296,7 @@ func elbowTable(o Options) *stats.Table {
 				Org: directory.OrgElbow, NumCaches: 4,
 				Geometry: directory.Geometry{Ways: ways, Sets: sets},
 			})),
-			ck: drive(directory.MustBuild(cuckooSpec(ways, sets).WithCaches(4))),
+			ck: drive(directory.MustBuild(cmpsim.CuckooSize{Ways: ways, Sets: sets}.Spec().WithCaches(4))),
 		}
 	})
 	for i, f := range fills {

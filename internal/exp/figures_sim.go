@@ -31,7 +31,7 @@ func fig8Exp() Experiment {
 			occ := parallelMap(len(profs)*len(kinds), func(i int) float64 {
 				prof, kind := profs[i/len(kinds)], kinds[i%len(kinds)]
 				cfg := cmpsim.DefaultConfig(kind)
-				sys := runSystem(cfg, prof, o, cmpsim.IdealFactory(cfg))
+				sys := runSystem(cfg, prof, o, cfg.IdealSpec())
 				return sys.MeanOccupancy()
 			})
 			for pi, prof := range profs {
@@ -60,11 +60,11 @@ func fig9Exp() Experiment {
 				cfg := cmpsim.DefaultConfig(kind)
 				// A sweep point: its row label, provisioning factor cell
 				// (computed from slice capacity for overridden orgs) and
-				// slice factory.
+				// slice spec.
 				type sizePoint struct {
-					label   string
-					prov    string
-					factory cmpsim.DirectoryFactory
+					label string
+					prov  string
+					spec  directory.Spec
 				}
 				var points []sizePoint
 				if over := orgOverrides(o, cfg.NumCaches()); over != nil {
@@ -86,7 +86,7 @@ func fig9Exp() Experiment {
 						if c > 0 {
 							prov = fmt.Sprintf("%.3gx", float64(c)/float64(cfg.OneXSliceCapacity()))
 						}
-						points = append(points, sizePoint{ns.name, prov, cmpsim.SpecFactory(ns.spec)})
+						points = append(points, sizePoint{ns.name, prov, ns.spec})
 					}
 				} else {
 					sizes := cmpsim.SharedL2Sizes()
@@ -100,7 +100,7 @@ func fig9Exp() Experiment {
 						points = append(points, sizePoint{
 							size.String(),
 							fmt.Sprintf("%.3gx", size.Provisioning(cfg)),
-							cmpsim.CuckooFactory(size, nil),
+							size.Spec(),
 						})
 					}
 				}
@@ -109,7 +109,7 @@ func fig9Exp() Experiment {
 				profs := suiteProfiles(o.Scale)
 				results := parallelMap(len(points)*len(profs), func(i int) *core.DirStats {
 					pt, prof := points[i/len(profs)], profs[i%len(profs)]
-					sys := runSystem(cfg, prof, o, pt.factory)
+					sys := runSystem(cfg, prof, o, pt.spec)
 					return sys.DirStats()
 				})
 				xLabels := make([]string, len(points))
@@ -161,8 +161,7 @@ func fig10Exp() Experiment {
 			means := parallelMap(len(profs)*len(kinds), func(i int) float64 {
 				prof, kind := profs[i/len(kinds)], kinds[i%len(kinds)]
 				cfg := cmpsim.DefaultConfig(kind)
-				sys := runSystem(cfg, prof, o,
-					cmpsim.CuckooFactory(cmpsim.ChosenCuckooSize(kind), nil))
+				sys := runSystem(cfg, prof, o, cmpsim.ChosenCuckooSize(kind).Spec())
 				return sys.DirStats().Attempts.Mean()
 			})
 			for pi, prof := range profs {
@@ -199,8 +198,7 @@ func fig11Exp() Experiment {
 				if err != nil {
 					panic(err)
 				}
-				sys := runSystem(cfg, prof, o,
-					cmpsim.CuckooFactory(cmpsim.ChosenCuckooSize(pt.kind), nil))
+				sys := runSystem(cfg, prof, o, cmpsim.ChosenCuckooSize(pt.kind).Spec())
 				return sys.DirStats()
 			})
 			oracle, ocean := collected[0], collected[1]
@@ -230,27 +228,19 @@ func fig12Exp() Experiment {
 			var out []*stats.Table
 			for _, kind := range []cmpsim.Kind{cmpsim.SharedL2, cmpsim.PrivateL2} {
 				cfg := cmpsim.DefaultConfig(kind)
-				type orgRun struct {
-					name    string
-					factory cmpsim.DirectoryFactory
-				}
-				var orgs []orgRun
-				if over := orgOverrides(o, cfg.NumCaches()); over != nil {
-					// Registry-driven sweep: the lineup is exactly the
-					// organizations `run -dir` named, in order.
-					for _, ns := range over {
-						orgs = append(orgs, orgRun{ns.name, cmpsim.SpecFactory(ns.spec)})
-					}
-				} else {
+				// Under `run -dir` the lineup is exactly the named
+				// organizations, in order.
+				orgs := orgOverrides(o, cfg.NumCaches())
+				if orgs == nil {
 					cuckooName := "Cuckoo 1x"
 					if kind == cmpsim.PrivateL2 {
 						cuckooName = "Cuckoo 1.5x"
 					}
-					orgs = []orgRun{
-						{"Sparse 2x", cmpsim.SparseFactory(cfg, 8, 2)},
-						{"Sparse 8x", cmpsim.SparseFactory(cfg, 8, 8)},
-						{"Skewed 2x", cmpsim.SkewedFactory(cfg, 4, 2)},
-						{cuckooName, cmpsim.CuckooFactory(cmpsim.ChosenCuckooSize(kind), nil)},
+					orgs = []namedSpec{
+						{"Sparse 2x", cfg.SparseSpec(8, 2)},
+						{"Sparse 8x", cfg.SparseSpec(8, 8)},
+						{"Skewed 2x", cfg.SkewedSpec(4, 2)},
+						{cuckooName, cmpsim.ChosenCuckooSize(kind).Spec()},
 					}
 				}
 				headers := []string{"Workload"}
@@ -262,7 +252,7 @@ func fig12Exp() Experiment {
 				profs := suiteProfiles(o.Scale)
 				rates := parallelMap(len(profs)*len(orgs), func(i int) float64 {
 					prof, org := profs[i/len(orgs)], orgs[i%len(orgs)]
-					sys := runSystem(cfg, prof, o, org.factory)
+					sys := runSystem(cfg, prof, o, org.spec)
 					return sys.DirStats().InvalidationRate()
 				})
 				for pi, prof := range profs {
@@ -303,8 +293,7 @@ func mixExp() Experiment {
 			results := parallelMap(len(kinds)*len(profs), func(i int) *directory.Stats {
 				kind, prof := kinds[i/len(profs)], profs[i%len(profs)]
 				cfg := cmpsim.DefaultConfig(kind)
-				sys := runSystem(cfg, prof, o,
-					cmpsim.CuckooFactory(cmpsim.ChosenCuckooSize(kind), nil))
+				sys := runSystem(cfg, prof, o, cmpsim.ChosenCuckooSize(kind).Spec())
 				return sys.DirStats()
 			})
 			mixes := make(map[cmpsim.Kind]*directory.Stats)

@@ -40,11 +40,7 @@ func formatsExp() Experiment {
 			// 4x512 slice by default, or — under `run -dir` — every named
 			// organization that can carry a sharer format (a plain,
 			// unsharded cuckoo spec without a format of its own).
-			type base struct {
-				name string
-				spec directory.Spec
-			}
-			bases := []base{{"", cuckooSpec(size.Ways, size.Sets)}}
+			bases := []namedSpec{{"", size.Spec()}}
 			var skipped []string
 			overridden := false
 			if over := orgOverrides(o, numCaches); over != nil {
@@ -55,7 +51,7 @@ func formatsExp() Experiment {
 						skipped = append(skipped, ns.name)
 						continue
 					}
-					bases = append(bases, base{ns.name, ns.spec})
+					bases = append(bases, ns)
 				}
 			}
 			headers := []string{"Format", "Entry bits", "Spurious invalidations", "Spurious/insert", "Dead entries (end)", "Inval rate"}
@@ -77,7 +73,7 @@ func formatsExp() Experiment {
 			results := parallelMap(len(bases)*len(formats), func(i int) result {
 				spec := bases[i/len(formats)].spec
 				spec.Format = formats[i%len(formats)]
-				sys := runSystem(cfg, prof, o, cmpsim.SpecFactory(spec))
+				sys := runSystem(cfg, prof, o, spec)
 				var res result
 				for _, d := range sys.Slices() {
 					fd := d.(*directory.FormattedCuckoo)

@@ -6,16 +6,6 @@ import (
 	"cuckoodir/internal/directory"
 )
 
-// cuckooSpec declares a Cuckoo slice of the given geometry with the
-// paper's default parameters; callers bind the cache count via a factory
-// or WithCaches.
-func cuckooSpec(ways, sets int) directory.Spec {
-	return directory.Spec{
-		Org:      directory.OrgCuckoo,
-		Geometry: directory.Geometry{Ways: ways, Sets: sets},
-	}
-}
-
 // namedSpec is one entry of an organization lineup: the registry name
 // (used as the row/column label) and its resolved spec.
 type namedSpec struct {

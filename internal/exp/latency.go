@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"cuckoodir/internal/cmpsim"
 	"cuckoodir/internal/coherence"
 	"cuckoodir/internal/core"
 	"cuckoodir/internal/directory"
@@ -37,25 +38,18 @@ func latencyExp() Experiment {
 			cfg := coherence.DefaultConfig()
 			// The protocol caches are 1024x16 (1 MB); size the slices as
 			// §5.2 selects for Private-L2 (1.5x = 3x8192 at 16 cores).
-			type protoRun struct {
-				name    string
-				factory coherence.Factory
-			}
-			var runs []protoRun
-			if over := orgOverrides(o, cfg.Cores); over != nil {
-				for _, ns := range over {
-					runs = append(runs, protoRun{ns.name, coherence.SpecFactory(ns.spec)})
-				}
-			} else {
-				runs = []protoRun{
-					{"ideal", coherence.SpecFactory(directory.Spec{
-						Org: directory.OrgIdeal, Capacity: 16384,
-					})},
-					{"cuckoo 3x8192 (1.5x)", coherence.SpecFactory(cuckooSpec(3, 8192))},
+			runs := orgOverrides(o, cfg.Cores)
+			if runs == nil {
+				runs = []namedSpec{
+					{"ideal", directory.Spec{Org: directory.OrgIdeal, Capacity: 16384}},
+					{"cuckoo 3x8192 (1.5x)", cmpsim.ChosenCuckooSize(cmpsim.PrivateL2).Spec()},
 				}
 			}
 			systems := parallelMap(len(runs), func(i int) *coherence.System {
-				sys := coherence.New(cfg, prof, o.Seed+7, runs[i].factory)
+				sys, err := coherence.New(cfg, prof, o.Seed+7, runs[i].spec)
+				if err != nil {
+					panic(err) // no error path, as in runSystem
+				}
 				sys.Run(warm)
 				sys.ResetStats()
 				sys.Run(accesses)

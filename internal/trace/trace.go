@@ -224,8 +224,12 @@ func (t *Reader) Read() (Record, error) {
 // Replay feeds every record of a trace into the functional simulator. The
 // replayed run is bit-identical to the generator-driven run the trace was
 // captured from (same interleaving, same accesses), which
-// TestReplayEquivalence verifies.
+// TestReplayEquivalence verifies. A trace with more cores than the system
+// is an error before any record is read.
 func Replay(r *Reader, sys *cmpsim.System) (uint64, error) {
+	if r.Cores() > sys.Config().Cores {
+		return 0, fmt.Errorf("trace: trace has %d cores but the system has only %d", r.Cores(), sys.Config().Cores)
+	}
 	var n uint64
 	for {
 		rec, err := r.Read()
@@ -246,6 +250,9 @@ func Replay(r *Reader, sys *cmpsim.System) (uint64, error) {
 // captures onto an io.WriterAt (a file) carry an exact Total while
 // stream sinks stay readable via the read-to-EOF fallback.
 func Capture(w io.Writer, prof workload.Profile, cores int, seed uint64, n int) (uint64, error) {
+	if err := prof.Validate(cores); err != nil {
+		return 0, fmt.Errorf("trace: %w", err)
+	}
 	tw, err := NewWriter(w, cores)
 	if err != nil {
 		return 0, err

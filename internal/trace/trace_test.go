@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cuckoodir/internal/cmpsim"
@@ -138,7 +139,11 @@ func TestReplayEquivalence(t *testing.T) {
 	cfg := cmpsim.Config{Kind: cmpsim.SharedL2, Cores: 4, TrackedSets: 64, TrackedAssoc: 2}
 	const seed, n = 77, 40000
 
-	live := cmpsim.New(cfg, prof, seed, cmpsim.CuckooFactory(cmpsim.CuckooSize{Ways: 4, Sets: 64}, nil))
+	slice := cmpsim.CuckooSize{Ways: 4, Sets: 64}.Spec()
+	live, err := cmpsim.New(cfg, prof, seed, slice)
+	if err != nil {
+		t.Fatal(err)
+	}
 	live.Run(n)
 
 	var buf bytes.Buffer
@@ -149,8 +154,10 @@ func TestReplayEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed := cmpsim.New(cfg, prof, seed+999, // generators unused on replay
-		cmpsim.CuckooFactory(cmpsim.CuckooSize{Ways: 4, Sets: 64}, nil))
+	replayed, err := cmpsim.New(cfg, prof, seed+999, slice) // generators unused on replay
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Replay(rd, replayed); err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +176,46 @@ func TestReplayEquivalence(t *testing.T) {
 	}
 	if live.CacheStats() != replayed.CacheStats() {
 		t.Errorf("cache stats diverged: %+v vs %+v", live.CacheStats(), replayed.CacheStats())
+	}
+}
+
+// TestReplayTooManyCores: a trace recorded on more cores than the system
+// has is an error before any record is injected, not a panic mid-run.
+func TestReplayTooManyCores(t *testing.T) {
+	prof, _ := workload.ByName("apache")
+	var buf bytes.Buffer
+	if _, err := Capture(&buf, prof, 32, 1, 1000); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := cmpsim.New(cmpsim.DefaultConfig(cmpsim.SharedL2), prof, 1, cmpsim.ChosenCuckooSize(cmpsim.SharedL2).Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := Replay(rd, sys)
+	if err == nil || !strings.Contains(err.Error(), "32 cores") {
+		t.Fatalf("Replay = %d, %v; want an error naming the trace's 32 cores", n, err)
+	}
+	if n != 0 || sys.Accesses() != 0 {
+		t.Fatalf("Replay injected %d records (%d accesses) before failing", n, sys.Accesses())
+	}
+}
+
+// TestCaptureRejectsBadProfile: a profile the generators cannot run is
+// an error, not a panic.
+func TestCaptureRejectsBadProfile(t *testing.T) {
+	em3d, _ := workload.ByName("em3d")
+	for _, tc := range []struct {
+		prof  workload.Profile
+		cores int
+	}{{workload.Profile{}, 4}, {em3d, 1}} {
+		var buf bytes.Buffer
+		if n, err := Capture(&buf, tc.prof, tc.cores, 1, 10); err == nil {
+			t.Errorf("Capture(%q on %d cores) = %d, nil; want an error", tc.prof.Name, tc.cores, n)
+		}
 	}
 }
 

@@ -209,6 +209,25 @@ func Names() []string {
 	return out
 }
 
+// Validate reports whether the profile can drive generators for
+// numCores cores: every footprint and every Zipf exponent the profile
+// draws from must be positive, and remote reads need a second core.
+// Building or running a generator from a profile that fails it panics.
+func (p Profile) Validate(numCores int) error {
+	if p.CodeBlocks <= 0 || p.SharedBlocks <= 0 || p.PrivateBlocks <= 0 {
+		return fmt.Errorf("workload: profile %q: footprints %d/%d/%d blocks (code/shared/private), need all positive",
+			p.Name, p.CodeBlocks, p.SharedBlocks, p.PrivateBlocks)
+	}
+	if !(p.ZipfCode > 0) || !(p.ZipfShared > 0) || !(p.ZipfPrivate > 0 || p.PrivateStreaming) {
+		return fmt.Errorf("workload: profile %q: Zipf exponents %v/%v/%v (code/shared/private), need positive",
+			p.Name, p.ZipfCode, p.ZipfShared, p.ZipfPrivate)
+	}
+	if p.RemoteFrac > 0 && numCores < 2 {
+		return fmt.Errorf("workload: profile %q: RemoteFrac %v needs at least 2 cores, have %d", p.Name, p.RemoteFrac, numCores)
+	}
+	return nil
+}
+
 // Generator produces one core's access stream for a profile. Generators
 // for the same profile and different cores share the global footprints
 // but have independent random streams; everything is deterministic in

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -290,6 +291,38 @@ func TestGeneratorPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestProfileValidate: every suite profile can drive two or more cores,
+// and Validate rejects each profile a generator would panic on.
+func TestProfileValidate(t *testing.T) {
+	for _, p := range Profiles() {
+		if err := p.Validate(2); err != nil {
+			t.Errorf("%s: %v", p.Name, err)
+		}
+	}
+	db2, _ := ByName("db2")
+	em3d, _ := ByName("em3d")
+	noZipf := db2
+	noZipf.ZipfShared = 0
+	streaming := em3d // streams its private data, so draws no private Zipf exponent
+	streaming.ZipfPrivate = 0
+	if err := streaming.Validate(16); err != nil {
+		t.Errorf("streaming profile without a private exponent: %v", err)
+	}
+	for _, tc := range []struct {
+		p     Profile
+		cores int
+		want  string
+	}{
+		{Profile{Name: "bad"}, 16, "footprints"},
+		{noZipf, 16, "Zipf"},
+		{em3d, 1, "RemoteFrac"},
+	} {
+		if err := tc.p.Validate(tc.cores); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s on %d cores: Validate = %v, want an error mentioning %q", tc.p.Name, tc.cores, err, tc.want)
+		}
 	}
 }
 

@@ -34,7 +34,7 @@ func TestClaimCuckooEliminatesInvalidations(t *testing.T) {
 		cfg := DefaultSystemConfig(tc.kind)
 		warm, measure := 1_500_000, 600_000
 
-		cuckoo := NewSystem(cfg, prof, 1, CuckooSlices(ChosenCuckooSize(tc.kind)))
+		cuckoo := mustSystem(t, cfg, prof, 1, ChosenCuckooSize(tc.kind).Spec())
 		cuckoo.Run(warm)
 		cuckoo.ResetStats()
 		cuckoo.Run(measure)
@@ -43,7 +43,7 @@ func TestClaimCuckooEliminatesInvalidations(t *testing.T) {
 			t.Errorf("%v/%s: cuckoo invalidation rate %.5f, want ~0", tc.kind, tc.wl, rate)
 		}
 
-		sparse := NewSystem(cfg, prof, 1, SparseSlices(cfg, 8, 2))
+		sparse := mustSystem(t, cfg, prof, 1, cfg.SparseSpec(8, 2))
 		sparse.Run(warm)
 		sparse.ResetStats()
 		sparse.Run(measure)
@@ -66,7 +66,7 @@ func TestClaimAttemptsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultSystemConfig(PrivateL2)
-	sys := NewSystem(cfg, prof, 1, CuckooSlices(ChosenCuckooSize(PrivateL2)))
+	sys := mustSystem(t, cfg, prof, 1, ChosenCuckooSize(PrivateL2).Spec())
 	sys.Run(3_000_000)
 	sys.ResetStats()
 	sys.Run(1_000_000)
@@ -128,11 +128,10 @@ func TestClaimInsertionOffCriticalPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := ChosenCuckooSize(PrivateL2)
-	sys := NewProtocolSystem(DefaultProtocolConfig(), prof, 3,
-		func(_, n int) Directory {
-			return MustBuild(Spec{Org: OrgCuckoo, NumCaches: n, Geometry: Geometry{Ways: size.Ways, Sets: size.Sets}})
-		})
+	sys, err := NewProtocolSystem(DefaultProtocolConfig(), prof, 3, ChosenCuckooSize(PrivateL2).Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
 	sys.Run(150_000)
 	sys.ResetStats()
 	sys.Run(150_000)
