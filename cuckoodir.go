@@ -488,7 +488,8 @@ type System = cmpsim.System
 type CuckooSize = cmpsim.CuckooSize
 
 // DefaultSystemConfig returns the paper's 16-core configuration for the
-// given kind.
+// given kind. For an unknown kind it returns a config that NewSystem
+// refuses with an error.
 func DefaultSystemConfig(kind SystemKind) SystemConfig {
 	return cmpsim.DefaultConfig(kind)
 }
@@ -601,7 +602,9 @@ func ReplayTraceParallel(dir *ShardedDirectory, r *TraceReader, o ReplayOptions)
 
 // ReplayWorkloadParallel synthesizes n accesses of a workload (what
 // CaptureTrace would record) and replays them through the parallel
-// pipeline — the trace-free path for sweeps and benchmarks.
+// pipeline — the trace-free path for sweeps and benchmarks. It returns
+// an error for an invalid workload or a core count the directory does
+// not track.
 func ReplayWorkloadParallel(dir *ShardedDirectory, prof Workload, cores int, seed uint64, n int, o ReplayOptions) (ReplayResult, error) {
 	return replay.ReplayWorkload(dir, prof, cores, seed, n, o)
 }

@@ -65,6 +65,8 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's 16-core configuration for the kind.
+// For a kind other than SharedL2 or PrivateL2 it returns Config{Kind:
+// kind}, which New refuses.
 func DefaultConfig(kind Kind) Config {
 	switch kind {
 	case SharedL2:
@@ -74,7 +76,7 @@ func DefaultConfig(kind Kind) Config {
 		// 1 MB / 64 B / 16 ways = 1024 sets.
 		return Config{Kind: PrivateL2, Cores: 16, TrackedSets: 1024, TrackedAssoc: 16}
 	default:
-		panic("cmpsim: unknown kind")
+		return Config{Kind: kind}
 	}
 }
 

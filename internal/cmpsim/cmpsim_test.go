@@ -347,14 +347,10 @@ func TestKindStringUnknown(t *testing.T) {
 	if Kind(9).String() == "" {
 		t.Error("unknown kind should format")
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("DefaultConfig of unknown kind should panic")
-			}
-		}()
-		DefaultConfig(Kind(9))
-	}()
+	sys, err := New(DefaultConfig(Kind(9)), smallProfile(), 1, ChosenCuckooSize(SharedL2).Spec())
+	if err == nil || sys != nil || !strings.Contains(err.Error(), "unknown Kind(9)") {
+		t.Errorf("New(DefaultConfig(Kind(9))) = %v, %v; want an unknown-kind error", sys, err)
+	}
 }
 
 func TestProvisionedSets(t *testing.T) {

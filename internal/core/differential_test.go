@@ -308,14 +308,16 @@ func TestFastInterfaceEquivalent(t *testing.T) {
 // come from a Prefetch (piped) or an Index (indexed) made pipeDepth ops
 // earlier, into a ring slot the op then hands to ReadAt, WriteAt or
 // EvictAt, with the ops in between free to insert, displace or delete
-// the same key. All four run the same seeded Read/Write/Evict stream,
-// narrow and full-width, over every differential config; every forced
-// eviction, invalidate mask and LastAttempts must agree, then the event
-// counts, attempt histograms and contents.
+// the same key. pipeDepth is the depth of the sharded directory's
+// applyCuckoo ring (prefetchDepth in internal/directory). All four run
+// the same seeded Read/Write/Evict stream, narrow and full-width, over
+// every differential config; every forced eviction, invalidate mask and
+// LastAttempts must agree, then the event counts, attempt histograms
+// and contents.
 func TestDirectoryFastGenericEquivalent(t *testing.T) {
 	const (
 		caches    = 4
-		pipeDepth = 4
+		pipeDepth = 8
 	)
 	sameForced := func(a, b *Forced) bool { return (a == nil) == (b == nil) && (a == nil || *a == *b) }
 	for _, cfg := range diffConfigs() {

@@ -551,9 +551,23 @@ func (s *ShardedDirectory) ApplyShardOps(h int, accesses []Access, ops []Op) {
 }
 
 // prefetchDepth is how many accesses ahead applyCuckoo computes way
-// indices: with fills, 16 lines in flight on 4 ways, about one core's
-// L1 fill buffers.
-const prefetchDepth = 4
+// indices, and so, with fills, how many accesses' probe lines are in
+// flight. On 8 shards x cuckoo-4x16384 (8 MiB of pairs, with fills), on
+// a 2-vCPU Xeon host with 2 MiB of L2 per core (median [quartiles] over
+// 10 interleaved runs: perfbench 8 s runs at seed 89 in M acc/s, and
+// bench apply/hits/sets=16384 in ns per access):
+//
+//	depth   replay-oltp-warm      engine-rr-mixed       apply/hits
+//	  4     8.40 [8.36, 8.44]     6.12 [6.06, 6.16]     76.6 [73.2, 80.0]
+//	  6     9.00 [8.96, 9.09]     6.46 [6.35, 6.53]     69.7 [66.4, 73.5]
+//	  8     9.14 [8.85, 9.33]     6.49 [6.30, 6.59]     66.9 [61.5, 71.9]
+//	 12     9.30 [9.00, 9.40]     6.47 [6.30, 6.58]     67.5 [63.7, 73.1]
+//	 16     9.15 [9.04, 9.43]     6.48 [6.45, 6.55]     65.1 [64.3, 79.7]
+//
+// 8 is the smallest depth whose median lies within the quartiles of
+// the best on all three (6 falls just below them on OLTP); being a
+// power of two, it keeps i%prefetchDepth a mask.
+const prefetchDepth = 8
 
 // fillBytes is the directory footprint (shard count x one slice's pair
 // array) from which applyCuckoo starts line fills ahead of its probes.

@@ -530,14 +530,16 @@ func TestApplyShardOpsMatchesApply(t *testing.T) {
 // stepped and is finished, so it leaves the typed loop for applyOne and
 // comes back; the sparse spec never takes the typed loop.
 //
-// Each shard's round is cut into batches of 0, 1, 3, 4 and 5 accesses
-// around prefetchDepth, then the rest, and the cuckoo specs cover 2, 3,
-// 4 and 8 ways and 2-entry buckets, so every shape of applyCuckoo's
-// index ring and of the table's line fills runs. The 2560-address
-// stream repeats addresses within prefetchDepth accesses of each other,
-// where the ring's early indices must still be exact. Every spec is far
-// below fillBytes, so ApplyShardOps runs it without fills; each cuckoo
-// spec runs a second time through applyFilling, with fills.
+// Each shard's round is cut into batches of 0, 1, prefetchDepth-1,
+// prefetchDepth and prefetchDepth+1 accesses, then the rest: batches
+// shorter than the ring's prefill, as long as it and one access longer.
+// The cuckoo specs cover 2, 3, 4 and 8 ways and 2-entry buckets, so
+// every shape of applyCuckoo's index ring and of the table's line fills
+// runs. The 2560-address stream repeats addresses within prefetchDepth
+// accesses of each other, where the ring's early indices must still be
+// exact. Every spec is far below fillBytes, so ApplyShardOps runs it
+// without fills; each cuckoo spec runs a second time through
+// applyFilling, with fills.
 func TestApplyCuckooMatchesInterfacePath(t *testing.T) {
 	const (
 		resized          = 1
@@ -630,7 +632,7 @@ func TestApplyCuckooMatchesInterfacePath(t *testing.T) {
 						batches[h] = append(batches[h], a)
 					}
 					for h, rest := range batches {
-						for _, n := range []int{0, 1, 3, 4, 5, len(rest)} {
+						for _, n := range []int{0, 1, prefetchDepth - 1, prefetchDepth, prefetchDepth + 1, len(rest)} {
 							batch := rest[:min(n, len(rest))]
 							rest = rest[len(batch):]
 							var ops []Op

@@ -660,10 +660,14 @@ func ReplayTrace(dir *directory.ShardedDirectory, r *trace.Reader, o Options) (R
 
 // ReplayWorkload synthesizes n accesses of the profile (round-robin over
 // cores, as trace.Capture would record) and replays them — the
-// trace-free path for sweeps and benchmarks.
+// trace-free path for sweeps and benchmarks. It checks the core count
+// and the profile before it builds any generator.
 func ReplayWorkload(dir *directory.ShardedDirectory, prof workload.Profile, cores int, seed uint64, n int, o Options) (Result, error) {
 	if cores <= 0 || cores > dir.NumCaches() {
 		return Result{}, fmt.Errorf("replay: %d cores out of range (directory tracks %d caches)", cores, dir.NumCaches())
+	}
+	if err := prof.Validate(cores); err != nil {
+		return Result{}, fmt.Errorf("replay: %w", err)
 	}
 	return Run(dir, Synthesize(prof, cores, seed, n), o)
 }

@@ -16,9 +16,15 @@ import (
 // (after Drain for the protocol system). When traceCores maps above 0,
 // the functional system runs a trace captured on that many cores
 // through ReplayTrace instead, which must refuse a trace with more
-// cores than the system. No input builds more than a few MiB. The
-// committed corpus (testdata/fuzz/FuzzNewSystem) holds inputs that
-// panicked before the simulators validated their input.
+// cores than the system. The functional system is built twice: from
+// the fuzzed config and from the paper's configuration of the fuzzed
+// kind (DefaultSystemConfig). The workload is also replayed on the
+// fuzzed core count through ReplayWorkloadParallel into a small sharded
+// cuckoo directory, which must return an error or apply every access.
+// No input builds more than about 6 MiB, the tracked caches of the
+// Private-L2 default. The committed corpus
+// (testdata/fuzz/FuzzNewSystem) holds inputs that panicked before the
+// simulators and the replay validated their input.
 func FuzzNewSystem(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kind, cores, sets, assoc, protoSets, protoAssoc, meshW, meshH int8,
 		wl, org uint8, ways, orgSets, capacity, traceCores int8) {
@@ -61,16 +67,20 @@ func FuzzNewSystem(f *testing.F) {
 			spec = Spec{} // no organization
 		}
 
-		if sys, err := NewSystem(cfg, prof, 1, spec); err != nil {
-			if sys != nil {
-				t.Fatalf("NewSystem returned a system with error %v", err)
-			}
-		} else {
-			runFunctional(t, sys, prof, int(traceCores)%40)
-			if err := sys.CheckConsistency(); err != nil {
-				t.Fatalf("%+v with %v: %v", cfg, spec, err)
+		for _, cfg := range []SystemConfig{cfg, DefaultSystemConfig(cfg.Kind)} {
+			if sys, err := NewSystem(cfg, prof, 1, spec); err != nil {
+				if sys != nil {
+					t.Fatalf("NewSystem returned a system with error %v", err)
+				}
+			} else {
+				runFunctional(t, sys, prof, int(traceCores)%40)
+				if err := sys.CheckConsistency(); err != nil {
+					t.Fatalf("%+v with %v: %v", cfg, spec, err)
+				}
 			}
 		}
+
+		replayWorkload(t, prof, cfg.Cores)
 
 		pcfg := DefaultProtocolConfig()
 		pcfg.Cores = cfg.Cores
@@ -116,5 +126,21 @@ func runFunctional(t *testing.T, sys *System, prof Workload, traceCores int) {
 		t.Fatalf("replayed %d records of a %d-core trace into %d cores (err %v)", n, traceCores, sys.Config().Cores, err)
 	case traceCores <= sys.Config().Cores && (err != nil || n != 300):
 		t.Fatalf("ReplayTrace = %d, %v", n, err)
+	}
+}
+
+// replayWorkload replays 300 accesses of prof on cores cores through
+// ReplayWorkloadParallel into a 4-shard directory of cuckoo-4x64 slices
+// tracking 16 caches. An invalid workload or core count must be an
+// error; anything else must apply every access.
+func replayWorkload(t *testing.T, prof Workload, cores int) {
+	t.Helper()
+	dir, err := BuildSharded(Spec{Org: OrgCuckoo, NumCaches: 16, Geometry: Geometry{Ways: 4, Sets: 64}}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ReplayWorkloadParallel(dir, prof, cores, 1, 300, ReplayOptions{Workers: 1})
+	if err == nil && (res.Accesses != 300 || res.Dropped != 0) {
+		t.Fatalf("replayed %d accesses of 300 on %d cores, dropped %d", res.Accesses, cores, res.Dropped)
 	}
 }
