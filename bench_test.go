@@ -23,7 +23,10 @@ func benchExperiment(b *testing.B, id string) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		tables := e.Run(exp.Options{Scale: exp.Quick, Seed: uint64(i)})
+		tables, err := e.Run(exp.Options{Scale: exp.Quick, Seed: uint64(i)})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(tables) == 0 {
 			b.Fatalf("%s produced no tables", id)
 		}

@@ -157,7 +157,11 @@ func runExperiments(ids []string, o exp.Options) error {
 		fmt.Printf("### %s — %s [scale=%s]\n", e.ID, e.Title, o.Scale)
 		fmt.Printf("paper: %s\n\n", e.Expect)
 		start := time.Now()
-		for _, tbl := range e.Run(o) {
+		tables, err := e.Run(o)
+		if err != nil {
+			return err
+		}
+		for _, tbl := range tables {
 			if _, err := tbl.WriteTo(os.Stdout); err != nil {
 				return err
 			}

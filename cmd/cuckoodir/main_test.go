@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cuckoodir/internal/bench"
@@ -42,6 +43,10 @@ func TestRunCommandValidation(t *testing.T) {
 	}
 	if err := run([]string{"run", "-scale", "nope", "fig7"}); err == nil {
 		t.Error("bad scale should error")
+	}
+	if err := run([]string{"run", "-dir", "dup-tag-16x1024", "latency"}); err == nil ||
+		!strings.Contains(err.Error(), "duplicate-tag slices are unsupported") {
+		t.Errorf("-dir a slice the protocol simulator refuses: err = %v", err)
 	}
 	if err := run([]string{"help"}); err != nil {
 		t.Errorf("help: %v", err)

@@ -224,12 +224,6 @@ func BuildSharded(s Spec, shardCount int) (*ShardedDirectory, error) {
 	return directory.BuildSharded(s, shardCount)
 }
 
-// NewSharded builds a ShardedDirectory from an explicit per-shard
-// factory (for heterogeneous or pre-built shards).
-func NewSharded(shardCount int, build func(shard int) Directory) (*ShardedDirectory, error) {
-	return directory.NewSharded(shardCount, build)
-}
-
 // ---- asynchronous submission engine ----
 
 // Engine is the asynchronous submission front-end of a
@@ -628,11 +622,13 @@ const (
 // Experiments returns all experiments in paper order.
 func Experiments() []Experiment { return exp.All() }
 
-// RunExperiment regenerates the identified table or figure.
+// RunExperiment regenerates the identified table or figure. It returns
+// an error for an unknown id, or for an ExperimentOptions.Orgs name the
+// experiment's simulators refuse, before anything simulates.
 func RunExperiment(id string, o ExperimentOptions) ([]*Table, error) {
 	e, err := exp.ByID(id)
 	if err != nil {
 		return nil, err
 	}
-	return e.Run(o), nil
+	return e.Run(o)
 }

@@ -273,6 +273,10 @@ func TestPublicExperiments(t *testing.T) {
 	if _, err := RunExperiment("nope", ExperimentOptions{}); err == nil {
 		t.Fatal("expected error for unknown experiment")
 	}
+	_, err = RunExperiment("latency", ExperimentOptions{Orgs: []string{"dup-tag-16x1024"}})
+	if err == nil || !strings.Contains(err.Error(), "duplicate-tag slices are unsupported") {
+		t.Fatalf("latency with a refused Orgs name: err = %v", err)
+	}
 }
 
 // TestPublicSpecAPI exercises the declarative construction surface:

@@ -481,10 +481,10 @@ type Result struct {
 	// measured zero.
 	BytesPerOp  *int64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *int64 `json:"allocs_per_op,omitempty"`
-	// Notes flags rows whose numbers need a caveat to be interpretable —
-	// today, multi-worker/multi-producer cases recorded on a host that
-	// serializes them (GOMAXPROCS=1 or a single-CPU box), where "more
-	// parallelism is slower" is a recording artifact, not a result.
+	// Notes flags rows whose numbers need a caveat to be interpretable,
+	// such as parallel cases recorded on a host that serializes them,
+	// where "more parallelism is slower" is a recording artifact, not a
+	// result (parallelNote and RunSuite list them all).
 	Notes string `json:"notes,omitempty"`
 }
 
@@ -519,22 +519,33 @@ func caseParallelism(name string) int {
 	return par
 }
 
-// parallelNote renders the self-describing caveat for a parallel case
-// recorded on hardware that serializes it, or "" when the row is
-// trustworthy. A row like pr5's multi-producer regression then carries
-// its own explanation instead of reading as a scaling result.
+// parallelNote renders the caveats of a parallel case, or "" when the
+// row is trustworthy: a row recorded on hardware that serializes it is
+// no scaling result, and a multi-producer row's allocation count varies
+// with scheduling (up to 1.7x between runs on a 2-vCPU host).
 func parallelNote(name string, maxProcs, numCPU int) string {
 	par := caseParallelism(name)
-	if par <= 1 {
-		return ""
-	}
+	var note string
 	switch {
+	case par <= 1:
+		return ""
 	case maxProcs == 1:
-		return fmt.Sprintf("recorded at GOMAXPROCS=1: the %d-way parallelism of this case is serialized; not a scaling result", par)
+		note = fmt.Sprintf("recorded at GOMAXPROCS=1: the %d-way parallelism of this case is serialized; not a scaling result", par)
 	case numCPU < par:
-		return fmt.Sprintf("recorded with num_cpu=%d < %d-way case parallelism: scaling is capped by the hardware", numCPU, par)
+		note = fmt.Sprintf("recorded with num_cpu=%d < %d-way case parallelism: scaling is capped by the hardware", numCPU, par)
 	}
-	return ""
+	if strings.Contains(name, "producers=") {
+		note = joinNotes(note, "allocs/op depends on how the producers interleave with the drainers: do not compare it across runs")
+	}
+	return note
+}
+
+// joinNotes appends note to notes, "; "-separated.
+func joinNotes(notes, note string) string {
+	if notes == "" {
+		return note
+	}
+	return notes + "; " + note
 }
 
 // RunSuite executes the suite with the standard testing.Benchmark
@@ -569,12 +580,7 @@ func RunSuite(label string, match func(name string) bool, logf func(format strin
 		}
 		res.Notes = parallelNote(c.Name, run.MaxProcs, run.NumCPU)
 		if gf, ok := br.Extra["grow_failures"]; ok && gf > 0 {
-			note := fmt.Sprintf("%.1f automatic-grow failures per iteration: throughput was measured against a capacity-capped directory", gf)
-			if res.Notes != "" {
-				res.Notes += "; " + note
-			} else {
-				res.Notes = note
-			}
+			res.Notes = joinNotes(res.Notes, fmt.Sprintf("%.1f automatic-grow failures per iteration: throughput was measured against a capacity-capped directory", gf))
 		}
 		run.Results[c.Name] = res
 		if logf != nil {

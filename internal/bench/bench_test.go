@@ -154,6 +154,11 @@ func TestParallelNote(t *testing.T) {
 	if n := parallelNote("replay/shards=8/workers=4", 8, 8); n != "" {
 		t.Errorf("healthy parallel case noted: %q", n)
 	}
+	// A multi-producer engine row's allocation count depends on the
+	// interleaving, so it is noted even on hardware that backs it.
+	if n := parallelNote("replay/engine/shards=8/producers=4", 8, 8); !strings.Contains(n, "allocs/op") {
+		t.Errorf("multi-producer allocation note = %q", n)
+	}
 }
 
 // TestRegressions pins the bench regression guard: latency rows compare

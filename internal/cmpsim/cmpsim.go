@@ -25,9 +25,9 @@ import (
 	"math/bits"
 
 	"cuckoodir/internal/cache"
-	"cuckoodir/internal/core"
 	"cuckoodir/internal/directory"
 	"cuckoodir/internal/stats"
+	"cuckoodir/internal/tile"
 	"cuckoodir/internal/workload"
 )
 
@@ -126,17 +126,25 @@ func (c Config) validate() error {
 	return nil
 }
 
+// CheckSlice returns the error New would return for the slice spec on
+// this configuration (Spec.ValidateFor against the tracked caches),
+// without building anything.
+func (c Config) CheckSlice(slice directory.Spec) error {
+	if err := slice.WithCaches(c.NumCaches()).ValidateFor(c.TrackedSets, c.TrackedAssoc); err != nil {
+		return fmt.Errorf("cmpsim: slice: %w", err)
+	}
+	return nil
+}
+
 // System is one simulated CMP running one workload against one directory
 // organization.
 type System struct {
-	cfg       Config
-	caches    []*cache.Cache
-	slices    []directory.Directory
-	gens      []*workload.Generator
-	sliceMask uint64
-	nextCore  int
-	accesses  uint64
-	occ       stats.Mean
+	cfg      Config
+	tiles    *tile.Tiles
+	gens     []*workload.Generator
+	nextCore int
+	accesses uint64
+	occ      stats.Mean
 	// occEvery controls occupancy sampling frequency (accesses).
 	occEvery uint64
 }
@@ -144,7 +152,7 @@ type System struct {
 // New builds a system running the given workload profile, with one
 // directory slice per tile built from the slice spec bound to the
 // system's tracked-cache count. It checks the configuration, the profile
-// and the spec before it builds anything.
+// and the spec (CheckSlice) before it builds anything.
 func New(cfg Config, prof workload.Profile, seed uint64, slice directory.Spec) (*System, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -152,24 +160,14 @@ func New(cfg Config, prof workload.Profile, seed uint64, slice directory.Spec) (
 	if err := prof.Validate(cfg.Cores); err != nil {
 		return nil, fmt.Errorf("cmpsim: %w", err)
 	}
-	slice = slice.WithCaches(cfg.NumCaches())
-	if err := slice.ValidateFor(cfg.TrackedSets, cfg.TrackedAssoc); err != nil {
-		return nil, fmt.Errorf("cmpsim: slice: %w", err)
+	if err := cfg.CheckSlice(slice); err != nil {
+		return nil, err
 	}
-	s := &System{
-		cfg:       cfg,
-		sliceMask: uint64(cfg.Slices() - 1),
-		occEvery:  1024,
+	tiles, err := tile.New(cfg.NumCaches(), cfg.TrackedSets, cfg.TrackedAssoc, cfg.Slices(), slice)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < cfg.NumCaches(); i++ {
-		s.caches = append(s.caches, cache.New(cache.Config{
-			Sets:  cfg.TrackedSets,
-			Assoc: cfg.TrackedAssoc,
-		}))
-	}
-	for i := 0; i < cfg.Slices(); i++ {
-		s.slices = append(s.slices, directory.MustBuild(slice))
-	}
+	s := &System{cfg: cfg, tiles: tiles, occEvery: 1024}
 	for c := 0; c < cfg.Cores; c++ {
 		s.gens = append(s.gens, workload.NewGenerator(prof, c, cfg.Cores, seed))
 	}
@@ -192,10 +190,9 @@ func (s *System) cacheID(coreID int, code bool) int {
 	return coreID
 }
 
-// homeSlice returns the directory slice responsible for addr (static
-// block-address interleaving, Figure 2).
+// homeSlice returns addr's home slice (tile.Home).
 func (s *System) homeSlice(addr uint64) directory.Directory {
-	return s.slices[addr&s.sliceMask]
+	return s.tiles.Slices[s.tiles.Home(addr)]
 }
 
 // Step simulates one access from the next core (round-robin).
@@ -234,8 +231,7 @@ func (s *System) Inject(coreID int, a workload.Access) {
 // access performs one reference from coreID.
 func (s *System) access(coreID int, a workload.Access) {
 	cid := s.cacheID(coreID, a.Code)
-	c := s.caches[cid]
-	res := c.Access(a.Addr, a.Write)
+	res := s.tiles.Caches[cid].Access(a.Addr, a.Write)
 
 	// Replacement notification precedes the fill request, as in hardware
 	// (and as the Duplicate-Tag mirroring invariant requires).
@@ -264,7 +260,7 @@ func (s *System) applyOp(addr uint64, requester int, op directory.Op) {
 	for m := op.Invalidate; m != 0; m &= m - 1 {
 		c := bits.TrailingZeros64(m)
 		if c != requester {
-			s.caches[c].Remove(addr)
+			s.tiles.Caches[c].Remove(addr)
 		}
 	}
 	// Directory-forced evictions: the tracked blocks are invalidated in
@@ -274,7 +270,7 @@ func (s *System) applyOp(addr uint64, requester int, op directory.Op) {
 	// insertion fails.
 	for _, f := range op.Forced {
 		for m := f.Sharers; m != 0; m &= m - 1 {
-			s.caches[bits.TrailingZeros64(m)].Remove(f.Addr)
+			s.tiles.Caches[bits.TrailingZeros64(m)].Remove(f.Addr)
 		}
 	}
 }
@@ -282,7 +278,7 @@ func (s *System) applyOp(addr uint64, requester int, op directory.Op) {
 // occupancyNow returns current tracked entries / aggregate 1x capacity.
 func (s *System) occupancyNow() float64 {
 	entries := 0
-	for _, d := range s.slices {
+	for _, d := range s.tiles.Slices {
 		entries += d.Len()
 	}
 	return float64(entries) / float64(s.cfg.OneXSliceCapacity()*s.cfg.Slices())
@@ -296,29 +292,17 @@ func (s *System) MeanOccupancy() float64 { return s.occ.Value() }
 // ResetStats zeroes all cache and directory statistics and the occupancy
 // series; contents are preserved. Call after warm-up.
 func (s *System) ResetStats() {
-	for _, c := range s.caches {
-		c.ResetStats()
-	}
-	for _, d := range s.slices {
-		d.ResetStats()
-	}
+	s.tiles.ResetStats()
 	s.occ = stats.Mean{}
 }
 
-// DirStats returns the directory statistics merged across slices (the
-// merge grows the attempt histogram to the widest slice range).
-func (s *System) DirStats() *directory.Stats {
-	snaps := make([]*directory.Stats, len(s.slices))
-	for i, d := range s.slices {
-		snaps[i] = d.Stats()
-	}
-	return core.MergeDirStats(snaps...)
-}
+// DirStats returns the directory statistics merged across slices.
+func (s *System) DirStats() *directory.Stats { return s.tiles.DirStats() }
 
 // CacheStats returns the cache statistics summed over all tracked caches.
 func (s *System) CacheStats() cache.Stats {
 	var agg cache.Stats
-	for _, c := range s.caches {
+	for _, c := range s.tiles.Caches {
 		st := c.Stats()
 		agg.Hits += st.Hits
 		agg.Misses += st.Misses
@@ -333,50 +317,8 @@ func (s *System) CacheStats() cache.Stats {
 func (s *System) Accesses() uint64 { return s.accesses }
 
 // Slices returns the directory slices (for experiment-level inspection).
-func (s *System) Slices() []directory.Directory { return s.slices }
+func (s *System) Slices() []directory.Directory { return s.tiles.Slices }
 
-// CheckConsistency audits the caches against the directory: every cached
-// block must be visible in its home slice's sharer set (all organizations
-// promise at least a superset). For exact organizations (everything except
-// Tagless) it additionally verifies the converse: every tracked sharer
-// actually holds the block. It returns the first violation found.
-func (s *System) CheckConsistency() error {
-	for cid, c := range s.caches {
-		var err error
-		c.ForEach(func(addr uint64, _ cache.State) bool {
-			m, ok := s.homeSlice(addr).Lookup(addr)
-			if !ok || m&(1<<uint(cid)) == 0 {
-				err = fmt.Errorf("cmpsim: cache %d holds %#x but directory does not track it", cid, addr)
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-	}
-	for si, d := range s.slices {
-		if d.Name() == "tagless" {
-			continue // the filter view is a superset by design
-		}
-		var err error
-		d.ForEach(func(addr, sharers uint64) bool {
-			if sharers == 0 {
-				err = fmt.Errorf("cmpsim: slice %d tracks %#x with no sharers", si, addr)
-				return false
-			}
-			for m := sharers; m != 0; m &= m - 1 {
-				cid := bits.TrailingZeros64(m)
-				if !s.caches[cid].Contains(addr) {
-					err = fmt.Errorf("cmpsim: slice %d lists cache %d for %#x, which it does not hold", si, cid, addr)
-					return false
-				}
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// CheckConsistency audits the caches against the directory slices in
+// both directions (tile.Tiles.Check) and returns the first violation.
+func (s *System) CheckConsistency() error { return s.tiles.Check(nil) }

@@ -146,7 +146,7 @@ func TestSharedL2SplitsCodeAndData(t *testing.T) {
 	sys.Run(50000)
 	// I-caches (even ids) hold only code-region blocks; D-caches (odd)
 	// only data-region blocks.
-	for cid, c := range sys.caches {
+	for cid, c := range sys.tiles.Caches {
 		isICache := cid%2 == 0
 		bad := uint64(0)
 		c.ForEach(func(addr uint64, _ cache.State) bool {
@@ -199,14 +199,14 @@ func TestWritesInvalidateOtherCaches(t *testing.T) {
 	addr := workload.SharedBase + 1
 	sys.access(0, workload.Access{Addr: addr})
 	sys.access(1, workload.Access{Addr: addr})
-	if !sys.caches[0].Contains(addr) || !sys.caches[1].Contains(addr) {
+	if !sys.tiles.Caches[0].Contains(addr) || !sys.tiles.Caches[1].Contains(addr) {
 		t.Fatal("setup failed")
 	}
 	sys.access(0, workload.Access{Addr: addr, Write: true})
-	if sys.caches[1].Contains(addr) {
+	if sys.tiles.Caches[1].Contains(addr) {
 		t.Fatal("writer did not invalidate the other sharer")
 	}
-	if !sys.caches[0].Contains(addr) {
+	if !sys.tiles.Caches[0].Contains(addr) {
 		t.Fatal("writer lost its own copy")
 	}
 	m, ok := sys.homeSlice(addr).Lookup(addr)

@@ -23,13 +23,12 @@ package coherence
 
 import (
 	"fmt"
-	"math/bits"
 
 	"cuckoodir/internal/cache"
-	"cuckoodir/internal/core"
 	"cuckoodir/internal/directory"
 	"cuckoodir/internal/event"
 	"cuckoodir/internal/noc"
+	"cuckoodir/internal/tile"
 	"cuckoodir/internal/workload"
 )
 
@@ -120,14 +119,13 @@ type DirTimingStats struct {
 
 // System is the protocol simulation.
 type System struct {
-	cfg    Config
-	q      *event.Queue
-	mesh   *noc.Mesh
-	caches []*cache.Cache
-	dirs   []*dirCtl
-	cores  []*coreCtl
+	cfg   Config
+	q     *event.Queue
+	mesh  *noc.Mesh
+	tiles *tile.Tiles
+	dirs  []*dirCtl
+	cores []*coreCtl
 
-	sliceMask uint64
 	completed uint64
 	target    uint64
 
@@ -152,10 +150,25 @@ func (c Config) validate() error {
 	return nil
 }
 
+// CheckSlice returns the error New would return for the slice spec on
+// this configuration (Spec.ValidateFor against the caches, and no
+// Duplicate-Tag slice), without building anything.
+func (c Config) CheckSlice(slice directory.Spec) error {
+	slice = slice.WithCaches(c.Cores)
+	if err := slice.ValidateFor(c.CacheSets, c.CacheAssoc); err != nil {
+		return fmt.Errorf("coherence: slice: %w", err)
+	}
+	if slice.Org == directory.OrgDuplicateTag {
+		return fmt.Errorf("coherence: slice %s: duplicate-tag slices are unsupported: a replacement notice can wait "+
+			"behind a busy block at its home while the fill that replaced it goes ahead, overflowing the mirrored set", slice)
+	}
+	return nil
+}
+
 // New builds a protocol system running the given workload, with one home
 // slice per core built from the slice spec bound to the core count. It
-// checks the configuration, the profile and the spec before it builds
-// anything.
+// checks the configuration, the profile and the spec (CheckSlice) before
+// it builds anything.
 func New(cfg Config, prof workload.Profile, seed uint64, slice directory.Spec) (*System, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -163,36 +176,21 @@ func New(cfg Config, prof workload.Profile, seed uint64, slice directory.Spec) (
 	if err := prof.Validate(cfg.Cores); err != nil {
 		return nil, fmt.Errorf("coherence: %w", err)
 	}
-	slice = slice.WithCaches(cfg.Cores)
-	if err := slice.ValidateFor(cfg.CacheSets, cfg.CacheAssoc); err != nil {
-		return nil, fmt.Errorf("coherence: slice: %w", err)
+	if err := cfg.CheckSlice(slice); err != nil {
+		return nil, err
 	}
-	if slice.Org == directory.OrgDuplicateTag {
-		return nil, fmt.Errorf("coherence: slice %s: duplicate-tag slices are unsupported: a replacement notice can wait "+
-			"behind a busy block at its home while the fill that replaced it goes ahead, overflowing the mirrored set", slice)
+	tiles, err := tile.New(cfg.Cores, cfg.CacheSets, cfg.CacheAssoc, cfg.Cores, slice)
+	if err != nil {
+		return nil, err
 	}
 	q := &event.Queue{}
-	s := &System{
-		cfg:       cfg,
-		q:         q,
-		mesh:      noc.New(cfg.Mesh, q),
-		sliceMask: uint64(cfg.Cores - 1),
-	}
+	s := &System{cfg: cfg, q: q, mesh: noc.New(cfg.Mesh, q), tiles: tiles}
 	for i := 0; i < cfg.Cores; i++ {
-		s.caches = append(s.caches, cache.New(cache.Config{
-			Sets:  cfg.CacheSets,
-			Assoc: cfg.CacheAssoc,
-		}))
-		s.dirs = append(s.dirs, newDirCtl(s, i, directory.MustBuild(slice)))
-	}
-	for i := 0; i < cfg.Cores; i++ {
+		s.dirs = append(s.dirs, newDirCtl(s, i, tiles.Slices[i]))
 		s.cores = append(s.cores, newCoreCtl(s, i, workload.NewGenerator(prof, i, cfg.Cores, seed)))
 	}
 	return s, nil
 }
-
-// home returns the slice index of addr.
-func (s *System) home(addr uint64) int { return int(addr & s.sliceMask) }
 
 // send routes a message and invokes the destination handler on delivery.
 func (s *System) send(src, dst int, m msg, size int, toDir bool) {
@@ -233,8 +231,8 @@ func (s *System) ResetStats() {
 	s.coreStats = CoreStats{}
 	for _, d := range s.dirs {
 		d.stats = DirTimingStats{}
-		d.dir.ResetStats()
 	}
+	s.tiles.ResetStats()
 	s.mesh.ResetStats()
 }
 
@@ -256,13 +254,7 @@ func (s *System) DirStats() DirTimingStats {
 }
 
 // DirectoryStats returns the merged functional directory statistics.
-func (s *System) DirectoryStats() *directory.Stats {
-	snaps := make([]*directory.Stats, len(s.dirs))
-	for i, d := range s.dirs {
-		snaps[i] = d.dir.Stats()
-	}
-	return core.MergeDirStats(snaps...)
-}
+func (s *System) DirectoryStats() *directory.Stats { return s.tiles.DirStats() }
 
 // MeshStats returns interconnect traffic counters.
 func (s *System) MeshStats() noc.Stats { return s.mesh.Stats() }
@@ -277,59 +269,24 @@ func (s *System) AvgMissLatency() float64 {
 	return float64(s.coreStats.MissLatency) / float64(n)
 }
 
-// CheckConsistency audits caches against directory slices, as in cmpsim.
-// It must only be called when the calendar is quiescent (between Runs it
-// may report transient in-flight states as errors; prefer calling after
-// Drain).
+// CheckConsistency audits caches against slices (tile.Tiles.Check) and
+// single-writer/multiple-reader: a Modified block has exactly one
+// holder. Call it only when the calendar is quiescent, after Drain.
 func (s *System) CheckConsistency() error {
 	modified := make(map[uint64]int)
 	holders := make(map[uint64]int)
-	for cid, c := range s.caches {
-		var err error
-		c.ForEach(func(addr uint64, st cache.State) bool {
-			m, ok := s.dirs[s.home(addr)].dir.Lookup(addr)
-			if !ok || m&(1<<uint(cid)) == 0 {
-				err = fmt.Errorf("coherence: cache %d holds %#x untracked", cid, addr)
-				return false
-			}
-			holders[addr]++
-			if st == cache.Modified {
-				modified[addr]++
-			}
-			return true
-		})
-		if err != nil {
-			return err
+	if err := s.tiles.Check(func(_ int, addr uint64, st cache.State) {
+		holders[addr]++
+		if st == cache.Modified {
+			modified[addr]++
 		}
+	}); err != nil {
+		return err
 	}
-	// Single-writer/multiple-reader: a Modified block has exactly one
-	// holder system-wide.
 	for addr, n := range modified {
 		if n > 1 || holders[addr] > 1 {
 			return fmt.Errorf("coherence: SWMR violated for %#x: %d modified, %d holders",
 				addr, n, holders[addr])
-		}
-	}
-	// Converse direction: every tracked sharer must actually hold the
-	// block (a failure here means directory entries leak).
-	for si, d := range s.dirs {
-		var err error
-		d.dir.ForEach(func(addr, sharers uint64) bool {
-			if sharers == 0 {
-				err = fmt.Errorf("coherence: slice %d tracks %#x with no sharers", si, addr)
-				return false
-			}
-			for m := sharers; m != 0; m &= m - 1 {
-				cid := bits.TrailingZeros64(m)
-				if !s.caches[cid].Contains(addr) {
-					err = fmt.Errorf("coherence: slice %d lists cache %d for %#x, which it does not hold", si, cid, addr)
-					return false
-				}
-			}
-			return true
-		})
-		if err != nil {
-			return err
 		}
 	}
 	return nil

@@ -231,6 +231,26 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestCheckConsistencySWMR: two caches holding one block Modified, both
+// listed at its home slice, pass the cache/slice audit but trip the
+// single-writer check.
+func TestCheckConsistencySWMR(t *testing.T) {
+	sys := mustNew(t, smallCfg(), testProfile(), 1, idealSpec)
+	const addr = 0x1000
+	home := sys.tiles.Slices[sys.tiles.Home(addr)]
+	for c := 0; c < 2; c++ {
+		sys.tiles.Caches[c].Access(addr, true)
+		home.Read(addr, c)
+	}
+	if err := sys.tiles.Check(nil); err != nil {
+		t.Fatalf("cache/slice audit: %v", err)
+	}
+	err := sys.CheckConsistency()
+	if err == nil || !strings.Contains(err.Error(), "SWMR violated for 0x1000: 2 modified, 2 holders") {
+		t.Fatalf("CheckConsistency = %v, want the SWMR violation", err)
+	}
+}
+
 func BenchmarkProtocolStep(b *testing.B) {
 	sys := mustNew(b, smallCfg(), testProfile(), 1, cuckooSpec)
 	b.ResetTimer()

@@ -46,7 +46,7 @@ func (c *coreCtl) issue() {
 	}
 	c.idle = false
 	a := c.gen.Next()
-	cch := c.s.caches[c.id]
+	cch := c.s.tiles.Caches[c.id]
 	st := cch.State(a.Addr)
 	switch {
 	case st == cache.Modified || (st == cache.Shared && !a.Write):
@@ -76,7 +76,7 @@ func (c *coreCtl) beginMiss(addr uint64, write, upgrade bool) {
 	if write {
 		k = getM
 	}
-	c.s.send(c.id, c.s.home(addr), msg{
+	c.s.send(c.id, c.s.tiles.Home(addr), msg{
 		kind: k, addr: addr, src: c.id, upgrade: upgrade,
 	}, ctrlBytes, true)
 }
@@ -87,12 +87,12 @@ func (c *coreCtl) handle(m msg) {
 	case inv:
 		// Drop the copy (possible already gone if we evicted it racily)
 		// and acknowledge to the home directory.
-		c.s.caches[c.id].Remove(m.addr)
-		c.s.send(c.id, c.s.home(m.addr), msg{kind: invAck, addr: m.addr, src: c.id}, ctrlBytes, true)
+		c.s.tiles.Caches[c.id].Remove(m.addr)
+		c.s.send(c.id, c.s.tiles.Home(m.addr), msg{kind: invAck, addr: m.addr, src: c.id}, ctrlBytes, true)
 	case recall:
 		// Downgrade M->S and return the data to the home directory.
-		c.s.caches[c.id].Downgrade(m.addr)
-		c.s.send(c.id, c.s.home(m.addr), msg{kind: recallAck, addr: m.addr, src: c.id}, dataBytes, true)
+		c.s.tiles.Caches[c.id].Downgrade(m.addr)
+		c.s.send(c.id, c.s.tiles.Home(m.addr), msg{kind: recallAck, addr: m.addr, src: c.id}, dataBytes, true)
 	case data:
 		c.completeMiss()
 	default:
@@ -106,7 +106,7 @@ func (c *coreCtl) completeMiss() {
 	if !c.waiting {
 		panic("coherence: data without outstanding miss")
 	}
-	cch := c.s.caches[c.id]
+	cch := c.s.tiles.Caches[c.id]
 	// For an upgrade whose copy survived, this is a write hit that
 	// promotes S to M; otherwise (plain miss, or an upgrade whose copy a
 	// racing invalidation stripped — the grant carried data) it fills,
@@ -119,7 +119,7 @@ func (c *coreCtl) completeMiss() {
 			k = putM
 			size = dataBytes
 		}
-		c.s.send(c.id, c.s.home(res.Victim.Addr), msg{
+		c.s.send(c.id, c.s.tiles.Home(res.Victim.Addr), msg{
 			kind: k, addr: res.Victim.Addr, src: c.id,
 		}, size, true)
 	}
@@ -353,7 +353,7 @@ func (d *dirCtl) applyForced(op directory.Op) {
 			// on delivery (no ack needed for correctness in this model).
 			addr := f.Addr
 			d.s.mesh.Send(d.id, sharer, ctrlBytes, func() {
-				d.s.caches[sharer].Remove(addr)
+				d.s.tiles.Caches[sharer].Remove(addr)
 			})
 		}
 	}

@@ -18,7 +18,7 @@ type simState struct {
 
 func captureState(sys *System) simState {
 	st := simState{}
-	for _, c := range sys.caches {
+	for _, c := range sys.tiles.Caches {
 		m := map[uint64]cache.State{}
 		c.ForEach(func(addr uint64, s cache.State) bool { m[addr] = s; return true })
 		st.caches = append(st.caches, m)

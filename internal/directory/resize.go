@@ -37,14 +37,14 @@ const DefaultMigrationRun = 64
 // applies when ResizePolicy.Factor is 0.
 const DefaultGrowthFactor = 2
 
-// ErrResizeInProgress is returned by ResizeShard/ResizeShardSpec when
+// ErrResizeInProgress is returned by ResizeShardSpec when
 // the shard is already migrating: a resize must complete before the
 // next one can re-geometry the same shard.
 var ErrResizeInProgress = errors.New("directory: shard resize already in progress")
 
 // ResizePolicy configures automatic growth of a ShardedDirectory's
 // shards. The zero value disables it; resizes then happen only through
-// the explicit ResizeShard/ResizeShardSpec API. Registry form:
+// the explicit ResizeShardSpec API. Registry form:
 // "sharded-8^grow=0.85x2(cuckoo-4x512)".
 type ResizePolicy struct {
 	// MaxLoad is the per-shard load factor (Len/Capacity) at or above
@@ -272,17 +272,6 @@ func (m *migratingDir) ForEach(fn func(addr, sharers uint64) bool) {
 
 var _ Directory = (*migratingDir)(nil)
 
-// adoptSpec records the per-slice spec and resize policy on a sharded
-// directory built through Build, so GrowShard knows the geometry to
-// scale. Func-built directories (NewSharded) have no spec; explicit
-// ResizeShard works for them, automatic growth does not.
-func (s *ShardedDirectory) adoptSpec(slice Spec, pol ResizePolicy) {
-	s.policy = pol
-	for _, sh := range s.shards {
-		sh.spec = slice
-	}
-}
-
 // ResizePolicy returns the automatic-growth policy the directory was
 // built with (zero when disabled).
 func (s *ShardedDirectory) ResizePolicy() ResizePolicy { return s.policy }
@@ -330,35 +319,14 @@ func (s *ShardedDirectory) ShardLoad(h int) float64 {
 	return float64(l) / float64(c)
 }
 
-// ResizeShard begins a live resize of shard h: build produces the
-// replacement slice (it is called WITHOUT the shard lock held and must
-// not touch the directory), the shard flips into migration state, and
-// subsequent MigrateShard calls (the engine's drainers, or
+// ResizeShardSpec begins a live resize of shard h to a replacement
+// slice built from the spec (any Shard field is ignored; the cache count
+// is bound to the directory's): the shard flips into migration state,
+// and subsequent MigrateShard calls (the engine's drainers, or
 // FinishResize) move its contents over incrementally while the union
-// of both tables keeps serving. The replacement must track the same
-// cache count; an empty shard completes immediately.
-//
-// Explicitly resized shards forget their build-time spec, so automatic
-// growth (ResizePolicy) no longer applies to them — use
-// ResizeShardSpec to keep growing by spec.
-func (s *ShardedDirectory) ResizeShard(h int, build func() Directory) error {
-	if h < 0 || h >= len(s.shards) {
-		return fmt.Errorf("directory: ResizeShard: shard %d out of range (have %d)", h, len(s.shards))
-	}
-	if build == nil {
-		return fmt.Errorf("directory: ResizeShard: nil build function")
-	}
-	nd := build()
-	if nd == nil {
-		return fmt.Errorf("directory: ResizeShard: build returned nil")
-	}
-	return s.beginResize(h, nd, Spec{})
-}
-
-// ResizeShardSpec is ResizeShard with the replacement described by a
-// slice spec (any Shard field is ignored; the cache count is bound to
-// the directory's). The spec is retained, so a ResizePolicy keeps
-// growing the shard from the new geometry.
+// of both tables keeps serving. An empty shard completes immediately.
+// The spec is retained, so a ResizePolicy keeps growing the shard from
+// the new geometry.
 func (s *ShardedDirectory) ResizeShardSpec(h int, slice Spec) error {
 	if h < 0 || h >= len(s.shards) {
 		return fmt.Errorf("directory: ResizeShardSpec: shard %d out of range (have %d)", h, len(s.shards))
@@ -369,19 +337,6 @@ func (s *ShardedDirectory) ResizeShardSpec(h int, slice Spec) error {
 	if err != nil {
 		return err
 	}
-	return s.beginResize(h, nd, slice)
-}
-
-// beginResize swaps shard h's slice for a migratingDir targeting nd.
-// spec, when non-zero, is retained for future automatic growth.
-func (s *ShardedDirectory) beginResize(h int, nd Directory, spec Spec) error {
-	if nd.NumCaches() != s.numCaches {
-		return fmt.Errorf("directory: ResizeShard: replacement tracks %d caches, directory tracks %d",
-			nd.NumCaches(), s.numCaches)
-	}
-	if _, ok := nd.(*ShardedDirectory); ok {
-		return fmt.Errorf("directory: ResizeShard: replacement slice must not itself be sharded")
-	}
 	sh := s.shards[h]
 	sh.mu.Lock()
 	if _, ok := sh.dir.(*migratingDir); ok {
@@ -389,10 +344,10 @@ func (s *ShardedDirectory) beginResize(h int, nd Directory, spec Spec) error {
 		return ErrResizeInProgress
 	}
 	old := sh.dir
+	sh.spec = slice
 	if old.Len() == 0 {
 		// Nothing to migrate: complete the resize in place.
 		sh.dir = nd
-		sh.spec = spec
 		sh.mu.Unlock()
 		s.resizeStarted.Add(1)
 		s.resizeDone.Add(1)
@@ -404,7 +359,6 @@ func (s *ShardedDirectory) beginResize(h int, nd Directory, spec Spec) error {
 		return true
 	})
 	sh.dir = m
-	sh.spec = spec
 	sh.migrating.Store(true)
 	sh.mu.Unlock()
 	s.migCount.Add(1)
@@ -481,9 +435,8 @@ func (s *ShardedDirectory) FinishResizes() {
 // MaxLoad, a replacement with Factor-times the geometry is built from
 // the shard's retained spec and a live resize begins. It reports
 // whether a resize started. With no policy (or no load trigger hit) it
-// returns (false, nil); a triggered grow that cannot proceed — the
-// shard was built without a spec, or the grown geometry fails
-// validation — returns an error.
+// returns (false, nil); a triggered grow whose grown geometry fails
+// validation returns an error.
 //
 //cuckoo:cold
 func (s *ShardedDirectory) GrowShard(h int) (bool, error) {
@@ -508,9 +461,6 @@ func (s *ShardedDirectory) GrowShard(h int) (bool, error) {
 	if c <= 0 || float64(l) < s.policy.MaxLoad*float64(c) {
 		return false, nil
 	}
-	if spec.Org == "" {
-		return false, fmt.Errorf("directory: GrowShard: shard %d has no retained spec (built by factory or explicitly resized); use ResizeShard", h)
-	}
 	grown, err := grownSpec(spec, s.policy.factor())
 	if err != nil {
 		return false, err
@@ -518,7 +468,7 @@ func (s *ShardedDirectory) GrowShard(h int) (bool, error) {
 	if err := s.ResizeShardSpec(h, grown); err != nil {
 		if errors.Is(err, ErrResizeInProgress) {
 			// Another grower won the race between the load check and
-			// beginResize; their resize covers this trigger.
+			// ResizeShardSpec; their resize covers this trigger.
 			return false, nil
 		}
 		return false, err

@@ -177,30 +177,25 @@ func TestResizeEmptyShard(t *testing.T) {
 }
 
 // TestResizeShardErrors: the explicit API rejects malformed calls with
-// errors, not panics.
+// errors, not panics, and binds a replacement spec to the directory:
+// its cache count is the directory's and its Shard field is dropped.
 func TestResizeShardErrors(t *testing.T) {
 	d := buildResizable(t, 2, 64)
-	if err := d.ResizeShard(5, func() Directory { return MustBuild(resizeSpec(128)) }); err == nil {
+	if err := d.ResizeShardSpec(5, resizeSpec(128)); err == nil {
 		t.Error("out-of-range shard accepted")
-	}
-	if err := d.ResizeShard(0, nil); err == nil {
-		t.Error("nil build accepted")
-	}
-	if err := d.ResizeShard(0, func() Directory { return nil }); err == nil {
-		t.Error("nil replacement accepted")
-	}
-	if err := d.ResizeShard(0, func() Directory {
-		return MustBuild(resizeSpec(128).WithCaches(4))
-	}); err == nil {
-		t.Error("cache-count mismatch accepted")
-	}
-	if err := d.ResizeShard(0, func() Directory {
-		return MustBuild(Spec{Org: OrgCuckoo, NumCaches: 8, Geometry: Geometry{Ways: 4, Sets: 64}, Shard: ShardSpec{Count: 2}})
-	}); err == nil {
-		t.Error("nested sharded replacement accepted")
 	}
 	if err := d.ResizeShardSpec(0, Spec{Org: "nonsense"}); err == nil {
 		t.Error("invalid replacement spec accepted")
+	}
+	nested := resizeSpec(128).WithCaches(4)
+	nested.Shard = ShardSpec{Count: 2}
+	if err := d.ResizeShardSpec(0, nested); err != nil {
+		t.Fatal(err)
+	}
+	got := d.shards[0].dir
+	if _, ok := got.(*ShardedDirectory); ok || got.NumCaches() != 8 || got.Capacity() != 4*128 {
+		t.Errorf("replacement %s tracks %d caches with capacity %d; want an unsharded 8-cache cuckoo-4x128",
+			got.Name(), got.NumCaches(), got.Capacity())
 	}
 }
 
@@ -241,23 +236,6 @@ func TestGrowShardPolicy(t *testing.T) {
 	}
 	if rs := d.ResizeStats(); rs.Started != 2 || rs.Completed != 2 {
 		t.Errorf("ResizeStats = %+v, want 2 started, 2 completed", rs)
-	}
-}
-
-// TestGrowShardNoSpec: a factory-built directory cannot auto-grow (no
-// retained geometry) and says so; an explicitly resized shard forgets
-// its spec likewise.
-func TestGrowShardNoSpec(t *testing.T) {
-	d, err := NewSharded(1, func(int) Directory { return MustBuild(resizeSpec(16)) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.policy = ResizePolicy{MaxLoad: 0.5}
-	for a := uint64(1); a <= 40; a++ {
-		d.Write(a, 0)
-	}
-	if _, err := d.GrowShard(0); err == nil {
-		t.Error("GrowShard on a factory-built shard succeeded without a spec")
 	}
 }
 

@@ -261,10 +261,8 @@ func (ctr *shardCtr) reset() {
 type dirShard struct {
 	mu  sync.Mutex
 	dir Directory
-	// spec is the slice's current build spec when the directory came
-	// through Build/BuildSharded (zero Org for factory-built shards) —
-	// the geometry automatic growth (GrowShard) scales from. Guarded by
-	// mu, like dir.
+	// spec is the slice's current build spec, the geometry automatic
+	// growth (GrowShard) scales from. Guarded by mu, like dir.
 	spec Spec
 	_    [64]byte
 	ctr  shardCtr
@@ -273,38 +271,23 @@ type dirShard struct {
 	migrating atomic.Bool
 }
 
-// NewSharded builds a concurrency-safe directory of shardCount
-// address-interleaved slices, each produced by build (called with the
-// shard index), homed through the default mixing hash. shardCount must be
-// a power of two; the slices must agree on NumCaches.
-func NewSharded(shardCount int, build func(shard int) Directory) (*ShardedDirectory, error) {
-	return NewShardedHome(shardCount, HomeMix, build)
-}
-
-// NewShardedHome is NewSharded with an explicit home function.
-func NewShardedHome(shardCount int, home Home, build func(shard int) Directory) (*ShardedDirectory, error) {
-	if shardCount <= 0 || shardCount&(shardCount-1) != 0 {
-		return nil, fmt.Errorf("directory: NewSharded: shardCount = %d, need a positive power of two", shardCount)
+// newSharded builds the sharded directory a validated spec describes:
+// Shard.Count slices of the spec without its Shard field, each carrying
+// that slice spec for automatic growth.
+func newSharded(s Spec) *ShardedDirectory {
+	slice := s
+	slice.Shard = ShardSpec{}
+	d := &ShardedDirectory{
+		mask:      uint64(s.Shard.Count - 1),
+		homeKind:  s.Shard.Home,
+		numCaches: s.NumCaches,
+		policy:    s.Shard.Resize,
 	}
-	if home > HomeInterleave {
-		return nil, fmt.Errorf("directory: NewSharded: unknown home function %d", home)
+	for range s.Shard.Count {
+		d.shards = append(d.shards, &dirShard{dir: MustBuild(slice), spec: slice})
 	}
-	s := &ShardedDirectory{mask: uint64(shardCount - 1), homeKind: home}
-	for i := 0; i < shardCount; i++ {
-		d := build(i)
-		if d == nil {
-			return nil, fmt.Errorf("directory: NewSharded: build(%d) returned nil", i)
-		}
-		if i == 0 {
-			s.numCaches = d.NumCaches()
-			s.name = shardedName(shardCount, home, d.Name())
-		} else if d.NumCaches() != s.numCaches {
-			return nil, fmt.Errorf("directory: NewSharded: shard %d tracks %d caches, shard 0 tracks %d",
-				i, d.NumCaches(), s.numCaches)
-		}
-		s.shards = append(s.shards, &dirShard{dir: d})
-	}
-	return s, nil
+	d.name = shardedName(s.Shard.Count, s.Shard.Home, d.shards[0].dir.Name())
+	return d
 }
 
 // shardedName renders the registry-name form of a sharded directory:

@@ -211,28 +211,6 @@ func applyOneLocked(s *ShardedDirectory, a Access) Op {
 	}
 }
 
-// TestNewShardedErrors: shape errors are reported, not panicked.
-func TestNewShardedErrors(t *testing.T) {
-	build := func(int) Directory { return MustBuild(shardedSpec()) }
-	for _, n := range []int{0, -1, 3, 12} {
-		if _, err := NewSharded(n, build); err == nil {
-			t.Errorf("NewSharded(%d) succeeded, want power-of-two error", n)
-		}
-	}
-	if _, err := NewSharded(2, func(int) Directory { return nil }); err == nil {
-		t.Error("NewSharded with nil-building factory succeeded")
-	}
-	mismatched := func(i int) Directory {
-		return MustBuild(shardedSpec().WithCaches(8 + 8*i))
-	}
-	if _, err := NewSharded(2, mismatched); err == nil {
-		t.Error("NewSharded with mismatched NumCaches succeeded")
-	}
-	if _, err := BuildSharded(Spec{Org: OrgCuckoo, NumCaches: 16, Geometry: Geometry{Ways: 4, Sets: 48}}, 4); err == nil {
-		t.Error("BuildSharded with invalid spec succeeded")
-	}
-}
-
 // TestShardedCapacityReachable: shard homing must not alias with the
 // set-index bits of organizations that index by raw low address bits
 // (Sparse does: XorFold is the identity). With aliased homing, a shard
@@ -258,17 +236,16 @@ func TestShardedCapacityReachable(t *testing.T) {
 	}
 }
 
-// TestShardedHeterogeneousStats: NewSharded admits shards of different
-// organizations, and Stats merges their different attempt-histogram
-// ranges (cuckoo caps at 32, sparse at 1) without panicking.
+// TestShardedHeterogeneousStats: a shard resized to another
+// organization (ResizeShardSpec) serves next to the others, and Stats
+// merges their different attempt-histogram ranges (cuckoo caps at 32,
+// sparse at 1) without panicking.
 func TestShardedHeterogeneousStats(t *testing.T) {
-	s, err := NewSharded(2, func(shard int) Directory {
-		if shard == 0 {
-			return MustBuild(shardedSpec())
-		}
-		return MustBuild(Spec{Org: OrgSparse, NumCaches: 16, Geometry: Geometry{Ways: 8, Sets: 128}})
-	})
+	s, err := BuildSharded(shardedSpec(), 2)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ResizeShardSpec(1, Spec{Org: OrgSparse, Geometry: Geometry{Ways: 8, Sets: 128}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, a := range randomAccesses(3, 5000) {
@@ -396,12 +373,15 @@ func TestHomeParse(t *testing.T) {
 }
 
 // TestBuildShardedBadCounts: non-positive and non-power-of-two shard
-// counts error instead of panicking.
+// counts, and an invalid slice spec, error instead of panicking.
 func TestBuildShardedBadCounts(t *testing.T) {
-	for _, n := range []int{0, -1, 3} {
+	for _, n := range []int{0, -1, 3, 12} {
 		if _, err := BuildSharded(shardedSpec(), n); err == nil {
 			t.Errorf("BuildSharded(spec, %d) succeeded", n)
 		}
+	}
+	if _, err := BuildSharded(Spec{Org: OrgCuckoo, NumCaches: 16, Geometry: Geometry{Ways: 4, Sets: 48}}, 4); err == nil {
+		t.Error("BuildSharded with invalid spec succeeded")
 	}
 }
 

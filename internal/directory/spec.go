@@ -395,15 +395,7 @@ func Build(s Spec) (Directory, error) {
 		return nil, err
 	}
 	if s.Shard.Count > 0 {
-		inner := s
-		inner.Shard = ShardSpec{}
-		sd, err := NewShardedHome(s.Shard.Count, s.Shard.Home,
-			func(int) Directory { return MustBuild(inner) })
-		if err != nil {
-			return nil, err
-		}
-		sd.adoptSpec(inner, s.Shard.Resize)
-		return sd, nil
+		return newSharded(s), nil
 	}
 	switch s.Org {
 	case OrgCuckoo:

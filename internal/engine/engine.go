@@ -63,8 +63,8 @@
 // idle while a migration is pending — a drainer migrates a bounded run
 // of entries for each of ITS shards (MigrateShard), so one shard's
 // rehash steals cycles only from its own drainer and the other shards
-// keep serving at full speed. Resizes start through ResizeShard /
-// ResizeShardSpec (which nudge the right drainer awake), or
+// keep serving at full speed. Resizes start through ResizeShardSpec
+// (which nudges the right drainer awake), or
 // automatically when the directory carries a ResizePolicy and a shard
 // crosses its load threshold after a drained run. Flush barriers and
 // Close interleave with migration steps like any other queue work:
@@ -443,8 +443,8 @@ type Stats struct {
 	// own ResizeStats instead).
 	MigrationRuns   uint64
 	MigratedEntries uint64
-	// ResizesStarted counts resizes begun through the engine (the
-	// ResizeShard/ResizeShardSpec API and automatic growth);
+	// ResizesStarted counts resizes begun through the engine
+	// (ResizeShardSpec and automatic growth);
 	// ResizesCompleted counts migrations the drainers drove to
 	// completion. An empty-shard resize completes in place without
 	// drainer work, so it is counted started but not completed here
@@ -452,8 +452,8 @@ type Stats struct {
 	ResizesStarted   uint64
 	ResizesCompleted uint64
 	// GrowFailures counts automatic-growth attempts that failed (a
-	// grown geometry exceeding spec bounds, or a shard with no retained
-	// spec). The trigger condition persists, so one overload can count
+	// grown geometry exceeding spec bounds, or an injected build
+	// failure). The trigger condition persists, so one overload can count
 	// many failures; Health().LastGrowError keeps the latest cause.
 	GrowFailures uint64
 	// Shed counts submissions refused with ErrDeadlineExceeded before
@@ -1281,7 +1281,7 @@ func (e *Engine) drainLoop(qi int, rings classRings, gathers []shardGather) {
 				}
 				continue
 			}
-			// A nudge (ResizeShard's drainer wake-up) is a barrier with
+			// A nudge (ResizeShardSpec's drainer wake-up) is a barrier with
 			// no ticket: nothing to complete.
 			if tail.t != nil {
 				tail.t.complete()
@@ -1373,33 +1373,21 @@ func (e *Engine) noteGrowError(h int, err error) {
 	e.lastGrow.Store(fmt.Errorf("shard %d: %w", h, err))
 }
 
-// ResizeShard begins a live resize of shard h — see
-// directory.ShardedDirectory.ResizeShard — and nudges the shard's
-// drainer so the migration proceeds even while its queue is idle. The
-// drainers execute the migration between request runs; traffic keeps
-// flowing throughout.
-func (e *Engine) ResizeShard(h int, build func() directory.Directory) error {
-	return e.resize(h, func() error { return e.dir.ResizeShard(h, build) })
-}
-
-// ResizeShardSpec is ResizeShard with the replacement described by a
-// slice spec (see directory.ShardedDirectory.ResizeShardSpec).
+// ResizeShardSpec begins a live resize of shard h to a slice built from
+// the spec (directory.ShardedDirectory.ResizeShardSpec) under the
+// submission lock, so it cannot race Close, and nudges the shard's
+// drainer, which migrates between request runs even while its queue is
+// idle; traffic keeps flowing throughout.
 func (e *Engine) ResizeShardSpec(h int, slice directory.Spec) error {
-	return e.resize(h, func() error { return e.dir.ResizeShardSpec(h, slice) })
-}
-
-// resize runs one begin-resize path under the submission lock (so it
-// cannot race Close's stop sentinels) and wakes the owning drainer.
-func (e *Engine) resize(h int, begin func() error) error {
 	if h < 0 || h >= e.dir.ShardCount() {
-		return fmt.Errorf("engine: ResizeShard: shard %d out of range (have %d)", h, e.dir.ShardCount())
+		return fmt.Errorf("engine: ResizeShardSpec: shard %d out of range (have %d)", h, e.dir.ShardCount())
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
 		return ErrClosed
 	}
-	if err := begin(); err != nil {
+	if err := e.dir.ResizeShardSpec(h, slice); err != nil {
 		return err
 	}
 	e.rzStarted.Add(1)

@@ -385,8 +385,8 @@ func TestEngineLifecycleMidMigration(t *testing.T) {
 			if err := eng.Flush(ctx); !errors.Is(err, ErrClosed) {
 				t.Errorf("Flush after Close = %v, want ErrClosed", err)
 			}
-			if err := eng.ResizeShard(0, func() directory.Directory { return nil }); !errors.Is(err, ErrClosed) {
-				t.Errorf("ResizeShard after Close = %v, want ErrClosed", err)
+			if err := eng.ResizeShardSpec(0, directory.Spec{Org: directory.OrgIdeal}); !errors.Is(err, ErrClosed) {
+				t.Errorf("ResizeShardSpec after Close = %v, want ErrClosed", err)
 			}
 
 			// A parked migration completes synchronously, census intact.
@@ -421,7 +421,7 @@ func TestEngineResizeErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if err := eng.ResizeShard(9, func() directory.Directory { return nil }); err == nil {
+	if err := eng.ResizeShardSpec(9, directory.Spec{Org: directory.OrgIdeal}); err == nil {
 		t.Error("out-of-range shard accepted")
 	}
 	if err := eng.ResizeShardSpec(0, directory.Spec{Org: "nonsense"}); err == nil {

@@ -24,7 +24,7 @@ func analyticExp() Experiment {
 			"full capacity, so avoiding them needs multi-x over-provisioning. The Cuckoo directory is " +
 			"reliable to its load threshold minus the attempt-cap discount (~0.78 for 3-ary, ~0.82 for " +
 			"4-ary at 32 attempts), which is why 1x-1.5x provisioning suffices.",
-		Run: func(o Options) []*stats.Table {
+		Run: func(o Options) ([]*stats.Table, error) {
 			const sets, assoc = 1024, 8
 			sparse := stats.NewTable("Sparse 8-way set overflow: Poisson model vs randomized fill",
 				"Occupancy", "Model overflow", "Measured overflow")
@@ -90,7 +90,7 @@ func analyticExp() Experiment {
 			ck.AddNote("Sparse 8-way stays conflict-free only to ~%.0f%% occupancy (eps 0.1%%) -> ~%.1fx over-provisioning",
 				model.SparseSafeOccupancy(sets, assoc, 0.001)*100,
 				model.RequiredProvisioning(model.SparseSafeOccupancy(sets, assoc, 0.001)))
-			return []*stats.Table{sparse, ck}
+			return []*stats.Table{sparse, ck}, nil
 		},
 	}
 }

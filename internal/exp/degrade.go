@@ -33,7 +33,7 @@ func degradeExp() Experiment {
 			"are rejected after bounded retries) while the other shards' per-shard throughput and " +
 			"p99 wait stay within noise of the healthy phase; after release, health recovers and " +
 			"the backlog drains with zero erred accesses and zero contained panics.",
-		Run: func(o Options) []*stats.Table {
+		Run: func(o Options) ([]*stats.Table, error) {
 			batches := 600
 			if o.Scale == Full {
 				batches = 6000
@@ -233,7 +233,7 @@ func degradeExp() Experiment {
 			t.AddNote("erred accesses: %d, contained panics: %d (a stall degrades service, it must not corrupt it); stall fired %d time(s)",
 				es.ErredAccesses, es.ContainedPanics, inj.Fired(faults.DrainerStall))
 			t.AddNote("per-shard rates from lock-free CountersByShard deltas, each producer group against its own wall time (producer 0 is dedicated to shard 0 so its stalled waits cannot head-of-line-block the healthy traffic); shard 0's stalled-phase rate counts only pre-stall completions — the contained failure mode is rejection, not collapse of the others")
-			return []*stats.Table{t}
+			return []*stats.Table{t}, nil
 		},
 	}
 }

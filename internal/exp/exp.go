@@ -62,8 +62,9 @@ type Experiment struct {
 	// Expect summarizes what the paper's version of the artifact shows —
 	// the shape a successful reproduction must match.
 	Expect string
-	// Run executes the experiment and returns its tables.
-	Run func(o Options) []*stats.Table
+	// Run executes the experiment and returns its tables, or, before it
+	// simulates anything, an error for an Options.Orgs name it refuses.
+	Run func(o Options) ([]*stats.Table, error)
 }
 
 // All returns the experiments in paper order.
@@ -128,9 +129,9 @@ func accessBudget(kind cmpsim.Kind, s Scale) (warm, measure int) {
 	}
 }
 
-// runSystem builds, warms and measures one system. Experiments have no
-// error path: a spec the simulator refuses panics, as an Options.Orgs
-// name orgOverrides cannot resolve does.
+// runSystem builds, warms and measures one system. orgOverrides has
+// checked every Options.Orgs spec against the configuration, so a spec
+// New refuses is a broken built-in lineup, and panics.
 func runSystem(cfg cmpsim.Config, prof workload.Profile, o Options, slice directory.Spec) *cmpsim.System {
 	warm, measure := accessBudget(cfg.Kind, o.Scale)
 	sys, err := cmpsim.New(cfg, prof, o.Seed+1, slice)

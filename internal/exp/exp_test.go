@@ -1,11 +1,17 @@
 package exp
 
 import (
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"cuckoodir/internal/cmpsim"
+	"cuckoodir/internal/coherence"
+	"cuckoodir/internal/directory"
 	"cuckoodir/internal/stats"
+	"cuckoodir/internal/workload"
 )
 
 // tableType aliases the stats table type for test readability.
@@ -68,11 +74,21 @@ func TestTable2(t *testing.T) {
 
 func runExp(t *testing.T, id string) []*tableType {
 	t.Helper()
+	return runOpts(t, id, Options{Scale: Quick})
+}
+
+// runOpts runs experiment id with o and checks it produced tables, none
+// of them empty.
+func runOpts(t *testing.T, id string, o Options) []*tableType {
+	t.Helper()
 	e, err := ByID(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := e.Run(Options{Scale: Quick})
+	ts, err := e.Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ts) == 0 {
 		t.Fatalf("%s produced no tables", id)
 	}
@@ -212,11 +228,7 @@ func TestReplayQuick(t *testing.T) {
 		t.Errorf("homes covered: %v, want both mix and interleave", homes)
 	}
 
-	e, err := ByID("replay")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts = e.Run(Options{Scale: Quick, Orgs: []string{"cuckoo-4x512", "sharded-2(cuckoo-4x512)"}})
+	ts = runOpts(t, "replay", Options{Scale: Quick, Orgs: []string{"cuckoo-4x512", "sharded-2(cuckoo-4x512)"}})
 	tb = ts[0]
 	if tb.NumRows() != 7 {
 		t.Fatalf("override rows = %d, want 7 (one eligible org)", tb.NumRows())
@@ -468,12 +480,8 @@ func TestOrgsOverride(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	e, err := ByID("fig12")
-	if err != nil {
-		t.Fatal(err)
-	}
 	orgs := []string{"cuckoo-4x1024", "skew-4x1024"}
-	ts := e.Run(Options{Scale: Quick, Orgs: orgs})
+	ts := runOpts(t, "fig12", Options{Scale: Quick, Orgs: orgs})
 	if len(ts) != 2 {
 		t.Fatalf("fig12 tables = %d", len(ts))
 	}
@@ -490,15 +498,85 @@ func TestOrgsOverride(t *testing.T) {
 	}
 }
 
-// TestOrgsOverridePanicsOnUnknown: an unresolvable name is a programming
-// error at the harness level (the CLI validates first).
-func TestOrgsOverridePanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown org name did not panic")
+// TestOrgsOverrideRejectsUnknown: an unresolvable name is an error,
+// and so is a name one of the checks refuses.
+func TestOrgsOverrideRejectsUnknown(t *testing.T) {
+	if _, err := orgOverrides(Options{Orgs: []string{"nonsense-1x2"}}); err == nil ||
+		!strings.Contains(err.Error(), `unknown organization "nonsense-1x2"`) {
+		t.Errorf("unknown name: err = %v", err)
+	}
+	refuse := func(directory.Spec) error { return errors.New("refused") }
+	if _, err := orgOverrides(Options{Orgs: []string{"cuckoo-4x512"}}, refuse); err == nil ||
+		!strings.Contains(err.Error(), `"cuckoo-4x512": refused`) {
+		t.Errorf("refused name: err = %v", err)
+	}
+}
+
+// TestCheckSliceMatchesNew: for every registered organization on the
+// Shared-L2, Private-L2 and protocol configurations, CheckSlice errs
+// exactly when New does (it builds the systems but runs none of them),
+// and fig9, fig12, formats and latency return a refused -dir name's
+// error before they simulate anything.
+func TestCheckSliceMatchesNew(t *testing.T) {
+	prof, err := workload.ByName("oracle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, private := cmpsim.DefaultConfig(cmpsim.SharedL2), cmpsim.DefaultConfig(cmpsim.PrivateL2)
+	protocol := coherence.DefaultConfig()
+	names := directory.Names()
+	if len(names) != 11 {
+		t.Errorf("registry has %d names, want 11", len(names))
+	}
+	refused := 0
+	for _, name := range names {
+		spec, _ := directory.LookupSpec(name)
+		for _, sim := range []struct {
+			label string
+			check error
+			build func() error
+		}{
+			{"Shared-L2", shared.CheckSlice(spec), func() error { _, err := cmpsim.New(shared, prof, 1, spec); return err }},
+			{"Private-L2", private.CheckSlice(spec), func() error { _, err := cmpsim.New(private, prof, 1, spec); return err }},
+			{"protocol", protocol.CheckSlice(spec), func() error { _, err := coherence.New(protocol, prof, 1, spec); return err }},
+		} {
+			newErr := sim.build()
+			if (sim.check == nil) != (newErr == nil) || (newErr != nil && newErr.Error() != sim.check.Error()) {
+				t.Errorf("%s on %s: CheckSlice = %v, New = %v", name, sim.label, sim.check, newErr)
+			}
+			if newErr != nil {
+				refused++
+			}
 		}
-	}()
-	orgOverrides(Options{Orgs: []string{"nonsense-1x2"}}, 16)
+	}
+	if refused == 0 {
+		t.Error("no registered organization is refused anywhere: the table checks nothing")
+	}
+
+	// dup-tag-2x512 mirrors Shared-L2's 512x2 L1s, so only Private-L2
+	// refuses it: fig9 and fig12 must check it before simulating their
+	// Shared-L2 tables. The protocol simulator refuses every dup-tag
+	// slice, and formats' Shared-L2 refuses one narrower than its L1s.
+	for id, name := range map[string]string{
+		"fig9":    "dup-tag-2x512",
+		"fig12":   "dup-tag-2x512",
+		"formats": "dup-tag-1x512",
+		"latency": "dup-tag-16x1024",
+	} {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		ts, err := e.Run(Options{Scale: Quick, Orgs: []string{"cuckoo-4x512", name}})
+		if err == nil || ts != nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s -dir cuckoo-4x512,%s: tables %v, err %v; want the refusal", id, name, ts, err)
+		}
+		// One simulated point takes seconds; a refusal takes microseconds.
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("%s took %v to refuse %s: it simulated first", id, d, name)
+		}
+	}
 }
 
 // TestOrgsOverrideFig9: the -dir override reaches the fig9 provisioning
@@ -509,12 +587,8 @@ func TestOrgsOverrideFig9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	e, err := ByID("fig9")
-	if err != nil {
-		t.Fatal(err)
-	}
 	orgs := []string{"cuckoo-4x1024", "ideal"}
-	ts := e.Run(Options{Scale: Quick, Orgs: orgs})
+	ts := runOpts(t, "fig9", Options{Scale: Quick, Orgs: orgs})
 	if len(ts) != 2 {
 		t.Fatalf("fig9 tables = %d", len(ts))
 	}
@@ -543,11 +617,7 @@ func TestOrgsOverrideFormats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	e, err := ByID("formats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := e.Run(Options{Scale: Quick, Orgs: []string{"cuckoo-4x512", "sharded-2(cuckoo-4x512)"}})
+	ts := runOpts(t, "formats", Options{Scale: Quick, Orgs: []string{"cuckoo-4x512", "sharded-2(cuckoo-4x512)"}})
 	tb := ts[0]
 	if got := tb.Headers()[0]; got != "Organization" {
 		t.Fatalf("override table leads with %q, want Organization", got)

@@ -73,7 +73,7 @@ func fig4Exp() Experiment {
 			"Tagless and Duplicate-Tag area stay flat and small; Sparse 8x full-vector grows linearly in " +
 			"both; Sparse 8x Coarse/Hierarchical energy/area stay nearly flat but area sits high (8x " +
 			"over-provisioning); In-Cache area grows linearly, crossing the Sparse variants near ~128 cores.",
-		Run: func(o Options) []*stats.Table {
+		Run: func(o Options) ([]*stats.Table, error) {
 			lineup := energy.Figure4Lineup()
 			mk := energy.SharedL2System
 			return []*stats.Table{
@@ -83,7 +83,7 @@ func fig4Exp() Experiment {
 				projectionTable("Figure 4 (bottom): directory energy per operation vs core count (2 caches/core I+D)",
 					"% of 1MB 16-way L2 tag lookup energy", lineup, mk,
 					func(e energy.Estimate) float64 { return e.EnergyPerOp }),
-			}
+			}, nil
 		},
 	}
 }
@@ -98,7 +98,7 @@ func fig13Exp() Experiment {
 			"Duplicate-Tag/Tagless and ~7x below Sparse 8x Coarse/Hierarchical; Tagless energy overtakes " +
 			"everything beyond ~128 cores; In-Cache (Shared-L2 only) area explodes past ~128 cores. " +
 			"Shared-L2 Cuckoo area < 3% of L2 at 1024 cores; Private-L2 < 30%.",
-		Run: func(o Options) []*stats.Table {
+		Run: func(o Options) ([]*stats.Table, error) {
 			var out []*stats.Table
 			for _, shared := range []bool{true, false} {
 				label := "Shared-L2 (2 caches per core [I+D])"
@@ -117,7 +117,7 @@ func fig13Exp() Experiment {
 						func(e energy.Estimate) float64 { return e.AreaPerCore }),
 				)
 			}
-			return out
+			return out, nil
 		},
 	}
 }

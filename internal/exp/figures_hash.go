@@ -42,7 +42,7 @@ func fig7Exp() Experiment {
 		Expect: "Below 50% occupancy, 3-ary and wider tables average <= 2 attempts (success on the " +
 			"initial lookup or one displacement); up to 65% occupancy they see zero insertion failures. " +
 			"2-ary degrades much earlier (threshold ~50%).",
-		Run: func(o Options) []*stats.Table {
+		Run: func(o Options) ([]*stats.Table, error) {
 			keys := 100000
 			if o.Scale == Quick {
 				keys = 50000
@@ -114,7 +114,7 @@ func fig7Exp() Experiment {
 			}
 			att.AddChart(attCh.String())
 			fail.AddChart(failCh.String())
-			return []*stats.Table{att, fail}
+			return []*stats.Table{att, fail}, nil
 		},
 	}
 }
@@ -132,7 +132,7 @@ func hashesExp() Experiment {
 			"the sharpest adverse case is UNSCATTERED (physically contiguous) addresses, where the linear " +
 			"skewing functions form translation-invariant conflict groups and thrash while strong hashes " +
 			"stay near one attempt. The OS's page scatter is what keeps skewing viable in practice.",
-		Run: func(o Options) []*stats.Table {
+		Run: func(o Options) ([]*stats.Table, error) {
 			t := stats.NewTable("Hash family comparison",
 				"Config", "Workload", "Size", "Prov", "Addresses", "Hash", "Avg attempts", "Inval rate")
 			type point struct {
@@ -190,7 +190,7 @@ func hashesExp() Experiment {
 						pctCell(ds.InvalidationRate()))
 				}
 			}
-			return []*stats.Table{t}
+			return []*stats.Table{t}, nil
 		},
 	}
 }
@@ -207,7 +207,7 @@ func ablationExp() Experiment {
 			"paper's provisioning, because failures are already near zero. The Elbow cache (one " +
 			"displacement per insertion) lands between Skewed and Cuckoo: it 'experiences more forced " +
 			"invalidations than the Cuckoo directory'.",
-		Run: func(o Options) []*stats.Table {
+		Run: func(o Options) ([]*stats.Table, error) {
 			keys := 90000
 			if o.Scale == Quick {
 				keys = 45000
@@ -264,7 +264,7 @@ func ablationExp() Experiment {
 					att(0.60), att(0.75), failAt(0.75), failAt(0.90),
 					fmt.Sprintf("%.2f", maxOcc))
 			}
-			return []*stats.Table{t, elbowTable(o)}
+			return []*stats.Table{t, elbowTable(o)}, nil
 		},
 	}
 }

@@ -23,7 +23,7 @@ func fig8Exp() Experiment {
 			"shrinks the distinct-block count), so no over-provisioning is needed; Private-L2 occupancy " +
 			"is higher, with DSS and scientific workloads dominated by private footprints and ocean " +
 			"near 100% unique blocks.",
-		Run: func(o Options) []*stats.Table {
+		Run: func(o Options) ([]*stats.Table, error) {
 			t := stats.NewTable("Figure 8: average directory occupancy (fraction of 1x capacity)",
 				"Workload", "Class", "Shared L2", "Private L2")
 			profs := suiteProfiles(o.Scale)
@@ -39,7 +39,7 @@ func fig8Exp() Experiment {
 					fmt.Sprintf("%.1f%%", occ[pi*2]*100),
 					fmt.Sprintf("%.1f%%", occ[pi*2+1]*100))
 			}
-			return []*stats.Table{t}
+			return []*stats.Table{t}, nil
 		},
 	}
 }
@@ -54,7 +54,12 @@ func fig9Exp() Experiment {
 		Expect: "Under-provisioning (factor < 1x) causes an exponential increase in insertion attempts " +
 			"and forced invalidations; Shared-L2 needs no over-provisioning (1x = 4x512 suffices); " +
 			"Private-L2 needs a modest 1.5x (3x8192).",
-		Run: func(o Options) []*stats.Table {
+		Run: func(o Options) ([]*stats.Table, error) {
+			shared, private := cmpsim.DefaultConfig(cmpsim.SharedL2), cmpsim.DefaultConfig(cmpsim.PrivateL2)
+			over, err := orgOverrides(o, shared.CheckSlice, private.CheckSlice)
+			if err != nil {
+				return nil, err
+			}
 			var out []*stats.Table
 			for _, kind := range []cmpsim.Kind{cmpsim.SharedL2, cmpsim.PrivateL2} {
 				cfg := cmpsim.DefaultConfig(kind)
@@ -67,7 +72,7 @@ func fig9Exp() Experiment {
 					spec  directory.Spec
 				}
 				var points []sizePoint
-				if over := orgOverrides(o, cfg.NumCaches()); over != nil {
+				if over != nil {
 					// Registry-driven sweep: provision factors come from
 					// each organization's built capacity relative to the
 					// configuration's 1x baseline. Only one unsharded
@@ -140,7 +145,7 @@ func fig9Exp() Experiment {
 				t.AddChart(ch.String())
 				out = append(out, t)
 			}
-			return out
+			return out, nil
 		},
 	}
 }
@@ -153,7 +158,7 @@ func fig10Exp() Experiment {
 		Title: "Figure 10: Cuckoo directory average insertion attempts (chosen sizes)",
 		Expect: "Typically below 2 attempts — a vacant location is usually found during the initial " +
 			"lookup; workloads with more private blocks (DSS, ocean) average somewhat higher.",
-		Run: func(o Options) []*stats.Table {
+		Run: func(o Options) ([]*stats.Table, error) {
 			t := stats.NewTable("Figure 10: average insertion attempts (Shared-L2 4x512, Private-L2 3x8192)",
 				"Workload", "Class", "Shared L2", "Private L2")
 			profs := suiteProfiles(o.Scale)
@@ -169,7 +174,7 @@ func fig10Exp() Experiment {
 					fmt.Sprintf("%.2f", means[pi*2]),
 					fmt.Sprintf("%.2f", means[pi*2+1]))
 			}
-			return []*stats.Table{t}
+			return []*stats.Table{t}, nil
 		},
 	}
 }
@@ -183,7 +188,7 @@ func fig11Exp() Experiment {
 		Expect: "Monotonically decaying distribution — each additional attempt exponentially less " +
 			"likely; most insertions (paper: 85% oracle, 73% ocean) need exactly one attempt; no mass " +
 			"at the 32-attempt cap (no loops).",
-		Run: func(o Options) []*stats.Table {
+		Run: func(o Options) ([]*stats.Table, error) {
 			t := stats.NewTable("Figure 11: insertion attempt distribution (percent of insert operations)",
 				"Attempts", "oracle (Shared L2)", "ocean (Private L2)")
 			type point struct {
@@ -209,7 +214,7 @@ func fig11Exp() Experiment {
 			}
 			t.AddNote("fraction at 1 attempt: oracle %.1f%%, ocean %.1f%% (paper: 85%%, 73%%)",
 				oracle.Attempts.Fraction(1)*100, ocean.Attempts.Fraction(1)*100)
-			return []*stats.Table{t}
+			return []*stats.Table{t}, nil
 		},
 	}
 }
@@ -224,13 +229,18 @@ func fig12Exp() Experiment {
 			"invalidations but not scientific ones; Sparse 8x still leaves significant rates for many " +
 			"workloads; the Cuckoo directory — with LESS capacity and associativity — is near zero " +
 			"everywhere (ocean at 1.5x Private-L2 shows a small residue, paper: 0.08%).",
-		Run: func(o Options) []*stats.Table {
+		Run: func(o Options) ([]*stats.Table, error) {
+			shared, private := cmpsim.DefaultConfig(cmpsim.SharedL2), cmpsim.DefaultConfig(cmpsim.PrivateL2)
+			over, err := orgOverrides(o, shared.CheckSlice, private.CheckSlice)
+			if err != nil {
+				return nil, err
+			}
 			var out []*stats.Table
 			for _, kind := range []cmpsim.Kind{cmpsim.SharedL2, cmpsim.PrivateL2} {
 				cfg := cmpsim.DefaultConfig(kind)
 				// Under `run -dir` the lineup is exactly the named
 				// organizations, in order.
-				orgs := orgOverrides(o, cfg.NumCaches())
+				orgs := over
 				if orgs == nil {
 					cuckooName := "Cuckoo 1x"
 					if kind == cmpsim.PrivateL2 {
@@ -264,7 +274,7 @@ func fig12Exp() Experiment {
 				}
 				out = append(out, t)
 			}
-			return out
+			return out, nil
 		},
 	}
 }
@@ -278,7 +288,7 @@ func mixExp() Experiment {
 		Expect: "Roughly balanced insert/remove-tag (every tracked block enters and leaves) and " +
 			"add/remove-sharer pairs, with a small invalidate-all fraction. Paper: insert 23.5%, add " +
 			"sharer 26.9%, remove sharer 24.9%, remove tag 23.5%, invalidate 1.2%.",
-		Run: func(o Options) []*stats.Table {
+		Run: func(o Options) ([]*stats.Table, error) {
 			paper := [core.NumEvents]float64{
 				core.EvInsertTag:    0.235,
 				core.EvAddSharer:    0.269,
@@ -317,7 +327,7 @@ func mixExp() Experiment {
 				row = append(row, fmt.Sprintf("%.1f%%", paper[ev]*100))
 				t.AddRow(row...)
 			}
-			return []*stats.Table{t}
+			return []*stats.Table{t}, nil
 		},
 	}
 }

@@ -26,7 +26,7 @@ func formatsExp() Experiment {
 			"bits) and limited pointers: large storage savings, paid for with spurious invalidations on " +
 			"widely-shared blocks and entries that outlive their sharers. Hierarchical: exact at " +
 			"sqrt-scaled root cost plus replicated second-level tags.",
-		Run: func(o Options) []*stats.Table {
+		Run: func(o Options) ([]*stats.Table, error) {
 			cfg := cmpsim.DefaultConfig(cmpsim.SharedL2)
 			size := cmpsim.ChosenCuckooSize(cmpsim.SharedL2)
 			numCaches := cfg.NumCaches()
@@ -43,7 +43,11 @@ func formatsExp() Experiment {
 			bases := []namedSpec{{"", size.Spec()}}
 			var skipped []string
 			overridden := false
-			if over := orgOverrides(o, numCaches); over != nil {
+			over, err := orgOverrides(o, cfg.CheckSlice)
+			if err != nil {
+				return nil, err
+			}
+			if over != nil {
 				overridden = true
 				bases = bases[:0]
 				for _, ns := range over {
@@ -111,7 +115,7 @@ func formatsExp() Experiment {
 			if len(bases) == 0 {
 				t.AddNote("no eligible -dir organization: nothing measured")
 			}
-			return []*stats.Table{t}
+			return []*stats.Table{t}, nil
 		},
 	}
 }

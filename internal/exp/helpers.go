@@ -13,26 +13,28 @@ type namedSpec struct {
 	spec directory.Spec
 }
 
-// orgOverrides resolves Options.Orgs into an organization lineup bound
-// to numCaches tracked caches, or nil when no override was requested —
-// the hook that lets `cuckoodir run -dir a,b,c` sweep arbitrary
-// registered organizations through an experiment without code changes.
-// Experiments have no error path, so unresolvable names panic (the CLI
-// validates names before running).
-func orgOverrides(o Options, numCaches int) []namedSpec {
+// orgOverrides resolves Options.Orgs into an organization lineup, or
+// nil when no override was requested — the hook that lets `cuckoodir
+// run -dir a,b,c` sweep arbitrary registered organizations through an
+// experiment without code changes. A name that does not resolve, or
+// that a check (the CheckSlice of each simulator configuration the
+// experiment builds) refuses, is an error before anything simulates.
+func orgOverrides(o Options, checks ...func(directory.Spec) error) ([]namedSpec, error) {
 	if len(o.Orgs) == 0 {
-		return nil
+		return nil, nil
 	}
 	out := make([]namedSpec, 0, len(o.Orgs))
 	for _, name := range o.Orgs {
-		spec, ok := directory.LookupSpec(name)
-		if !ok {
-			panic(fmt.Sprintf("exp: unknown organization %q in Options.Orgs", name))
+		spec, err := directory.LookupSpecErr(name)
+		if err != nil {
+			return nil, fmt.Errorf("exp: Options.Orgs: %w", err)
 		}
-		if err := spec.WithCaches(numCaches).Validate(); err != nil {
-			panic(fmt.Sprintf("exp: Options.Orgs %q: %v", name, err))
+		for _, check := range checks {
+			if err := check(spec); err != nil {
+				return nil, fmt.Errorf("exp: Options.Orgs %q: %w", name, err)
+			}
 		}
 		out = append(out, namedSpec{name: name, spec: spec})
 	}
-	return out
+	return out, nil
 }

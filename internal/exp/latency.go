@@ -22,7 +22,7 @@ func latencyExp() Experiment {
 		Expect: "Average insertion occupancy is ~1-2 cycles per insert; the added request wait is a " +
 			"tiny fraction (<1%) of average miss latency, for both an ideal directory and the Cuckoo " +
 			"directory — 'no measurable impact on performance'.",
-		Run: func(o Options) []*stats.Table {
+		Run: func(o Options) ([]*stats.Table, error) {
 			accesses := uint64(400_000)
 			warm := uint64(200_000)
 			if o.Scale == Full {
@@ -38,7 +38,10 @@ func latencyExp() Experiment {
 			cfg := coherence.DefaultConfig()
 			// The protocol caches are 1024x16 (1 MB); size the slices as
 			// §5.2 selects for Private-L2 (1.5x = 3x8192 at 16 cores).
-			runs := orgOverrides(o, cfg.Cores)
+			runs, err := orgOverrides(o, cfg.CheckSlice)
+			if err != nil {
+				return nil, err
+			}
 			if runs == nil {
 				runs = []namedSpec{
 					{"ideal", directory.Spec{Org: directory.OrgIdeal, Capacity: 16384}},
@@ -48,7 +51,7 @@ func latencyExp() Experiment {
 			systems := parallelMap(len(runs), func(i int) *coherence.System {
 				sys, err := coherence.New(cfg, prof, o.Seed+7, runs[i].spec)
 				if err != nil {
-					panic(err) // no error path, as in runSystem
+					panic(err) // a broken built-in lineup, as in runSystem
 				}
 				sys.Run(warm)
 				sys.ResetStats()
@@ -82,7 +85,7 @@ func latencyExp() Experiment {
 					fmt.Sprintf("%d", ds.Invalidations))
 			}
 			t.AddNote("insert wait = cycles requests spent waiting for a preceding insertion's displacement writes")
-			return []*stats.Table{t}
+			return []*stats.Table{t}, nil
 		},
 	}
 }

@@ -33,7 +33,7 @@ func replayThroughputExp() Experiment {
 			"direct ApplyShard pipeline; multi-producer engine submission scales past the serial " +
 			"producer on multi-core hosts (a 1-CPU host shows pipeline overlap only); interleave " +
 			"homing shifts shard imbalance relative to the mixing hash.",
-		Run: func(o Options) []*stats.Table {
+		Run: func(o Options) ([]*stats.Table, error) {
 			accesses := 120_000
 			if o.Scale == Full {
 				accesses = 2_000_000
@@ -47,7 +47,11 @@ func replayThroughputExp() Experiment {
 				name: "cuckoo-4x4096",
 				spec: directory.Spec{Org: directory.OrgCuckoo, Geometry: directory.Geometry{Ways: 4, Sets: 4096}},
 			}}
-			if over := orgOverrides(o, cores); over != nil {
+			over, err := orgOverrides(o, func(s directory.Spec) error { return s.WithCaches(cores).Validate() })
+			if err != nil {
+				return nil, err
+			}
+			if over != nil {
 				inner = over
 			}
 			rows := []replayRow{
@@ -109,7 +113,7 @@ func replayThroughputExp() Experiment {
 			}
 			t.AddNote("replay feeds every record as a fill (no cache filtering) — the directory-side worst case; see DESIGN.md §6")
 			t.AddNote("engine rows: Workers is the drainer count; acc/s covers submission AND completion (Close drains before the clock stops)")
-			return []*stats.Table{t}
+			return []*stats.Table{t}, nil
 		},
 	}
 }

@@ -29,7 +29,7 @@ func resizeExp() Experiment {
 			"the non-resizing shards' per-shard throughput stays within noise of the before/after " +
 			"phases (the migration steals only shard 0's lock and its drainer's idle cycles), " +
 			"and zero entries are lost to forced migration evictions.",
-		Run: func(o Options) []*stats.Table {
+		Run: func(o Options) ([]*stats.Table, error) {
 			perPhase := 120_000
 			sets := 1024
 			// The address space is sized so each shard's distinct
@@ -161,7 +161,7 @@ func resizeExp() Experiment {
 					gf, health.LastGrowError)
 			}
 			t.AddNote("per-shard rates are computed from the lock-free CountersByShard deltas; absolute acc/s is host-dependent, the before/during/after ratios travel")
-			return []*stats.Table{t}
+			return []*stats.Table{t}, nil
 		},
 	}
 }

@@ -42,7 +42,7 @@ func saturateExp() Experiment {
 			"zero rejects and a p99 far below the background's — and in the no-QoS " +
 			"control the same flood, submitted classlessly, makes the foreground client " +
 			"itself shed and its tail collapse to the flood's.",
-		Run: func(o Options) []*stats.Table {
+		Run: func(o Options) ([]*stats.Table, error) {
 			fgBatches := 1500
 			levels := []int{0, 1, 2, 4}
 			if o.Scale == Full {
@@ -298,7 +298,7 @@ func saturateExp() Experiment {
 				ctrl.AddNote("WARNING: the control shed no more client batches than the QoS run (%d vs %d) — class separation made no measurable difference at this load on this host",
 					ctrlRejects, qosRejects)
 			}
-			return []*stats.Table{t, ctrl}
+			return []*stats.Table{t, ctrl}, nil
 		},
 	}
 }

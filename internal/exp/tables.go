@@ -15,7 +15,7 @@ func table1Exp() Experiment {
 		ID:     "table1",
 		Title:  "Table 1: System parameters",
 		Expect: "16-core CMP; split I/D 64KB 2-way L1s; 1MB/core 16-way L2; 64-byte blocks; 48-bit addresses.",
-		Run: func(o Options) []*stats.Table {
+		Run: func(o Options) ([]*stats.Table, error) {
 			t := stats.NewTable("Table 1: System parameters", "Parameter", "Value")
 			sh := cmpsim.DefaultConfig(cmpsim.SharedL2)
 			pr := cmpsim.DefaultConfig(cmpsim.PrivateL2)
@@ -28,7 +28,7 @@ func table1Exp() Experiment {
 			t.AddRow("Shared-L2 1x slice capacity", fmt.Sprintf("%d entries", sh.OneXSliceCapacity()))
 			t.AddRow("Private-L2 1x slice capacity", fmt.Sprintf("%d entries", pr.OneXSliceCapacity()))
 			t.AddRow("Address space", "48-bit")
-			return []*stats.Table{t}
+			return []*stats.Table{t}, nil
 		},
 	}
 }
@@ -40,14 +40,14 @@ func table2Exp() Experiment {
 		ID:     "table2",
 		Title:  "Table 2: Application parameters",
 		Expect: "OLTP (DB2, Oracle), DSS (TPC-H Q2/Q16/Q17), Web (Apache, Zeus), Scientific (em3d, ocean).",
-		Run: func(o Options) []*stats.Table {
+		Run: func(o Options) ([]*stats.Table, error) {
 			t := stats.NewTable("Table 2: Application parameters (synthetic stand-ins)",
 				"Workload", "Class", "Paper application", "Code blk", "Shared blk", "Private blk/core", "Wr frac")
 			for _, p := range workload.Profiles() {
 				t.AddRowf(p.Name, p.Class, p.Table2, p.CodeBlocks, p.SharedBlocks, p.PrivateBlocks, p.WriteFrac)
 			}
 			t.AddNote("footprints are 64-byte blocks; streaming workloads sweep their private region sequentially")
-			return []*stats.Table{t}
+			return []*stats.Table{t}, nil
 		},
 	}
 }

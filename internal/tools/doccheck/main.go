@@ -16,7 +16,9 @@
 //     sharded-8(cuckoo-4x1024), ...) resolves through the registry AND
 //     validates; placeholder tokens containing uppercase (org-WxS,
 //     sharded-N(INNER)) are ignored;
-//   - every experiment id from exp.IDs() is mentioned in EXPERIMENTS.md.
+//   - every experiment id from exp.IDs() is mentioned in EXPERIMENTS.md;
+//   - every package directory under internal/, except the tooling under
+//     internal/tools/, is named in DESIGN.md's §1 layer map.
 //
 // Usage: go run ./internal/tools/doccheck [-root DIR]
 package main
@@ -24,6 +26,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -62,6 +65,7 @@ func check(root string) []string {
 		problems = append(problems, checkDoc(root, name, string(data))...)
 	}
 	problems = append(problems, checkExperimentIDs(root)...)
+	problems = append(problems, checkLayerMap(root)...)
 	return problems
 }
 
@@ -75,6 +79,11 @@ var (
 	// shardedRE matches the sharded wrapper form, optionally carrying a
 	// home-function tag and/or a ^grow resize policy.
 	shardedRE = regexp.MustCompile(`^sharded-[0-9]+(@[a-z]+)?(\^grow=[0-9.]+(x[0-9.]+)?)?\(.+\)$`)
+	// layerMapRE captures the first fenced block after DESIGN.md's
+	// "## 1. Layer map" heading.
+	layerMapRE = regexp.MustCompile("(?s)\n## 1\\. Layer map\n.*?```\n(.*?)```")
+	// pkgRE matches a package path under internal/ in the layer map.
+	pkgRE = regexp.MustCompile(`internal/[a-z0-9_/]*[a-z0-9_]`)
 )
 
 // checkDoc validates one markdown document's references.
@@ -175,6 +184,40 @@ func checkExperimentIDs(root string) []string {
 		if !strings.Contains(string(data), "`"+id+"`") {
 			problems = append(problems, fmt.Sprintf("EXPERIMENTS.md: experiment id %q is not documented", id))
 		}
+	}
+	return problems
+}
+
+// checkLayerMap reports each package directory under internal/, the
+// tooling under internal/tools/ aside, that DESIGN.md's §1 layer map
+// does not name.
+func checkLayerMap(root string) []string {
+	data, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
+	if err != nil {
+		return []string{err.Error()}
+	}
+	mapped := map[string]bool{}
+	if m := layerMapRE.FindSubmatch(data); m != nil {
+		for _, p := range pkgRE.FindAll(m[1], -1) {
+			mapped[string(p)] = true
+		}
+	}
+	var problems []string
+	err = filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if rel = filepath.ToSlash(rel); rel == "internal/tools" {
+			return fs.SkipDir
+		}
+		if gofiles, _ := filepath.Glob(filepath.Join(path, "*.go")); len(gofiles) > 0 && !mapped[rel] {
+			problems = append(problems, fmt.Sprintf("DESIGN.md: the §1 layer map does not name package %s", rel))
+		}
+		return nil
+	})
+	if err != nil {
+		problems = append(problems, err.Error())
 	}
 	return problems
 }
