@@ -7,10 +7,13 @@
 // paper's figures: a FIXED set of named benchmark cases (table
 // find/insert/delete at swept occupancies for each hash family,
 // including the pre-devirtualization interface-dispatch path as a
-// baseline, plus sharded replay at swept worker/shard counts and the
-// engine-vs-ApplyShard submission A/B at swept producer counts) whose
-// results append to a stable, diffable JSON file, one labeled run per
-// PR. Future PRs extend the trajectory instead of re-measuring ad hoc.
+// baseline, batch indexing alone, plus sharded replay at swept
+// worker/shard counts and the engine-vs-ApplyShard submission A/B at
+// swept producer counts) whose results append to a stable, diffable
+// JSON file, one labeled run per PR. Future PRs extend the trajectory
+// instead of re-measuring ad hoc. Every row also carries the host
+// factor of a calibration kernel timed around it (calib.go) and its
+// ns/op normalized by that factor.
 //
 // The same cases are exposed as ordinary Go benchmarks in
 // bench_test.go (BenchmarkTableInsert, BenchmarkTableFind, ...), which
@@ -21,6 +24,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/bits"
 	"os"
 	"runtime"
@@ -28,6 +32,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"cuckoodir/internal/core"
 	"cuckoodir/internal/directory"
@@ -36,6 +41,7 @@ import (
 	"cuckoodir/internal/qos"
 	"cuckoodir/internal/replay"
 	"cuckoodir/internal/rng"
+	"cuckoodir/internal/trace"
 	"cuckoodir/internal/workload"
 )
 
@@ -191,13 +197,42 @@ func tableDelete(fam string, occPct int) func(b *testing.B) {
 	}
 }
 
-// Replay sweep: one iteration replays replayAccesses synthesized
-// accesses of the oracle workload through a sharded cuckoo directory;
-// the acc/s extra metric is the pipeline throughput.
+// Replay sweep: one iteration replays replayAccesses accesses of the
+// oracle workload, synthesized once per case before the timer starts,
+// through a sharded cuckoo directory; the acc/s extra metric is the
+// pipeline throughput.
 const (
 	replayAccesses = 200_000
 	replayCores    = 16
 )
+
+// records synthesizes n records of the oracle workload at seed.
+func records(b *testing.B, seed uint64, n int) []trace.Record {
+	prof, err := workload.ByName("oracle")
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := replay.Synthesize(prof, replayCores, seed, n)
+	recs := make([]trace.Record, n)
+	for i := range recs {
+		if recs[i], err = src.Next(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return recs
+}
+
+// sliceSource replays pre-generated records.
+type sliceSource struct{ recs []trace.Record }
+
+func (s *sliceSource) Next() (trace.Record, error) {
+	if len(s.recs) == 0 {
+		return trace.Record{}, io.EOF
+	}
+	r := s.recs[0]
+	s.recs = s.recs[1:]
+	return r, nil
+}
 
 // benchDir builds a sharded directory of cuckoo-4x{sets} slices.
 func benchDir(b *testing.B, shards, sets int) *directory.ShardedDirectory {
@@ -214,15 +249,12 @@ func benchDir(b *testing.B, shards, sets int) *directory.ShardedDirectory {
 
 func replayCase(shards, workers int) func(b *testing.B) {
 	return func(b *testing.B) {
-		prof, err := workload.ByName("oracle")
-		if err != nil {
-			b.Fatal(err)
-		}
+		recs := records(b, 11, replayAccesses)
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			d := benchDir(b, shards, 8192)
 			b.StartTimer()
-			res, err := replay.ReplayWorkload(d, prof, replayCores, 11, replayAccesses,
+			res, err := replay.Run(d, &sliceSource{recs},
 				replay.Options{Workers: workers, BatchSize: 256})
 			if err != nil {
 				b.Fatal(err)
@@ -245,9 +277,9 @@ func replayCase(shards, workers int) func(b *testing.B) {
 // express (visible on multi-core hosts; a 1-CPU box serializes it).
 func engineReplayCase(shards, producers int) func(b *testing.B) {
 	return func(b *testing.B) {
-		prof, err := workload.ByName("oracle")
-		if err != nil {
-			b.Fatal(err)
+		recs := make([][]trace.Record, producers)
+		for p := range recs {
+			recs[p] = records(b, 11+uint64(p), replayAccesses/producers)
 		}
 		var growFails uint64
 		for i := 0; i < b.N; i++ {
@@ -256,12 +288,13 @@ func engineReplayCase(shards, producers int) func(b *testing.B) {
 			b.StartTimer()
 			opts := replay.Options{BatchSize: 256, Via: replay.ViaEngine}
 			var res replay.Result
+			var err error
 			if producers == 1 {
-				res, err = replay.ReplayWorkload(d, prof, replayCores, 11, replayAccesses, opts)
+				res, err = replay.Run(d, &sliceSource{recs[0]}, opts)
 			} else {
 				srcs := make([]replay.Source, producers)
 				for p := range srcs {
-					srcs[p] = replay.Synthesize(prof, replayCores, 11+uint64(p), replayAccesses/producers)
+					srcs[p] = &sliceSource{recs[p]}
 				}
 				res, err = replay.RunMulti(d, srcs, opts)
 			}
@@ -302,17 +335,8 @@ const (
 // what the engine leaves per cycle.
 func engineSubmitCase(drainers int) func(b *testing.B) {
 	return func(b *testing.B) {
-		prof, err := workload.ByName("oracle")
-		if err != nil {
-			b.Fatal(err)
-		}
 		accs := make([]directory.Access, 0, 128*submitCycle)
-		src := replay.Synthesize(prof, replayCores, 11, cap(accs))
-		for range cap(accs) {
-			rec, err := src.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
+		for _, rec := range records(b, 11, cap(accs)) {
 			kind := directory.AccessRead
 			if rec.Access.Write {
 				kind = directory.AccessWrite
@@ -423,6 +447,36 @@ func applyChurnCase(sets int) func(b *testing.B) {
 	}
 }
 
+// indexKeys is the length of the index rows' key array: 512 KiB of
+// keys, streamed from memory as a directory's access stream is.
+const indexKeys = 1 << 16
+
+// indexCase times Indexer.IndexAll alone for a benchWays-way table of
+// sets sets per way in the named family, over a key array generated
+// before the timer starts. One op is one key.
+func indexCase(fam string, sets int) func(b *testing.B) {
+	return func(b *testing.B) {
+		var f hashfn.Family = hashfn.Strong{}
+		if fam == "skew" {
+			f = hashfn.NewSkew(bits.TrailingZeros(uint(sets)))
+		}
+		ix := hashfn.NewIndexer(f, benchWays, uint64(sets-1))
+		r := rng.New(0x1dec5)
+		keys := make([]uint64, indexKeys)
+		for i := range keys {
+			keys[i] = r.Uint64() >> 6
+		}
+		var idx [hashfn.MaxWays]uint64
+		var sink uint64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ix.IndexAll(keys[i%indexKeys], &idx)
+			sink += idx[0] ^ idx[benchWays-1]
+		}
+		Sink = sink
+	}
+}
+
 // Cases returns the fixed suite, in stable order. The set is part of
 // the trajectory contract: adding a case is fine (new rows appear in
 // later runs); renaming one breaks comparability, so don't.
@@ -466,13 +520,26 @@ func Cases() []Case {
 	for _, sets := range []int{512, 16384} { // as apply/hits, at 85% load and every read a miss
 		cases = append(cases, Case{fmt.Sprintf("apply/churn/sets=%d", sets), applyChurnCase(sets)})
 	}
+	for _, ic := range []struct {
+		fam  string
+		sets int
+	}{{"skew", 512}, {"skew", 16384}, {"strong", 16384}} { // the strong row is the control: no table
+		cases = append(cases, Case{fmt.Sprintf("index/%s/sets=%d", ic.fam, ic.sets), indexCase(ic.fam, ic.sets)})
+	}
 	return cases
 }
 
 // Result is one case's measurement.
 type Result struct {
+	// NsPerOp and OpsPerSec are raw: as timed on the recording host.
 	NsPerOp   float64 `json:"ns_per_op"`
 	OpsPerSec float64 `json:"ops_per_sec"`
+	// CalFactor is the host's slowdown against the reference host, from
+	// the calibration kernel timed around the case (calib.go), and
+	// NormNsPerOp is NsPerOp divided by it. Rows recorded before the
+	// kernel existed leave both out.
+	CalFactor   float64 `json:"cal_factor,omitempty"`
+	NormNsPerOp float64 `json:"norm_ns_per_op,omitempty"`
 	// AccPerSec is the replay pipeline throughput (replay cases only).
 	AccPerSec float64 `json:"acc_per_sec,omitempty"`
 	// BytesPerOp and AllocsPerOp are the heap bytes and objects one op
@@ -561,19 +628,25 @@ func RunSuite(label string, match func(name string) bool, logf func(format strin
 		NumCPU:   runtime.NumCPU(),
 		Results:  map[string]Result{},
 	}
+	cal := newCalibrator()
+	var ts []time.Duration
 	for _, c := range Cases() {
 		if match != nil && !match(c.Name) {
 			continue
 		}
+		ts = cal.sample(ts[:0])
 		br := testing.Benchmark(c.Bench)
+		ts = cal.sample(ts)
 		bytes, allocs := br.AllocedBytesPerOp(), br.AllocsPerOp()
 		res := Result{
-			NsPerOp:     float64(br.NsPerOp()),
+			NsPerOp:     float64(br.T.Nanoseconds()) / float64(max(br.N, 1)),
+			CalFactor:   factor(ts),
 			BytesPerOp:  &bytes,
 			AllocsPerOp: &allocs,
 		}
 		if res.NsPerOp > 0 {
 			res.OpsPerSec = 1e9 / res.NsPerOp
+			res.NormNsPerOp = res.NsPerOp / res.CalFactor
 		}
 		if acc, ok := br.Extra["acc/s"]; ok {
 			res.AccPerSec = acc
@@ -585,9 +658,11 @@ func RunSuite(label string, match func(name string) bool, logf func(format strin
 		run.Results[c.Name] = res
 		if logf != nil {
 			if res.AccPerSec > 0 {
-				logf("%-32s %12.0f ns/op %14.0f acc/s %10d B/op %8d allocs/op\n", c.Name, res.NsPerOp, res.AccPerSec, bytes, allocs)
+				logf("%-34s %12.0f ns/op %12.0f norm x%.2f %12.0f acc/s %10d B/op %8d allocs/op\n",
+					c.Name, res.NsPerOp, res.NormNsPerOp, res.CalFactor, res.AccPerSec, bytes, allocs)
 			} else {
-				logf("%-32s %12.1f ns/op %14.0f ops/s %10d B/op %8d allocs/op\n", c.Name, res.NsPerOp, res.OpsPerSec, bytes, allocs)
+				logf("%-34s %12.1f ns/op %12.1f norm x%.2f %12.0f ops/s %10d B/op %8d allocs/op\n",
+					c.Name, res.NsPerOp, res.NormNsPerOp, res.CalFactor, res.OpsPerSec, bytes, allocs)
 			}
 			if res.Notes != "" {
 				logf("  warning: %s\n", res.Notes)
@@ -598,12 +673,13 @@ func RunSuite(label string, match func(name string) bool, logf func(format strin
 }
 
 // Regressions compares cur against base case by case and returns one
-// human-readable line per case that got slower by more than factor
-// (e.g. factor 2 fails only on a >2x slowdown). Cases present in only
+// human-readable line per case that got slower by more than limit
+// (e.g. limit 2 fails only on a >2x slowdown). Cases present in only
 // one run are skipped — the guard protects existing rows, it does not
-// freeze the case set. Throughput cases compare acc/s; latency cases
-// compare ns/op.
-func Regressions(base, cur Run, factor float64) []string {
+// freeze the case set. Rows that both carry a normalized ns/op compare
+// it; otherwise throughput cases compare acc/s and latency cases raw
+// ns/op.
+func Regressions(base, cur Run, limit float64) []string {
 	var bad []string
 	names := make([]string, 0, len(cur.Results))
 	for name := range cur.Results {
@@ -616,16 +692,21 @@ func Regressions(base, cur Run, factor float64) []string {
 			continue
 		}
 		c := cur.Results[name]
-		if b.AccPerSec > 0 && c.AccPerSec > 0 {
-			if c.AccPerSec*factor < b.AccPerSec {
-				bad = append(bad, fmt.Sprintf("%s: %.0f acc/s vs %s's %.0f (%.2fx slower, limit %.1fx)",
-					name, c.AccPerSec, base.Label, b.AccPerSec, b.AccPerSec/c.AccPerSec, factor))
-			}
-			continue
+		var slow float64
+		var got string
+		switch {
+		case b.NormNsPerOp > 0 && c.NormNsPerOp > 0:
+			slow = c.NormNsPerOp / b.NormNsPerOp
+			got = fmt.Sprintf("%.1f normalized ns/op vs %s's %.1f", c.NormNsPerOp, base.Label, b.NormNsPerOp)
+		case b.AccPerSec > 0 && c.AccPerSec > 0:
+			slow = b.AccPerSec / c.AccPerSec
+			got = fmt.Sprintf("%.0f acc/s vs %s's %.0f", c.AccPerSec, base.Label, b.AccPerSec)
+		case b.NsPerOp > 0:
+			slow = c.NsPerOp / b.NsPerOp
+			got = fmt.Sprintf("%.1f ns/op vs %s's %.1f", c.NsPerOp, base.Label, b.NsPerOp)
 		}
-		if b.NsPerOp > 0 && c.NsPerOp > b.NsPerOp*factor {
-			bad = append(bad, fmt.Sprintf("%s: %.1f ns/op vs %s's %.1f (%.2fx slower, limit %.1fx)",
-				name, c.NsPerOp, base.Label, b.NsPerOp, c.NsPerOp/b.NsPerOp, factor))
+		if slow > limit {
+			bad = append(bad, fmt.Sprintf("%s: %s (%.2fx slower, limit %.1fx)", name, got, slow, limit))
 		}
 	}
 	return bad

@@ -28,6 +28,7 @@ func BenchmarkTableDelete(b *testing.B)  { benchGroup(b, "table/delete/") }
 func BenchmarkApplyHits(b *testing.B)    { benchGroup(b, "apply/hits/") }
 func BenchmarkApplyChurn(b *testing.B)   { benchGroup(b, "apply/churn/") }
 func BenchmarkEngineSubmit(b *testing.B) { benchGroup(b, "engine/submit/") }
+func BenchmarkIndex(b *testing.B)        { benchGroup(b, "index/") }
 func BenchmarkReplayPipeline(b *testing.B) {
 	if testing.Short() {
 		b.Skip("replay sweep needs real parallelism")
@@ -63,6 +64,9 @@ func TestCasesFixed(t *testing.T) {
 		"apply/churn/sets=16384",
 		"engine/submit/drainers=1",
 		"engine/submit/drainers=8",
+		"index/skew/sets=512",
+		"index/skew/sets=16384",
+		"index/strong/sets=16384",
 	} {
 		if !seen[want] {
 			t.Fatalf("case %q missing from the fixed set", want)
@@ -161,9 +165,10 @@ func TestParallelNote(t *testing.T) {
 	}
 }
 
-// TestRegressions pins the bench regression guard: latency rows compare
-// ns/op, throughput rows compare acc/s, cases present in only one run
-// are skipped, and only slowdowns past the factor fail.
+// TestRegressions pins the bench regression guard: rows that both carry
+// a normalized ns/op compare it, other latency rows compare raw ns/op,
+// throughput rows compare acc/s, cases present in only one run are
+// skipped, and only slowdowns past the factor fail.
 func TestRegressions(t *testing.T) {
 	base := Run{Label: "pr5", Results: map[string]Result{
 		"table/find/skew/occ=70":    {NsPerOp: 50},
@@ -186,6 +191,27 @@ func TestRegressions(t *testing.T) {
 	bad = Regressions(base, cur, 1.5)
 	if len(bad) != 2 {
 		t.Fatalf("Regressions(factor=1.5) = %q, want 2 rows", bad)
+	}
+
+	// Normalized rows: a 3x raw slowdown on a host 3x slower passes, and
+	// a raw speed-up on a host 4x faster is a 2.5x regression. A row
+	// normalized on one side only falls back to the raw comparison.
+	base = Run{Label: "pr28", Results: map[string]Result{
+		"index/skew/sets=512":       {NsPerOp: 5, CalFactor: 1, NormNsPerOp: 5},
+		"index/skew/sets=16384":     {NsPerOp: 8, CalFactor: 1, NormNsPerOp: 8},
+		"replay/shards=8/workers=1": {NsPerOp: 1e8, AccPerSec: 2e6, CalFactor: 1, NormNsPerOp: 1e8},
+		"apply/hits/sets=512":       {NsPerOp: 100},
+	}}
+	cur = Run{Label: "dev", Results: map[string]Result{
+		"index/skew/sets=512":       {NsPerOp: 15, CalFactor: 3, NormNsPerOp: 5},
+		"index/skew/sets=16384":     {NsPerOp: 5, CalFactor: 0.25, NormNsPerOp: 20},
+		"replay/shards=8/workers=1": {NsPerOp: 3e8, AccPerSec: 0.67e6, CalFactor: 3, NormNsPerOp: 1e8},
+		"apply/hits/sets=512":       {NsPerOp: 300, CalFactor: 3, NormNsPerOp: 100},
+	}}
+	bad = Regressions(base, cur, 2)
+	if len(bad) != 2 || !strings.Contains(bad[0], "apply/hits/sets=512: 300.0 ns/op") ||
+		!strings.Contains(bad[1], "index/skew/sets=16384: 20.0 normalized ns/op") {
+		t.Fatalf("Regressions(normalized) = %q, want the raw apply row and the normalized index row", bad)
 	}
 }
 

@@ -6,19 +6,25 @@
 // families are recognized and dispatched through a concrete switch with
 // their masks and rotation constants precomputed, and unknown families
 // keep working through the interface as a fallback. The batch form
-// (IndexAll) additionally shares the per-key work — the skewing family's
-// upper-field fold — across all ways, which the per-way interface
-// cannot.
+// (IndexAll) additionally shares the per-key work across all ways,
+// which the per-way interface cannot.
 //
-// The skewing kernel runs at the cost §5.5 quotes for hardware, a few
-// levels of shifts and XORs. Every rotation amount, per way and per
-// folded upper field, is reduced mod n at construction, so no index
-// computes a divide. Each rotation is one right shift of the doubled
-// field (see NewIndexer). Reindex goes further for a key being displaced:
-// it recovers the folded field from the set the key occupies instead of
-// folding the key again.
+// The skewing family is linear over GF(2): a key's index in any way is
+// the XOR of the indices of its eight bytes taken alone. Hardware
+// computes it as a tree of XORs (§5.5); software looks the bytes up. For
+// up to tableWays ways and fields of up to 16 bits, IndexAll XORs eight
+// entries of a byte table that packs every way's index in one word, and
+// every indexer of one shape shares that table (skewTable). Wider
+// shapes run the shift kernel, which also builds the tables: every
+// rotation amount is reduced mod n at construction, so no index
+// computes a divide, and each rotation is one right shift of the
+// doubled field (see NewIndexer). Reindex goes further for a key being
+// displaced: it recovers the folded field from the set the key occupies
+// instead of folding the key again.
 
 package hashfn
+
+import "sync"
 
 // MaxWays is the widest way batch IndexAll computes in one pass, and
 // the widest cuckoo table core builds — the paper evaluates 2..8 ways
@@ -33,6 +39,7 @@ type ixKind uint8
 const (
 	ixFamily ixKind = iota // unknown family: interface dispatch
 	ixSkew                 // skew, n <= 32: single-shift rotations
+	ixTable                // skew, n <= 16, ways <= tableWays: byte table
 	ixStrong
 	ixXorFold
 )
@@ -44,11 +51,13 @@ const (
 // literal Skew wider than 32 bits, go through the interface. Resolve one
 // with NewIndexer when the structure is built and keep it by value; the
 // zero Indexer is not usable. Indexers are stateless after construction
-// and safe for concurrent use.
+// and safe for concurrent use; copies share the skew table, which is
+// immutable.
 type Indexer struct {
 	kind ixKind
 	ways int
-	mask uint64 // set mask (sets-1), applied to every index
+	mask uint64     // set mask (sets-1), applied to every index
+	tab  *skewTable // ixTable: the shape's shared byte table
 	// Skew precomputation: the resolved field width n, its mask, and out
 	// = nmask & mask, the mask every skew index ends under.
 	n     uint
@@ -80,7 +89,9 @@ type Indexer struct {
 // — the doubled field holds both halves of the rotation, so one shift
 // replaces the shift, shift and OR of rotN. The doubled field needs 2n
 // bits, so a literal Skew wider than 32 bits (NewSkew rejects one) keeps
-// the interface fallback, whose Skew.Hash is exact at any width.
+// the interface fallback, whose Skew.Hash is exact at any width. A skew
+// of at most tableWays ways and n <= 16 then takes its shape's byte
+// table (sharedTable), which that kernel builds.
 func NewIndexer(f Family, ways int, setMask uint64) Indexer {
 	if f == nil {
 		panic("hashfn: NewIndexer: nil family")
@@ -113,6 +124,9 @@ func NewIndexer(f Family, ways int, setMask uint64) Indexer {
 				k := ((3*to)%n - (3*from)%n + n) % n
 				ix.shRe[from][to] = uint8(n - k)
 			}
+		}
+		if n <= 16 && ways <= tableWays {
+			ix.kind, ix.tab = ixTable, ix.sharedTable()
 		}
 	case Strong:
 		ix.kind = ixStrong
@@ -155,17 +169,13 @@ func (ix *Indexer) fold(key uint64) uint64 {
 //cuckoo:hotpath
 func (ix *Indexer) Index(way int, key uint64) uint64 {
 	switch ix.kind {
-	case ixSkew:
-		n := ix.n & 63
-		a1 := key & ix.nmask
-		a2 := ix.fold(key)
-		var sA, sB uint
-		if way < MaxWays {
-			sA, sB = uint(ix.shA[way]), uint(ix.shB[way])
-		} else {
-			sA, sB = n-uint(way)%n, n-uint(3*way)%n
+	case ixTable:
+		if uint(way) < tableWays {
+			return ix.tab.lookup(key) >> (16 * uint(way)) & 0xffff
 		}
-		return ((a1|a1<<n)>>(sA&63) ^ (a2|a2<<n)>>(sB&63)) & ix.out
+		return ix.skewIndex(way, key)
+	case ixSkew:
+		return ix.skewIndex(way, key)
 	case ixStrong:
 		return strongHash(way, key) & ix.mask
 	case ixXorFold:
@@ -174,6 +184,23 @@ func (ix *Indexer) Index(way int, key uint64) uint64 {
 		//cuckoo:ignore unknown-family fallback: interface dispatch is the documented slow path
 		return ix.fam.Hash(way, key) & ix.mask
 	}
+}
+
+// skewIndex is the shift kernel's index of key in way: sigma^way(A1) ^
+// sigma^(3way)(A2'), under the output mask. Only for the skew kinds.
+//
+//cuckoo:hotpath
+func (ix *Indexer) skewIndex(way int, key uint64) uint64 {
+	n := ix.n & 63
+	a1 := key & ix.nmask
+	a2 := ix.fold(key)
+	var sA, sB uint
+	if way < MaxWays {
+		sA, sB = uint(ix.shA[way]), uint(ix.shB[way])
+	} else {
+		sA, sB = n-uint(way)%n, n-uint(3*way)%n
+	}
+	return ((a1|a1<<n)>>(sA&63) ^ (a2|a2<<n)>>(sB&63)) & ix.out
 }
 
 // Reindex returns key's set index in way to, given that key sits at
@@ -216,13 +243,18 @@ func (o opaque) Hash(way int, key uint64) uint64 { return o.f.Hash(way, key) }
 
 // IndexAll computes key's set index in every way in one pass, writing
 // way w's index to dst[w]. Per-key work that the per-way interface
-// repeats — the skewing family's field extraction, upper-field fold and
-// field doubling — happens once. Only valid when Batched() (ways <=
+// repeats happens once: a skew table's eight lookups, or the shift
+// kernel's field extraction, upper-field fold and field doubling. A
+// table indexer of fewer than tableWays ways also writes the indices of
+// the next ways up to tableWays. Only valid when Batched() (ways <=
 // MaxWays).
 //
 //cuckoo:hotpath
 func (ix *Indexer) IndexAll(key uint64, dst *[MaxWays]uint64) {
 	switch ix.kind {
+	case ixTable:
+		v := ix.tab.lookup(key)
+		dst[0], dst[1], dst[2], dst[3] = v&0xffff, v>>16&0xffff, v>>32&0xffff, v>>48
 	case ixSkew:
 		n := ix.n & 63
 		a1 := key & ix.nmask
@@ -246,4 +278,63 @@ func (ix *Indexer) IndexAll(key uint64, dst *[MaxWays]uint64) {
 			dst[w] = ix.fam.Hash(w, key) & ix.mask
 		}
 	}
+}
+
+// tableWays is the number of ways a skew table covers: one 16-bit set
+// index per way in a 64-bit entry.
+const tableWays = 4
+
+// skewTable is the skewing family's index as a lookup table, for one
+// shape: field width n <= 16 and output mask out. Entry [j][b] packs,
+// 16 bits a way, the set indices in ways 0..tableWays-1 of the key whose
+// only nonzero byte is byte j, equal to b. Masking, field extraction,
+// rotation and XOR folding are all linear over GF(2) and map 0 to 0, so
+// a key's indices are the XOR of its eight bytes' entries, bit for bit
+// the kernel's; an index of at most 16 bits never carries into the next
+// lane.
+type skewTable [8][256]uint64
+
+// lookup returns key's packed set indices: eight loads and seven XORs.
+//
+//cuckoo:hotpath
+func (t *skewTable) lookup(key uint64) uint64 {
+	return t[0][uint8(key)] ^ t[1][uint8(key>>8)] ^ t[2][uint8(key>>16)] ^ t[3][uint8(key>>24)] ^
+		t[4][uint8(key>>32)] ^ t[5][uint8(key>>40)] ^ t[6][uint8(key>>48)] ^ t[7][key>>56]
+}
+
+// skewShape keys the table memo. The set mask enters a skew index only
+// through out = nmask & mask, so indexers that share (n, out) share a
+// table, whatever their way count.
+type skewShape struct {
+	n   uint
+	out uint64
+}
+
+// skewTables holds one table per shape, built on first use and never
+// changed after: a table is a pure function of its key.
+var (
+	skewTablesMu sync.Mutex
+	skewTables   = map[skewShape]*skewTable{}
+)
+
+// sharedTable returns the table of ix's shape, building it from the
+// shift kernel the first time any indexer asks for it.
+func (ix *Indexer) sharedTable() *skewTable {
+	shape := skewShape{ix.n, ix.out}
+	skewTablesMu.Lock()
+	defer skewTablesMu.Unlock()
+	t := skewTables[shape]
+	if t == nil {
+		t = new(skewTable)
+		for j := range t {
+			for b := range t[j] {
+				key := uint64(b) << (8 * j)
+				for w := range tableWays {
+					t[j][b] |= ix.skewIndex(w, key) << (16 * w)
+				}
+			}
+		}
+		skewTables[shape] = t
+	}
+	return t
 }

@@ -3,6 +3,8 @@ package hashfn
 import (
 	"fmt"
 	"testing"
+
+	"cuckoodir/internal/rng"
 )
 
 // testKeys yields a deterministic mixed key set: small sequential keys
@@ -76,6 +78,69 @@ func TestIndexerBitIdentical(t *testing.T) {
 	}
 }
 
+// TestIndexerTableMatchesKernel pins the byte table to the kernel it is
+// built from. On every shape a table serves (n = 1..16 with 2..4 ways)
+// and on the shapes next to it that keep the shift kernel (n = 17 and
+// 32, and 5..8 ways), over set-mask widths 0..20, IndexAll and Index
+// must equal Skew.Hash on 0, all-ones, every single-bit key (the linear
+// basis whose indices the table XORs), core's vacant-pair sentinel and
+// 10k random keys. A table indexer's IndexAll also fills the lanes of
+// the ways past its own, up to tableWays, and those must be exact too.
+// The kernel's Index ignores the way count, so it is checked at MaxWays
+// ways only.
+func TestIndexerTableMatchesKernel(t *testing.T) {
+	keys := []uint64{0, ^uint64(0), 0xfeed5eedcafe0b5e}
+	for b := range 64 {
+		keys = append(keys, 1<<b)
+	}
+	r := rng.New(0x7ab1e)
+	for range 10_000 {
+		keys = append(keys, r.Uint64())
+	}
+	hash := make([][MaxWays]uint64, len(keys))
+	widths := []int{17, 32}
+	for n := 1; n <= 16; n++ {
+		widths = append(widths, n)
+	}
+	for _, n := range widths {
+		f := NewSkew(n)
+		for i, key := range keys {
+			for w := range MaxWays {
+				hash[i][w] = f.Hash(w, key)
+			}
+		}
+		for maskBits := range 21 {
+			mask := uint64(1)<<maskBits - 1
+			for d := 2; d <= MaxWays; d++ {
+				ix := NewIndexer(f, d, mask)
+				lanes := d
+				if table := n <= 16 && d <= tableWays; table != (ix.tab != nil) {
+					t.Fatalf("n=%d mask=%#x ways=%d: table %v, want %v", n, mask, d, ix.tab != nil, table)
+				} else if table {
+					lanes = tableWays
+				}
+				for i, key := range keys {
+					var all [MaxWays]uint64
+					ix.IndexAll(key, &all)
+					for w := range lanes {
+						if want := hash[i][w] & mask; all[w] != want {
+							t.Fatalf("n=%d mask=%#x ways=%d: IndexAll(%#x)[%d] = %#x, want %#x", n, mask, d, key, w, all[w], want)
+						}
+					}
+					if ix.tab == nil && d < MaxWays {
+						continue // the kernel's Index does not depend on the way count: checked at MaxWays
+					}
+					for w := range d {
+						if got, want := ix.Index(w, key), hash[i][w]&mask; got != want {
+							t.Fatalf("n=%d mask=%#x ways=%d: Index(%d, %#x) = %#x, want %#x", n, mask, d, w, key, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestIndexerHighWays checks the skew path beyond the precomputed
 // rotation tables (ways > MaxWays computes rotations on the fly).
 func TestIndexerHighWays(t *testing.T) {
@@ -141,12 +206,13 @@ func ExampleIndexer() {
 	// true
 }
 
-// FuzzIndexer checks the skewing kernel against the Family path on
-// fuzzed geometry: index bits 1..40 (NewSkew up to 32, a literal Skew
-// always or beyond 32), set-mask width 0..63, 2..11 ways, any key and
-// way. Index, IndexAll and Reindex must all equal
+// FuzzIndexer checks the skewing kernel and its byte tables against the
+// Family path on fuzzed geometry: index bits 1..40 (NewSkew up to 32, a
+// literal Skew always or beyond 32), set-mask width 0..63, 2..11 ways,
+// any key and way. Index, IndexAll and Reindex must all equal
 // Index(family, ...). The seeds are the committed corpus in
-// testdata/fuzz/FuzzIndexer.
+// testdata/fuzz/FuzzIndexer; four of them sit on the table/kernel
+// boundary (n = 16 and 17, 4 and 5 ways).
 func FuzzIndexer(f *testing.F) {
 	f.Fuzz(func(t *testing.T, bits uint8, literal bool, maskBits uint8, ways uint8, key uint64, way uint8) {
 		n := 1 + int(bits)%40
