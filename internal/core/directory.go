@@ -206,7 +206,7 @@ func badCache(cache, n int) {
 }
 
 // insert allocates a new entry for addr with the given sharer mask and
-// updates statistics. idx holds addr's bucket positions from the lookup that
+// updates statistics. idx holds addr's way indices from the lookup that
 // missed, so the insertion neither hashes addr again nor repeats the
 // lookup. It returns the forced eviction, if any.
 func (d *Directory) insert(addr, mask uint64, idx *[hashfn.MaxWays]uint64) *Forced {
@@ -231,14 +231,13 @@ func (d *Directory) insert(addr, mask uint64, idx *[hashfn.MaxWays]uint64) *Forc
 //cuckoo:hotpath
 func (d *Directory) LastAttempts() int { return d.lastAttempts }
 
-// Index puts addr's bucket positions, which no operation invalidates,
-// in idx for a later ReadAt, WriteAt or EvictAt. It starts no line
-// fill: it is Prefetch for a table that stays in cache, where a fill
-// hides no wait.
+// Index puts addr's way indices, which no operation invalidates, in idx
+// for a later ReadAt, WriteAt or EvictAt. It starts no line fill: it is
+// Prefetch for a table that stays in cache, where a fill hides no wait.
 //
 //cuckoo:hotpath
 func (d *Directory) Index(addr uint64, idx *[hashfn.MaxWays]uint64) {
-	d.t.index(addr, idx)
+	d.t.ix.IndexAll(addr, idx)
 }
 
 // Prefetch is Index that also starts the line fills of addr's d
@@ -263,12 +262,12 @@ func (d *Directory) TableBytes() int { return d.t.Bytes() }
 //cuckoo:hotpath
 func (d *Directory) Read(addr uint64, cache int) *Forced {
 	var idx [hashfn.MaxWays]uint64
-	d.t.index(addr, &idx)
+	d.t.ix.IndexAll(addr, &idx)
 	return d.ReadAt(addr, cache, &idx)
 }
 
-// ReadAt is Read over addr's bucket positions, as Index or Prefetch
-// left them in idx.
+// ReadAt is Read over addr's way indices, as Index or Prefetch left
+// them in idx.
 //
 //cuckoo:hotpath
 func (d *Directory) ReadAt(addr uint64, cache int, idx *[hashfn.MaxWays]uint64) *Forced {
@@ -296,12 +295,12 @@ func (d *Directory) ReadAt(addr uint64, cache int, idx *[hashfn.MaxWays]uint64) 
 //cuckoo:hotpath
 func (d *Directory) Write(addr uint64, cache int) (invalidate uint64, forced *Forced) {
 	var idx [hashfn.MaxWays]uint64
-	d.t.index(addr, &idx)
+	d.t.ix.IndexAll(addr, &idx)
 	return d.WriteAt(addr, cache, &idx)
 }
 
-// WriteAt is Write over addr's bucket positions, as Index or Prefetch
-// left them in idx.
+// WriteAt is Write over addr's way indices, as Index or Prefetch left
+// them in idx.
 //
 //cuckoo:hotpath
 func (d *Directory) WriteAt(addr uint64, cache int, idx *[hashfn.MaxWays]uint64) (invalidate uint64, forced *Forced) {
@@ -334,12 +333,12 @@ func (d *Directory) WriteAt(addr uint64, cache int, idx *[hashfn.MaxWays]uint64)
 //cuckoo:hotpath
 func (d *Directory) Evict(addr uint64, cache int) {
 	var idx [hashfn.MaxWays]uint64
-	d.t.index(addr, &idx)
+	d.t.ix.IndexAll(addr, &idx)
 	d.EvictAt(addr, cache, &idx)
 }
 
-// EvictAt is Evict over addr's bucket positions, as Index or Prefetch
-// left them in idx. When the last sharer leaves it frees the pair its lookup
+// EvictAt is Evict over addr's way indices, as Index or Prefetch left
+// them in idx. When the last sharer leaves it frees the pair its lookup
 // found, without probing again.
 //
 //cuckoo:hotpath

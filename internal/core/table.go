@@ -148,9 +148,9 @@ type Result[V any] struct {
 //
 // The probe pipeline is devirtualized and allocation-free: the hash
 // family is resolved into a concrete hashfn.Indexer once at NewTable,
-// and index computes all d bucket positions of a key in one batch. The
-// unexported findAt, insertAt and deleteAt take those positions from
-// the caller, so a directory operation hashes its address once — and a
+// which computes all d way-indices of a key in one batch. The
+// unexported findAt, insertAt and deleteAt take those indices from the
+// caller, so a directory operation hashes its address once — and a
 // batched one hashes it ahead of time (Directory.Index and Prefetch);
 // a key displaced during an insertion gets its next index from the set
 // it left (hashfn.Indexer.Reindex). findAt is the only probe: an
@@ -171,13 +171,8 @@ type Result[V any] struct {
 // is the paper's entry, tag and sharer vector together, and its "touch d
 // ways, nothing more" cost model (§4.2, §5.5).
 type Table[V any] struct {
-	cfg Config
-	ix  hashfn.Indexer
-	// flat gives a key's bucket positions straight from the indexer's
-	// table when direct: one-entry buckets in a shape Indexer.Flat
-	// serves (up to 16384 sets per way with the skew family).
-	flat    hashfn.FlatIndexer
-	direct  bool
+	cfg     Config
+	ix      hashfn.Indexer
 	pairs   []pair[V] // buckets in (way, set) order; vacant pairs hold key packedEmpty
 	live    []uint64  // occupancy bitset, 1 bit per pair; authoritative
 	used    int
@@ -196,9 +191,6 @@ func NewTable[V any](cfg Config) *Table[V] {
 		ix:    hashfn.NewIndexer(cfg.Hash, cfg.Ways, uint64(cfg.SetsPerWay-1)),
 		pairs: make([]pair[V], n),
 		live:  make([]uint64, (n+63)/64),
-	}
-	if cfg.BucketSize == 1 {
-		t.flat, t.direct = t.ix.Flat()
 	}
 	for i := range t.pairs {
 		t.pairs[i].key = packedEmpty
@@ -250,30 +242,13 @@ func (t *Table[V]) bucketBase(way, set int) int {
 	return (way*t.cfg.SetsPerWay + set) * t.cfg.BucketSize
 }
 
-// index puts key's bucket positions in idx: for each way w, the index of
-// the first pair of key's bucket in w, bucketBase(w, set). A direct
-// table reads them from its FlatIndexer; others convert the indexer's
-// set indices.
-//
-//cuckoo:hotpath
-func (t *Table[V]) index(key uint64, idx *[hashfn.MaxWays]uint64) {
-	if t.direct {
-		t.flat.IndexAll(key, idx)
-		return
-	}
-	t.ix.IndexAll(key, idx)
-	for w := 0; w < t.cfg.Ways; w++ {
-		idx[w] = uint64(t.bucketBase(w, int(idx[w])))
-	}
-}
-
 // Find returns a pointer to the value stored under key, or nil. The
 // pointer is invalidated by any subsequent mutation of the table.
 //
 //cuckoo:hotpath
 func (t *Table[V]) Find(key uint64) *V {
 	var idx [hashfn.MaxWays]uint64
-	t.index(key, &idx)
+	t.ix.IndexAll(key, &idx)
 	_, p := t.findAt(key, &idx)
 	if p == nil && len(t.stash) != 0 {
 		p = t.findStash(key)
@@ -282,8 +257,8 @@ func (t *Table[V]) Find(key uint64) *V {
 }
 
 // findAt is the table's one probe: it returns the index of the pair
-// that holds key among the buckets at key's positions in idx (from
-// index), and a pointer to its value, or -1 and nil. It does not
+// that holds key among the buckets key's way indices in idx name (from
+// IndexAll), and a pointer to its value, or -1 and nil. It does not
 // look in the stash; that is the caller's fallback. An insertAt or
 // deleteSlot of the same key builds on its result instead of probing
 // again. The pointer comes back with the index so that a hit's caller
@@ -302,7 +277,7 @@ func (t *Table[V]) findAt(key uint64, idx *[hashfn.MaxWays]uint64) (int, *V) {
 	}
 	hit := -1
 	for w := 0; w < t.cfg.Ways; w++ {
-		si := int(idx[w])
+		si := t.bucketBase(w, int(idx[w]))
 		for end := si + t.cfg.BucketSize; si < end; si++ {
 			if t.pairs[si].key == key {
 				hit = si
@@ -319,7 +294,7 @@ func (t *Table[V]) findAt(key uint64, idx *[hashfn.MaxWays]uint64) (int, *V) {
 // entry only when its live bit is set.
 func (t *Table[V]) findSentinel(idx *[hashfn.MaxWays]uint64) (int, *V) {
 	for w := 0; w < t.cfg.Ways; w++ {
-		si := int(idx[w])
+		si := t.bucketBase(w, int(idx[w]))
 		for end := si + t.cfg.BucketSize; si < end; si++ {
 			if t.pairs[si].key == packedEmpty && t.liveBit(si) {
 				return si, &t.pairs[si].val
@@ -329,14 +304,13 @@ func (t *Table[V]) findSentinel(idx *[hashfn.MaxWays]uint64) (int, *V) {
 	return -1, nil
 }
 
-// prefetch computes key's bucket positions into idx and starts the fill
-// of each bucket's first line, four ways per prefetch4 (lanes past the
-// last way repeat it). A prefetch is only a hint: results are the same
-// without.
+// prefetch computes key's way indices into idx and starts the fill of
+// each bucket's first line, four ways per prefetch4 (lanes past the last
+// way repeat it). A prefetch is only a hint: results are the same without.
 //
 //cuckoo:hotpath
 func (t *Table[V]) prefetch(key uint64, idx *[hashfn.MaxWays]uint64) {
-	t.index(key, idx)
+	t.ix.IndexAll(key, idx)
 	last := t.cfg.Ways - 1
 	for w := 0; w <= last; w += 4 {
 		prefetch4(t.bucket(w, idx), t.bucket(min(w+1, last), idx),
@@ -345,7 +319,7 @@ func (t *Table[V]) prefetch(key uint64, idx *[hashfn.MaxWays]uint64) {
 }
 
 func (t *Table[V]) bucket(w int, idx *[hashfn.MaxWays]uint64) unsafe.Pointer {
-	return unsafe.Pointer(&t.pairs[idx[w]])
+	return unsafe.Pointer(&t.pairs[t.bucketBase(w, int(idx[w]))])
 }
 
 // findStash returns a pointer to key's stash entry, or nil. Callers
@@ -382,7 +356,7 @@ func (t *Table[V]) Contains(key uint64) bool { return t.Find(key) != nil }
 //cuckoo:hotpath
 func (t *Table[V]) Insert(key uint64, val V) Result[V] {
 	var idx [hashfn.MaxWays]uint64
-	t.index(key, &idx)
+	t.ix.IndexAll(key, &idx)
 	_, p := t.findAt(key, &idx)
 	if p == nil && len(t.stash) != 0 {
 		p = t.findStash(key)
@@ -394,8 +368,8 @@ func (t *Table[V]) Insert(key uint64, val V) Result[V] {
 	return t.insertAt(key, val, &idx)
 }
 
-// insertAt inserts key, which the caller's lookup over the same bucket
-// positions in idx has just missed in the table and the stash: the
+// insertAt inserts key, which the caller's lookup over the same way
+// indices in idx has just missed in the table and the stash: the
 // insertion builds on that lookup instead of repeating it. Its first
 // pass only looks for a vacancy, and the displacement loop starts in a
 // bucket that pass found full. A vacancy test reads the pair's key word,
@@ -410,7 +384,7 @@ func (t *Table[V]) insertAt(key uint64, val V, idx *[hashfn.MaxWays]uint64) Resu
 	// uniform.
 	w := t.nextWay
 	for i := 0; i < ways; i++ {
-		si := int(idx[w])
+		si := t.bucketBase(w, int(idx[w]))
 		for end := si + bs; si < end; si++ {
 			if t.vacant(si) {
 				t.pairs[si] = pair[V]{val: val, key: key}
@@ -426,12 +400,12 @@ func (t *Table[V]) insertAt(key uint64, val V, idx *[hashfn.MaxWays]uint64) Resu
 	}
 
 	// Displacement loop. The vacancy pass proved every bucket of key
-	// full, so the first step (w == nextWay, position idx[w]) swaps
+	// full, so the first step (w == nextWay, index idx[w]) swaps
 	// without a vacancy check; the check matters only for displaced
 	// keys arriving at their alternate way.
 	cur := Entry[V]{Key: key, Val: val}
 	w = t.nextWay
-	set := int(idx[w]/uint64(bs)) & (t.cfg.SetsPerWay - 1)
+	set := int(idx[w])
 	for attempt := 1; ; attempt++ {
 		base := t.bucketBase(w, set)
 		if attempt > 1 {
@@ -482,11 +456,11 @@ func (t *Table[V]) insertAt(key uint64, val V, idx *[hashfn.MaxWays]uint64) Resu
 //cuckoo:hotpath
 func (t *Table[V]) Delete(key uint64) bool {
 	var idx [hashfn.MaxWays]uint64
-	t.index(key, &idx)
+	t.ix.IndexAll(key, &idx)
 	return t.deleteAt(key, &idx)
 }
 
-// deleteAt is Delete over key's bucket positions in idx, from index.
+// deleteAt is Delete over key's way indices in idx, from IndexAll.
 //
 //cuckoo:hotpath
 func (t *Table[V]) deleteAt(key uint64, idx *[hashfn.MaxWays]uint64) bool {

@@ -11,6 +11,3 @@ func TableAddr(ix *Indexer) uintptr { return uintptr(unsafe.Pointer(ix.tab)) }
 
 // TableType is the type of a pointer to a skew table.
 var TableType = reflect.TypeOf((*skewTable)(nil))
-
-// FlatTableAddr returns the address of f's table.
-func FlatTableAddr(f *FlatIndexer) uintptr { return uintptr(unsafe.Pointer(f.tab)) }

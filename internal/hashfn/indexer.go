@@ -126,7 +126,7 @@ func NewIndexer(f Family, ways int, setMask uint64) Indexer {
 			}
 		}
 		if n <= 16 && ways <= tableWays {
-			ix.kind, ix.tab = ixTable, ix.sharedTable(0)
+			ix.kind, ix.tab = ixTable, ix.sharedTable()
 		}
 	case Strong:
 		ix.kind = ixStrong
@@ -253,7 +253,8 @@ func (o opaque) Hash(way int, key uint64) uint64 { return o.f.Hash(way, key) }
 func (ix *Indexer) IndexAll(key uint64, dst *[MaxWays]uint64) {
 	switch ix.kind {
 	case ixTable:
-		ix.tab.unpack(key, dst)
+		v := ix.tab.lookup(key)
+		dst[0], dst[1], dst[2], dst[3] = v&0xffff, v>>16&0xffff, v>>32&0xffff, v>>48
 	case ixSkew:
 		n := ix.n & 63
 		a1 := key & ix.nmask
@@ -283,33 +284,6 @@ func (ix *Indexer) IndexAll(key uint64, dst *[MaxWays]uint64) {
 // index per way in a 64-bit entry.
 const tableWays = 4
 
-// FlatIndexer gives the bucket positions of a key in a table that lays
-// its ways out one after the other, one entry per set: way w's set s is
-// position w*sets + s, as in core.Table with one-entry buckets. It reads
-// a copy of the skew table whose byte-0 entries carry each way's base
-// w*sets in its lane. A set index stays below sets, a power of two, so
-// the base and the set occupy disjoint bits and XOR adds them; a key's
-// eight entries hold the base once, in its byte 0. The zero FlatIndexer
-// is not usable; get one from Indexer.Flat.
-type FlatIndexer struct{ tab *skewTable }
-
-// Flat returns the FlatIndexer of ix's table for sets = mask+1 sets per
-// way, and false when ix has no table (another family, n > 16 or more
-// than tableWays ways) or a 16-bit lane cannot hold the last way's
-// positions (tableWays*sets > 65536).
-func (ix *Indexer) Flat() (FlatIndexer, bool) {
-	if ix.tab == nil || ix.mask&(ix.mask+1) != 0 || ix.mask >= 1<<16/tableWays {
-		return FlatIndexer{}, false
-	}
-	return FlatIndexer{ix.sharedTable(ix.mask + 1)}, true
-}
-
-// IndexAll writes key's position in way w, w*sets + Index(w, key), to
-// dst[w] for every way up to tableWays.
-//
-//cuckoo:hotpath
-func (f FlatIndexer) IndexAll(key uint64, dst *[MaxWays]uint64) { f.tab.unpack(key, dst) }
-
 // skewTable is the skewing family's index as a lookup table, for one
 // shape: field width n <= 16 and output mask out. Entry [j][b] packs,
 // 16 bits a way, the set indices in ways 0..tableWays-1 of the key whose
@@ -328,22 +302,12 @@ func (t *skewTable) lookup(key uint64) uint64 {
 		t[4][uint8(key>>32)] ^ t[5][uint8(key>>40)] ^ t[6][uint8(key>>48)] ^ t[7][key>>56]
 }
 
-// unpack writes key's lanes to dst[0..tableWays-1].
-//
-//cuckoo:hotpath
-func (t *skewTable) unpack(key uint64, dst *[MaxWays]uint64) {
-	v := t.lookup(key)
-	dst[0], dst[1], dst[2], dst[3] = v&0xffff, v>>16&0xffff, v>>32&0xffff, v>>48
-}
-
 // skewShape keys the table memo. The set mask enters a skew index only
 // through out = nmask & mask, so indexers that share (n, out) share a
-// table, whatever their way count. stride is 0 for a table of set
-// indices and the sets per way for a FlatIndexer's.
+// table, whatever their way count.
 type skewShape struct {
-	n      uint
-	out    uint64
-	stride uint64
+	n   uint
+	out uint64
 }
 
 // skewTables holds one table per shape, built on first use and never
@@ -353,11 +317,10 @@ var (
 	skewTables   = map[skewShape]*skewTable{}
 )
 
-// sharedTable returns the table of ix's shape whose lane w also carries
-// w*stride in its byte-0 entries, building it from the shift kernel the
-// first time any indexer asks for it.
-func (ix *Indexer) sharedTable(stride uint64) *skewTable {
-	shape := skewShape{ix.n, ix.out, stride}
+// sharedTable returns the table of ix's shape, building it from the
+// shift kernel the first time any indexer asks for it.
+func (ix *Indexer) sharedTable() *skewTable {
+	shape := skewShape{ix.n, ix.out}
 	skewTablesMu.Lock()
 	defer skewTablesMu.Unlock()
 	t := skewTables[shape]
@@ -369,11 +332,6 @@ func (ix *Indexer) sharedTable(stride uint64) *skewTable {
 				for w := range tableWays {
 					t[j][b] |= ix.skewIndex(w, key) << (16 * w)
 				}
-			}
-		}
-		for b := range t[0] {
-			for w := range uint64(tableWays) {
-				t[0][b] ^= w * stride << (16 * w)
 			}
 		}
 		skewTables[shape] = t

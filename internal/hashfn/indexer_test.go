@@ -141,58 +141,6 @@ func TestIndexerTableMatchesKernel(t *testing.T) {
 	}
 }
 
-// TestFlatIndexer checks Indexer.Flat: on every table shape whose
-// positions fit a lane (1..16384 sets per way, 2..4 ways, also a skew
-// narrower than the set mask) position w of a key is w*sets + Index(w,
-// key), on the same keys as TestIndexerTableMatchesKernel; every other
-// indexer gets no FlatIndexer.
-func TestFlatIndexer(t *testing.T) {
-	keys := []uint64{0, ^uint64(0), 0xfeed5eedcafe0b5e}
-	for b := range 64 {
-		keys = append(keys, 1<<b)
-	}
-	r := rng.New(0xf1a7)
-	for range 10_000 {
-		keys = append(keys, r.Uint64())
-	}
-	for setBits := 0; setBits <= 14; setBits++ {
-		sets := uint64(1) << setBits
-		for _, f := range []Family{NewSkew(max(setBits, 1)), NewSkew(max(setBits-3, 1))} {
-			for d := 2; d <= tableWays; d++ {
-				ix := NewIndexer(f, d, sets-1)
-				fl, ok := ix.Flat()
-				if !ok {
-					t.Fatalf("%d sets, %d ways, n=%d: no FlatIndexer", sets, d, ix.n)
-				}
-				for _, key := range keys {
-					var pos [MaxWays]uint64
-					fl.IndexAll(key, &pos)
-					for w := range tableWays {
-						if want := uint64(w)*sets + ix.Index(w, key); pos[w] != want {
-							t.Fatalf("%d sets, %d ways, n=%d: position %d of %#x = %#x, want %#x", sets, d, ix.n, w, key, pos[w], want)
-						}
-					}
-				}
-			}
-		}
-	}
-	for _, tc := range []struct {
-		name string
-		ix   Indexer
-	}{
-		{"32768 sets", NewIndexer(NewSkew(15), 4, 1<<15-1)},
-		{"strong", NewIndexer(Strong{}, 4, 511)},
-		{"n = 17", NewIndexer(NewSkew(17), 4, 1<<14-1)},
-		{"5 ways", NewIndexer(NewSkew(9), 5, 511)},
-		{"mask not sets-1", NewIndexer(NewSkew(9), 4, 5)},
-		{"all-ones mask", NewIndexer(NewSkew(9), 4, ^uint64(0))},
-	} {
-		if _, ok := tc.ix.Flat(); ok {
-			t.Errorf("%s: got a FlatIndexer", tc.name)
-		}
-	}
-}
-
 // TestIndexerHighWays checks the skew path beyond the precomputed
 // rotation tables (ways > MaxWays computes rotations on the fly).
 func TestIndexerHighWays(t *testing.T) {

@@ -11,8 +11,7 @@ import (
 // TestIndexerTableShared checks that skew indexers of one shape share one
 // table whatever their way count or how their family was built, that
 // another shape gets another, and that a sharded directory of eight
-// cuckoo-4x16384 slices holds one table of set indices and one of
-// bucket positions (Indexer.Flat), not eight of each.
+// cuckoo-4x16384 slices holds one table, not eight.
 func TestIndexerTableShared(t *testing.T) {
 	a := hashfn.NewIndexer(hashfn.NewSkew(14), 4, 1<<14-1)
 	b := hashfn.NewIndexer(hashfn.Skew{Bits: 14}, 2, 1<<14-1)
@@ -24,13 +23,6 @@ func TestIndexerTableShared(t *testing.T) {
 	if hashfn.TableAddr(&c) == ta {
 		t.Fatal("a 13-bit and a 14-bit skew share a table")
 	}
-	fa, _ := a.Flat()
-	fb, _ := b.Flat()
-	tf := hashfn.FlatTableAddr(&fa)
-	if tf == 0 || tf == ta || hashfn.FlatTableAddr(&fb) != tf {
-		t.Fatalf("flat indexers of one shape: tables %#x and %#x (set table %#x), want one shared table of its own",
-			tf, hashfn.FlatTableAddr(&fb), ta)
-	}
 
 	d, err := directory.BuildNamed("sharded-8(cuckoo-4x16384)", 16)
 	if err != nil {
@@ -38,8 +30,8 @@ func TestIndexerTableShared(t *testing.T) {
 	}
 	tables := map[uintptr]bool{}
 	tablesIn(reflect.ValueOf(d), map[visit]bool{}, tables)
-	if len(tables) != 2 || !tables[ta] || !tables[tf] {
-		t.Fatalf("sharded-8(cuckoo-4x16384) holds %d tables %v, want only the shared 14-bit tables %#x and %#x", len(tables), tables, ta, tf)
+	if len(tables) != 1 || !tables[ta] {
+		t.Fatalf("sharded-8(cuckoo-4x16384) holds %d tables %v, want only the shared 14-bit table %#x", len(tables), tables, ta)
 	}
 }
 
