@@ -542,13 +542,16 @@ func usage() {
                   [-cpuprofile FILE] [-memprofile FILE]
                                   run the fixed performance-benchmark suite
                                   (table find/insert/delete sweeps, sharded
-                                  replay); -json appends the labeled run to
-                                  the BENCH_cuckoo.json trajectory; -against
+                                  replay, apply batches, batch indexing);
+                                  -json appends the labeled run to the
+                                  BENCH_cuckoo.json trajectory; -against
                                   compares the run to an existing trajectory
                                   label and exits nonzero when any shared case
-                                  is more than -maxregress times slower;
-                                  -cpuprofile and -memprofile write pprof CPU
-                                  and allocation profiles of the run
+                                  is more than -maxregress times slower, in
+                                  calibration-normalized ns/op where both
+                                  rows have it; -cpuprofile and -memprofile
+                                  write pprof CPU and allocation profiles of
+                                  the run
   cuckoodir trace record -file F [-workload W] [-n N] [-seed S]
   cuckoodir trace replay -file F [-config shared|private] [-workload W] [-dir ORG]
   cuckoodir trace replay -file F -dir ORG [-workers N] [-shards N] [-batch N] [-home mix|interleave]

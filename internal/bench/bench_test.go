@@ -196,7 +196,7 @@ func TestRegressions(t *testing.T) {
 	// Normalized rows: a 3x raw slowdown on a host 3x slower passes, and
 	// a raw speed-up on a host 4x faster is a 2.5x regression. A row
 	// normalized on one side only falls back to the raw comparison.
-	base = Run{Label: "pr28", Results: map[string]Result{
+	base = Run{Label: "base", Results: map[string]Result{
 		"index/skew/sets=512":       {NsPerOp: 5, CalFactor: 1, NormNsPerOp: 5},
 		"index/skew/sets=16384":     {NsPerOp: 8, CalFactor: 1, NormNsPerOp: 8},
 		"replay/shards=8/workers=1": {NsPerOp: 1e8, AccPerSec: 2e6, CalFactor: 1, NormNsPerOp: 1e8},

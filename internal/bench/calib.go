@@ -1,27 +1,31 @@
 package bench
 
 import (
-	"sort"
+	"runtime"
+	"slices"
 	"time"
 )
 
 // A row's raw ns/op moves with the host more than with the code: on a
-// 2-vCPU virtual machine the table rows, which the program changes
-// under test did not touch, read x0.75-1.79 between two back-to-back
-// recordings. RunSuite therefore times a fixed calibration kernel right
-// before and right after every case, as perfbench does after every
-// window. The median of those calRuns kernel times, relative to calRef,
-// is the row's factor (CalFactor), the host's slowdown against the
-// reference, and the row's normalized ns/op is its raw ns/op divided by
-// the factor. Unlike perfbench, which raises the ratio to the power 1.5
+// 2-vCPU virtual machine the table rows of a commit and its parent,
+// recorded back to back, read x0.75-1.79 apart where the commit changed
+// none of their code. RunSuite therefore times a fixed calibration
+// kernel right before and right after every case, as perfbench does
+// after every window. The median of those kernel times, relative to
+// calRef, is the row's factor (CalFactor), the host's slowdown against
+// the reference, and the row's normalized ns/op is its raw ns/op
+// divided by the factor. Unlike perfbench, which raises the ratio to the power 1.5
 // fitted to its workloads, the suite takes it as it is: its rows range
 // from a lone hash loop to an 8 MiB table and share no one exponent.
 
-// calIters is the kernel's length in operations, calRuns the number of
-// kernel timings on each side of a case.
+// calIters is the kernel's length in operations. calWindow is how long
+// the kernel is timed, over and over, on each side of a case: a case's
+// timed run lasts about a second, and the host's speed moves within
+// that, so a factor from a few milliseconds of kernel runs snapshots a
+// moment the row does not average over.
 const (
-	calIters = 30_000
-	calRuns  = 5
+	calIters  = 30_000
+	calWindow = 250 * time.Millisecond
 )
 
 // calRef is the time the kernel takes on the reference host, the 2-vCPU
@@ -93,9 +97,12 @@ func (c *calibrator) time() time.Duration {
 	return time.Since(t0)
 }
 
-// sample appends calRuns kernel timings to ts.
+// sample appends the kernel's timings over calWindow to ts. It collects
+// the garbage a case left first, so that no concurrent GC cycle runs in
+// the timings.
 func (c *calibrator) sample(ts []time.Duration) []time.Duration {
-	for range calRuns {
+	runtime.GC()
+	for end := time.Now().Add(calWindow); time.Now().Before(end); {
 		ts = append(ts, c.time())
 	}
 	return ts
@@ -104,8 +111,8 @@ func (c *calibrator) sample(ts []time.Duration) []time.Duration {
 // factor returns the host's slowdown against the reference host from
 // the kernel timings ts taken around one case: their median over calRef.
 func factor(ts []time.Duration) float64 {
-	s := append([]time.Duration(nil), ts...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	s := slices.Clone(ts)
+	slices.Sort(s)
 	m := s[len(s)/2]
 	if len(s)%2 == 0 {
 		m = (s[len(s)/2-1] + m) / 2

@@ -15,10 +15,13 @@
 //
 // Probe paths do not call a Family per way. They resolve it once into an
 // Indexer, which computes the same set indices bit for bit. For the
-// skewing family the Indexer runs at the cost the paper quotes: rotation
-// amounts are precomputed, so no index divides, and each rotation is one
-// shift. Indexer.Reindex gives a displaced key's next index from the set
-// it occupied, without folding the key's upper fields again. Skew.Hash
+// skewing family the Indexer runs at the cost the paper quotes: up to
+// four ways of up to 16-bit fields read a byte table shared by every
+// indexer of their shape, eight loads and seven XORs for all ways at
+// once, and wider shapes run a shift kernel whose rotation amounts are
+// precomputed, so no index divides and each rotation is one shift.
+// Indexer.Reindex gives a displaced key's next index from the set it
+// occupied, without folding the key's upper fields again. Skew.Hash
 // stays the straightforward reference those paths are tested against.
 package hashfn
 

@@ -2,6 +2,7 @@ package hashfn_test
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"cuckoodir/internal/directory"
@@ -9,9 +10,10 @@ import (
 )
 
 // TestIndexerTableShared checks that skew indexers of one shape share one
-// table whatever their way count or how their family was built, that
-// another shape gets another, and that a sharded directory of eight
-// cuckoo-4x16384 slices holds one table, not eight.
+// table whatever their way count or how their family was built, also
+// when goroutines build them at once, that another shape gets another,
+// and that a sharded directory of eight cuckoo-4x16384 slices holds one
+// table, not eight.
 func TestIndexerTableShared(t *testing.T) {
 	a := hashfn.NewIndexer(hashfn.NewSkew(14), 4, 1<<14-1)
 	b := hashfn.NewIndexer(hashfn.Skew{Bits: 14}, 2, 1<<14-1)
@@ -22,6 +24,25 @@ func TestIndexerTableShared(t *testing.T) {
 	}
 	if hashfn.TableAddr(&c) == ta {
 		t.Fatal("a 13-bit and a 14-bit skew share a table")
+	}
+
+	// A shape no other test builds (out = 5), so that the goroutines
+	// race to build its table, not only to read it.
+	got := make([]uintptr, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ix := hashfn.NewIndexer(hashfn.NewSkew(7), 1+g%4, 5)
+			got[g] = hashfn.TableAddr(&ix)
+		}(g)
+	}
+	wg.Wait()
+	for g, addr := range got {
+		if addr == 0 || addr != got[0] {
+			t.Fatalf("concurrently built indexers of one shape: goroutine %d got table %#x, goroutine 0 %#x", g, addr, got[0])
+		}
 	}
 
 	d, err := directory.BuildNamed("sharded-8(cuckoo-4x16384)", 16)
