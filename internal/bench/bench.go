@@ -34,6 +34,7 @@ import (
 	"testing"
 	"time"
 
+	"cuckoodir/internal/cmpsim"
 	"cuckoodir/internal/core"
 	"cuckoodir/internal/directory"
 	"cuckoodir/internal/engine"
@@ -477,6 +478,33 @@ func indexCase(fam string, sets int) func(b *testing.B) {
 	}
 }
 
+// simWarm is the number of accesses a sim row steps its system through
+// before the timer starts: enough to fill the Private-L2 caches (16 x
+// 16384 frames) several times over, so the row times the steady state.
+const simWarm = 1_000_000
+
+// simCase times cmpsim's Step on the Private-L2 configuration with one
+// directory slice per tile built from spec, running the oracle workload
+// at seed 1. One op is one access. The system is built and warmed once
+// per case and keeps running across the benchmark's rounds.
+func simCase(spec directory.Spec) func(b *testing.B) {
+	var sys *cmpsim.System
+	return func(b *testing.B) {
+		if sys == nil {
+			prof, err := workload.ByName("oracle")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if sys, err = cmpsim.New(cmpsim.DefaultConfig(cmpsim.PrivateL2), prof, 1, spec); err != nil {
+				b.Fatal(err)
+			}
+			sys.Run(simWarm)
+			b.ResetTimer()
+		}
+		sys.Run(b.N)
+	}
+}
+
 // Cases returns the fixed suite, in stable order. The set is part of
 // the trajectory contract: adding a case is fine (new rows appear in
 // later runs); renaming one breaks comparability, so don't.
@@ -525,6 +553,18 @@ func Cases() []Case {
 		sets int
 	}{{"skew", 512}, {"skew", 16384}, {"strong", 16384}} { // the strong row is the control: no table
 		cases = append(cases, Case{fmt.Sprintf("index/%s/sets=%d", ic.fam, ic.sets), indexCase(ic.fam, ic.sets)})
+	}
+	// Figure 12's Private-L2 lineup, Sparse 8x aside.
+	private := cmpsim.DefaultConfig(cmpsim.PrivateL2)
+	for _, sc := range []struct {
+		name string
+		spec directory.Spec
+	}{
+		{"sparse-2x", private.SparseSpec(8, 2)},
+		{"skewed-2x", private.SkewedSpec(4, 2)},
+		{"cuckoo", cmpsim.ChosenCuckooSize(cmpsim.PrivateL2).Spec()},
+	} {
+		cases = append(cases, Case{"sim/private/" + sc.name, simCase(sc.spec)})
 	}
 	return cases
 }

@@ -29,6 +29,7 @@ func BenchmarkApplyHits(b *testing.B)    { benchGroup(b, "apply/hits/") }
 func BenchmarkApplyChurn(b *testing.B)   { benchGroup(b, "apply/churn/") }
 func BenchmarkEngineSubmit(b *testing.B) { benchGroup(b, "engine/submit/") }
 func BenchmarkIndex(b *testing.B)        { benchGroup(b, "index/") }
+func BenchmarkSim(b *testing.B)          { benchGroup(b, "sim/") }
 func BenchmarkReplayPipeline(b *testing.B) {
 	if testing.Short() {
 		b.Skip("replay sweep needs real parallelism")
@@ -67,6 +68,9 @@ func TestCasesFixed(t *testing.T) {
 		"index/skew/sets=512",
 		"index/skew/sets=16384",
 		"index/strong/sets=16384",
+		"sim/private/sparse-2x",
+		"sim/private/skewed-2x",
+		"sim/private/cuckoo",
 	} {
 		if !seen[want] {
 			t.Fatalf("case %q missing from the fixed set", want)
