@@ -135,6 +135,81 @@ func (s *DirStats) Merge(other *DirStats) {
 	s.OccupancySamples += other.OccupancySamples
 }
 
+// The sharer protocol. Every organization keeps one sharer mask per
+// tracked block and differs only in where that entry lives, so the
+// mask's transitions, and the accounting of an insertion and of a
+// forced eviction, are DirStats methods that count their own events. In
+// each, bit is the acting cache's sharer bit.
+
+// ReadHit records a read of a tracked block whose sharer mask is *mask:
+// the reader joins the sharers.
+//
+//cuckoo:hotpath
+func (s *DirStats) ReadHit(mask *uint64, bit uint64) {
+	if *mask&bit == 0 {
+		*mask |= bit
+		s.Events.Inc(EvAddSharer)
+	}
+}
+
+// WriteHit records a write of a tracked block whose sharer mask is
+// *mask: the writer becomes the only sharer, and the returned mask lists
+// the other sharers, which must invalidate their copies. That counts one
+// invalidate event; a write that invalidates no one counts an add-sharer
+// when the writer was not yet a sharer.
+//
+//cuckoo:hotpath
+func (s *DirStats) WriteHit(mask *uint64, bit uint64) (invalidate uint64) {
+	invalidate = *mask &^ bit
+	if invalidate != 0 {
+		s.Events.Inc(EvInvalidate)
+	} else if *mask&bit == 0 {
+		s.Events.Inc(EvAddSharer)
+	}
+	*mask = bit
+	return invalidate
+}
+
+// EvictHit records that a sharer in *mask evicted the block. It reports
+// whether the entry is left without sharers, which counts a remove-tag
+// on top of the remove-sharer; the caller then frees the entry.
+//
+//cuckoo:hotpath
+func (s *DirStats) EvictHit(mask *uint64, bit uint64) (empty bool) {
+	*mask &^= bit
+	s.Events.Inc(EvRemoveSharer)
+	if *mask != 0 {
+		return false
+	}
+	s.Events.Inc(EvRemoveTag)
+	return true
+}
+
+// Inserted records an entry allocated in attempts writes and samples the
+// occupancy as n tracked blocks in capacity entries; an unbounded slice
+// (capacity 0) takes no sample.
+//
+//cuckoo:hotpath
+func (s *DirStats) Inserted(attempts, n, capacity int) {
+	s.Events.Inc(EvInsertTag)
+	s.Attempts.Add(attempts)
+	if capacity > 0 {
+		s.OccupancySum += float64(n) / float64(capacity)
+		s.OccupancySamples++
+	}
+}
+
+// ForcedOut records that the directory discarded the entry tracking addr
+// for sharers, and returns the record of it: each sharer must invalidate
+// the block.
+//
+//cuckoo:hotpath
+func (s *DirStats) ForcedOut(addr, sharers uint64) Forced {
+	s.ForcedEvictions++
+	s.ForcedBlocks += uint64(bits.OnesCount64(sharers))
+	return Forced{Addr: addr, Sharers: sharers}
+}
+
 // Directory is one slice of the distributed Cuckoo directory: a d-ary
 // cuckoo table whose entries map a block address to the bit mask of caches
 // sharing the block.
@@ -211,15 +286,11 @@ func badCache(cache, n int) {
 // lookup. It returns the forced eviction, if any.
 func (d *Directory) insert(addr, mask uint64, idx *[hashfn.MaxWays]uint64) *Forced {
 	res := d.t.insertAt(addr, mask, idx)
-	d.stats.Events.Inc(EvInsertTag)
-	d.stats.Attempts.Add(res.Attempts)
 	d.lastAttempts = res.Attempts
-	d.stats.OccupancySum += d.t.Occupancy()
-	d.stats.OccupancySamples++
+	d.stats.Inserted(res.Attempts, d.t.Len(), d.t.Capacity())
 	if res.Evicted != nil {
-		d.stats.ForcedEvictions++
-		d.stats.ForcedBlocks += uint64(bits.OnesCount64(res.Evicted.Val))
-		return &Forced{Addr: res.Evicted.Key, Sharers: res.Evicted.Val}
+		f := d.stats.ForcedOut(res.Evicted.Key, res.Evicted.Val)
+		return &f
 	}
 	return nil
 }
@@ -279,10 +350,7 @@ func (d *Directory) ReadAt(addr uint64, cache int, idx *[hashfn.MaxWays]uint64) 
 		p = d.t.findStash(addr)
 	}
 	if p != nil {
-		if *p&bit == 0 {
-			*p |= bit
-			d.stats.Events.Inc(EvAddSharer)
-		}
+		d.stats.ReadHit(p, bit)
 		return nil
 	}
 	return d.insert(addr, bit, idx)
@@ -312,14 +380,7 @@ func (d *Directory) WriteAt(addr uint64, cache int, idx *[hashfn.MaxWays]uint64)
 		p = d.t.findStash(addr)
 	}
 	if p != nil {
-		inv := *p &^ bit
-		if inv != 0 {
-			d.stats.Events.Inc(EvInvalidate)
-		} else if *p&bit == 0 {
-			d.stats.Events.Inc(EvAddSharer)
-		}
-		*p = bit
-		return inv, nil
+		return d.stats.WriteHit(p, bit), nil
 	}
 	return 0, d.insert(addr, bit, idx)
 }
@@ -352,15 +413,13 @@ func (d *Directory) EvictAt(addr uint64, cache int, idx *[hashfn.MaxWays]uint64)
 	if p == nil || *p&bit == 0 {
 		return
 	}
-	*p &^= bit
-	d.stats.Events.Inc(EvRemoveSharer)
-	if *p == 0 {
-		if si >= 0 {
-			d.t.deleteSlot(si)
-		} else {
-			d.t.deleteStash(addr)
-		}
-		d.stats.Events.Inc(EvRemoveTag)
+	if !d.stats.EvictHit(p, bit) {
+		return
+	}
+	if si >= 0 {
+		d.t.deleteSlot(si)
+	} else {
+		d.t.deleteStash(addr)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"cuckoodir/internal/core"
 	"cuckoodir/internal/rng"
+	"cuckoodir/internal/sharer"
 )
 
 // makeAll returns one instance of every organization, sized comparably for
@@ -17,11 +18,13 @@ func makeAll(numCaches int) []Directory {
 		NewInCache(numCaches, 4096),
 		NewSparse(8, 128, numCaches),
 		NewSkewed(4, 256, numCaches),
+		NewElbow(4, 256, numCaches),
 		NewTagless(numCaches, 128, 64, 2),
 		NewCuckoo(core.DirConfig{
 			Table:     core.Config{Ways: 4, SetsPerWay: 256},
 			NumCaches: numCaches,
 		}),
+		NewFormattedCuckoo(core.Config{Ways: 4, SetsPerWay: 256}, sharer.FullFormat(), numCaches),
 	}
 }
 
@@ -368,6 +371,17 @@ func TestEventMixAccounting(t *testing.T) {
 			t.Errorf("%s: event mix wrong: insert=%d add=%d rms=%d rmt=%d inv=%d, want 1 each",
 				d.Name(), ev[core.EvInsertTag], ev[core.EvAddSharer],
 				ev[core.EvRemoveSharer], ev[core.EvRemoveTag], ev[core.EvInvalidate])
+		}
+	}
+	// A write by a cache that does not hold the block, which others
+	// share, is one invalidate: the writer takes the entry over rather
+	// than joining its sharers first.
+	for _, d := range makeAll(8) {
+		d.Read(0x1, 0)  // insert
+		d.Read(0x1, 1)  // add-sharer
+		d.Write(0x1, 2) // invalidate
+		if ev := d.Stats().Events; ev != (core.EventCounts{1, 1, 0, 0, 1}) {
+			t.Errorf("%s: write by a non-sharer: events %v, want [1 1 0 0 1]", d.Name(), ev)
 		}
 	}
 }

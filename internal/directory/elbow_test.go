@@ -5,6 +5,7 @@ import (
 
 	"cuckoodir/internal/core"
 	"cuckoodir/internal/rng"
+	"cuckoodir/internal/stats"
 )
 
 func TestElbowBasics(t *testing.T) {
@@ -42,7 +43,7 @@ func TestElbowDisplacesOnce(t *testing.T) {
 			delete(live, f.Addr)
 		}
 	}
-	if d.Displacements == 0 {
+	if d.Stats().Attempts.Bucket(2) == 0 {
 		t.Fatal("no elbow displacements under pressure")
 	}
 	for addr := range live {
@@ -89,8 +90,52 @@ func TestElbowResetStats(t *testing.T) {
 		d.Read(r.Uint64(), 0)
 	}
 	d.ResetStats()
-	if d.Stats().Events.Total() != 0 || d.Displacements != 0 {
+	if d.Stats().Events.Total() != 0 || d.Stats().Attempts.Bucket(2) != 0 {
 		t.Fatal("stats not reset")
+	}
+}
+
+// histSum returns the sum of the samples h recorded.
+func histSum(h *stats.Histogram) uint64 {
+	var n uint64
+	for v := 0; v <= h.Max(); v++ {
+		n += uint64(v) * h.Bucket(v)
+	}
+	return n
+}
+
+// TestElbowAttemptsMatchHistogram checks that an insertion that displaced
+// an entry reports its two writes in Op.Attempts, as the attempt
+// histogram records them: on one slice, and through a sharded elbow's
+// ShardCounters.Attempts.
+func TestElbowAttemptsMatchHistogram(t *testing.T) {
+	d := NewElbow(2, 16, 4)
+	r := rng.New(1)
+	var sum uint64
+	for i := 0; i < 40; i++ {
+		sum += uint64(d.Read(r.Uint64(), 0).Attempts)
+	}
+	h := d.Stats().Attempts
+	if h.Bucket(2) == 0 {
+		t.Fatal("no displacements: the fill does not exercise the two-write insertion")
+	}
+	if got := histSum(h); sum != got {
+		t.Errorf("Op.Attempts sum %d, histogram sum %d (%d displacements)", sum, got, h.Bucket(2))
+	}
+
+	sd, err := BuildNamed("sharded-2(elbow-4x64)", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 480; i++ { // 94% of the 512 entries
+		sd.Read(r.Uint64(), i%4)
+	}
+	h = sd.Stats().Attempts
+	if h.Bucket(2) == 0 {
+		t.Fatal("no displacements in the sharded fill")
+	}
+	if got, want := sd.(*ShardedDirectory).Counters().Attempts, histSum(h); got != want {
+		t.Errorf("ShardCounters.Attempts %d, histogram sum %d (%d displacements)", got, want, h.Bucket(2))
 	}
 }
 

@@ -123,13 +123,6 @@ func (e *exact) ForEach(fn func(addr, sharers uint64) bool) {
 	}
 }
 
-func (e *exact) sampleOccupancy() {
-	if e.nominalCap > 0 {
-		e.stats.OccupancySum += float64(len(e.entries)) / float64(e.nominalCap)
-		e.stats.OccupancySamples++
-	}
-}
-
 // trackFill enforces the duplicate-tag mirroring invariant on fills.
 func (e *exact) trackFill(addr uint64, cache int) {
 	if e.setLoad == nil {
@@ -158,48 +151,41 @@ func (e *exact) trackEvict(addr uint64, cache int) {
 func (e *exact) Read(addr uint64, cache int) Op {
 	checkCache(cache, e.numCaches)
 	m, ok := e.entries[addr]
-	if ok {
-		if m&bit(cache) == 0 {
-			e.trackFill(addr, cache)
-			e.entries[addr] = m | bit(cache)
-			e.stats.Events.Inc(core.EvAddSharer)
-		}
-		return Op{}
+	if !ok {
+		return e.insert(addr, cache)
 	}
-	e.trackFill(addr, cache)
-	e.entries[addr] = bit(cache)
-	e.stats.Events.Inc(core.EvInsertTag)
-	e.stats.Attempts.Add(1)
-	e.sampleOccupancy()
-	return Op{Attempts: 1}
+	if m&bit(cache) == 0 {
+		e.trackFill(addr, cache)
+		e.stats.ReadHit(&m, bit(cache))
+		e.entries[addr] = m
+	}
+	return Op{}
 }
 
 // Write implements Directory.
 func (e *exact) Write(addr uint64, cache int) Op {
 	checkCache(cache, e.numCaches)
 	m, ok := e.entries[addr]
-	if ok {
-		inv := m &^ bit(cache)
-		if inv != 0 {
-			e.stats.Events.Inc(core.EvInvalidate)
-		} else if m&bit(cache) == 0 {
-			e.stats.Events.Inc(core.EvAddSharer)
-		}
-		if m&bit(cache) == 0 {
-			e.trackFill(addr, cache)
-		}
-		// Invalidated sharers vacate their cache frames.
-		for inv := inv; inv != 0; inv &= inv - 1 {
-			e.trackEvict(addr, bits.TrailingZeros64(inv))
-		}
-		e.entries[addr] = bit(cache)
-		return Op{Invalidate: inv}
+	if !ok {
+		return e.insert(addr, cache)
 	}
+	if m&bit(cache) == 0 {
+		e.trackFill(addr, cache)
+	}
+	inv := e.stats.WriteHit(&m, bit(cache))
+	// Invalidated sharers vacate their cache frames.
+	for inv := inv; inv != 0; inv &= inv - 1 {
+		e.trackEvict(addr, bits.TrailingZeros64(inv))
+	}
+	e.entries[addr] = m
+	return Op{Invalidate: inv}
+}
+
+// insert allocates addr's entry, held by cache alone.
+func (e *exact) insert(addr uint64, cache int) Op {
 	e.trackFill(addr, cache)
 	e.entries[addr] = bit(cache)
-	e.stats.Events.Inc(core.EvInsertTag)
-	e.stats.Attempts.Add(1)
-	e.sampleOccupancy()
+	e.stats.Inserted(1, len(e.entries), e.nominalCap)
 	return Op{Attempts: 1}
 }
 
@@ -211,11 +197,8 @@ func (e *exact) Evict(addr uint64, cache int) {
 		return
 	}
 	e.trackEvict(addr, cache)
-	m &^= bit(cache)
-	e.stats.Events.Inc(core.EvRemoveSharer)
-	if m == 0 {
+	if e.stats.EvictHit(&m, bit(cache)) {
 		delete(e.entries, addr)
-		e.stats.Events.Inc(core.EvRemoveTag)
 	} else {
 		e.entries[addr] = m
 	}

@@ -94,26 +94,19 @@ func (f *FormattedCuckoo) ForEach(fn func(addr, sharers uint64) bool) {
 	})
 }
 
-func (f *FormattedCuckoo) sampleOccupancy() {
-	f.stats.OccupancySum += f.t.Occupancy()
-	f.stats.OccupancySamples++
-}
-
 // insert allocates an entry holding only cache.
-func (f *FormattedCuckoo) insert(addr uint64, cache int) (op Op) {
+func (f *FormattedCuckoo) insert(addr uint64, cache int) Op {
 	set := f.format.New(f.numCaches)
 	set.Add(cache)
 	res := f.t.Insert(addr, set)
-	f.stats.Events.Inc(core.EvInsertTag)
-	f.stats.Attempts.Add(res.Attempts)
-	op.Attempts = res.Attempts
-	f.sampleOccupancy()
+	f.stats.Inserted(res.Attempts, f.t.Len(), f.t.Capacity())
+	op := Op{Attempts: res.Attempts}
 	if res.Evicted != nil {
-		m := maskOf(res.Evicted.Val)
-		f.stats.ForcedEvictions++
-		f.stats.ForcedBlocks += uint64(bits.OnesCount64(m))
-		op.Forced = append(op.Forced, Forced{Addr: res.Evicted.Key, Sharers: m})
+		op.Forced = append(op.Forced, f.stats.ForcedOut(res.Evicted.Key, maskOf(res.Evicted.Val)))
 		delete(f.shadow, res.Evicted.Key)
+	}
+	if f.t.Find(addr) != nil { // the displacement chain may have evicted addr itself
+		f.shadow[addr] = bit(cache)
 	}
 	return op
 }
@@ -121,45 +114,32 @@ func (f *FormattedCuckoo) insert(addr uint64, cache int) (op Op) {
 // Read implements Directory.
 func (f *FormattedCuckoo) Read(addr uint64, cache int) Op {
 	checkCache(cache, f.numCaches)
-	if p := f.t.Find(addr); p != nil {
-		if !(*p).Contains(cache) {
-			f.stats.Events.Inc(core.EvAddSharer)
-		}
-		(*p).Add(cache)
-		f.shadow[addr] |= bit(cache)
-		return Op{}
+	p := f.t.Find(addr)
+	if p == nil {
+		return f.insert(addr, cache)
 	}
-	op := f.insert(addr, cache)
-	if _, stillThere := f.Lookup(addr); stillThere {
-		f.shadow[addr] = bit(cache)
-	}
-	return op
+	view := maskOf(*p)
+	f.stats.ReadHit(&view, bit(cache))
+	(*p).Add(cache)
+	f.shadow[addr] |= bit(cache)
+	return Op{}
 }
 
 // Write implements Directory. Invalidations are computed from the FORMAT's
 // view; targets that are not true holders are counted spurious.
 func (f *FormattedCuckoo) Write(addr uint64, cache int) Op {
 	checkCache(cache, f.numCaches)
-	if p := f.t.Find(addr); p != nil {
-		view := maskOf(*p)
-		inv := view &^ bit(cache)
-		trueInv := f.shadow[addr] &^ bit(cache)
-		f.SpuriousInvalidations += uint64(bits.OnesCount64(inv &^ trueInv))
-		if inv != 0 {
-			f.stats.Events.Inc(core.EvInvalidate)
-		} else if view&bit(cache) == 0 {
-			f.stats.Events.Inc(core.EvAddSharer)
-		}
-		(*p).Clear()
-		(*p).Add(cache)
-		f.shadow[addr] = bit(cache)
-		return Op{Invalidate: inv}
+	p := f.t.Find(addr)
+	if p == nil {
+		return f.insert(addr, cache)
 	}
-	op := f.insert(addr, cache)
-	if _, stillThere := f.Lookup(addr); stillThere {
-		f.shadow[addr] = bit(cache)
-	}
-	return op
+	view := maskOf(*p)
+	inv := f.stats.WriteHit(&view, bit(cache))
+	f.SpuriousInvalidations += uint64(bits.OnesCount64(inv &^ f.shadow[addr]))
+	(*p).Clear()
+	(*p).Add(cache)
+	f.shadow[addr] = bit(cache)
+	return Op{Invalidate: inv}
 }
 
 // Evict implements Directory. With an inexact format the entry may live on
@@ -168,19 +148,20 @@ func (f *FormattedCuckoo) Write(addr uint64, cache int) Op {
 func (f *FormattedCuckoo) Evict(addr uint64, cache int) {
 	checkCache(cache, f.numCaches)
 	p := f.t.Find(addr)
-	if p == nil {
-		return
-	}
-	if !(*p).Contains(cache) {
+	if p == nil || !(*p).Contains(cache) {
 		return
 	}
 	(*p).Remove(cache)
-	f.stats.Events.Inc(core.EvRemoveSharer)
 	f.shadow[addr] &^= bit(cache)
-	if (*p).Empty() {
+	// The format, not its view, decides whether the entry empties: a
+	// coarse or broadcast entry keeps cache in its view.
+	view := bit(cache)
+	if !(*p).Empty() {
+		view = ^uint64(0)
+	}
+	if f.stats.EvictHit(&view, bit(cache)) {
 		f.t.Delete(addr)
 		delete(f.shadow, addr)
-		f.stats.Events.Inc(core.EvRemoveTag)
 	}
 }
 

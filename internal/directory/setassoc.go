@@ -8,8 +8,9 @@ import (
 	"cuckoodir/internal/hashfn"
 )
 
-// setAssoc implements both classic Sparse and skewed-associative
-// directories; the two differ only in how ways are indexed:
+// setAssoc implements the classic Sparse, the skewed-associative and the
+// Elbow directories; they differ only in how ways are indexed and in
+// whether an insertion may displace an entry:
 //
 //   - Sparse (Gupta et al. [17], §3.2): every way uses the same low-order
 //     index bits, so a set is A physically adjacent slots and conflicts
@@ -20,10 +21,23 @@ import (
 //     but — unlike the Cuckoo directory — insertion still picks a victim
 //     from the A candidate slots rather than displacing entries to their
 //     alternate locations. Victims are the LRU candidate.
+//   - Elbow (Spjuth, Karlsson and Hagersten, §6): Skewed plus at most one
+//     displacement. When every candidate slot is taken, the first
+//     candidate with a vacant slot in another way moves there and the
+//     new entry takes its place, in two writes; only when no candidate
+//     can move is the LRU candidate evicted. The paper places it between
+//     Skewed and Cuckoo: "the Elbow cache is limited to one displacement
+//     per insertion and requires multiple lookups to select a
+//     displacement victim, resulting in a complex and power-hungry design
+//     that experiences more forced invalidations than the Cuckoo
+//     directory." The ablation experiment's displacement table measures
+//     that ordering.
 type setAssoc struct {
 	name string
 	ways int
 	sets int
+	// elbow lets an insertion displace one entry before it evicts.
+	elbow bool
 	// ix is the devirtualized per-way index pipeline, resolved once from
 	// the organization's hash family (see internal/hashfn.Indexer) — the
 	// same probing idiom the cuckoo table's hot path uses.
@@ -45,16 +59,27 @@ type saEntry struct {
 // NewSparse builds a classic Sparse directory slice with the given
 // associativity and set count (capacity = ways*sets).
 func NewSparse(ways, sets, numCaches int) Directory {
-	return newSetAssoc("sparse", ways, sets, numCaches, hashfn.XorFold{})
+	return newSetAssoc("sparse", ways, sets, numCaches, hashfn.XorFold{}, false)
 }
 
 // NewSkewed builds a skewed-associative directory slice.
 func NewSkewed(ways, sets, numCaches int) Directory {
 	return newSetAssoc("skewed", ways, sets, numCaches,
-		hashfn.NewSkew(bits.TrailingZeros(uint(sets))))
+		hashfn.NewSkew(bits.TrailingZeros(uint(sets))), false)
 }
 
-func newSetAssoc(name string, ways, sets, numCaches int, h hashfn.Family) *setAssoc {
+// NewElbow builds an Elbow directory slice: a skewed slice whose
+// insertions may displace one entry. It needs at least two ways, so that
+// a displaced entry has somewhere to go.
+func NewElbow(ways, sets, numCaches int) Directory {
+	if ways < 2 {
+		panic(fmt.Sprintf("directory: Elbow ways = %d, need >= 2", ways))
+	}
+	return newSetAssoc("elbow", ways, sets, numCaches,
+		hashfn.NewSkew(bits.TrailingZeros(uint(sets))), true)
+}
+
+func newSetAssoc(name string, ways, sets, numCaches int, h hashfn.Family, elbow bool) *setAssoc {
 	if ways <= 0 {
 		panic(fmt.Sprintf("directory: ways = %d", ways))
 	}
@@ -64,15 +89,17 @@ func newSetAssoc(name string, ways, sets, numCaches int, h hashfn.Family) *setAs
 	if numCaches <= 0 || numCaches > 64 {
 		panic(fmt.Sprintf("directory: numCaches = %d", numCaches))
 	}
-	return &setAssoc{
+	s := &setAssoc{
 		name:      name,
 		ways:      ways,
 		sets:      sets,
+		elbow:     elbow,
 		ix:        hashfn.NewIndexer(h, ways, uint64(sets-1)),
 		slots:     make([]saEntry, ways*sets),
 		numCaches: numCaches,
-		stats:     core.NewDirStats(1),
 	}
+	s.ResetStats()
+	return s
 }
 
 // Name implements Directory.
@@ -90,8 +117,15 @@ func (s *setAssoc) Len() int { return s.used }
 // Stats implements Directory.
 func (s *setAssoc) Stats() *Stats { return s.stats }
 
-// ResetStats implements Directory.
-func (s *setAssoc) ResetStats() { s.stats = core.NewDirStats(1) }
+// ResetStats implements Directory. An Elbow insertion makes up to two
+// writes, so its attempt histogram reaches 2.
+func (s *setAssoc) ResetStats() {
+	if s.elbow {
+		s.stats = core.NewDirStats(2)
+	} else {
+		s.stats = core.NewDirStats(1)
+	}
+}
 
 // slotIdx returns the slot of (way, addr).
 func (s *setAssoc) slotIdx(way int, addr uint64) int {
@@ -146,9 +180,12 @@ func (s *setAssoc) touch(e *saEntry) {
 	e.lru = s.lruClock
 }
 
-// insert allocates an entry for addr, evicting the LRU candidate when all
-// eligible slots are occupied.
-func (s *setAssoc) insert(addr, sharers uint64) *Forced {
+// insert allocates an entry for addr holding sharers. A vacant candidate
+// slot takes it in one write; when every candidate is taken, an Elbow
+// slice first tries its one displacement, and otherwise the LRU
+// candidate is evicted. The Op carries the writes made and the forced
+// eviction, if any.
+func (s *setAssoc) insert(addr, sharers uint64) Op {
 	// Insertions are far rarer than lookups (one per allocated entry),
 	// so a single per-way indexed loop beats duplicating the victim
 	// policy across batched/unbatched variants.
@@ -163,60 +200,62 @@ func (s *setAssoc) insert(addr, sharers uint64) *Forced {
 			victim = e
 		}
 	}
-	var forced *Forced
+	op := Op{Attempts: 1}
+	if victim.valid && s.elbow {
+		if e := s.displace(addr); e != nil {
+			victim, op.Attempts = e, 2
+		}
+	}
 	if victim.valid {
-		forced = &Forced{Addr: victim.addr, Sharers: victim.sharers}
+		op.Forced = append(op.Forced, s.stats.ForcedOut(victim.addr, victim.sharers))
 		s.used--
-		s.stats.ForcedEvictions++
-		s.stats.ForcedBlocks += uint64(bits.OnesCount64(victim.sharers))
 	}
 	*victim = saEntry{addr: addr, sharers: sharers, valid: true}
 	s.touch(victim)
 	s.used++
-	s.stats.Events.Inc(core.EvInsertTag)
-	s.stats.Attempts.Add(1)
-	s.stats.OccupancySum += float64(s.used) / float64(s.Capacity())
-	s.stats.OccupancySamples++
-	return forced
+	s.stats.Inserted(op.Attempts, s.used, s.Capacity())
+	return op
+}
+
+// displace makes Elbow's one move for addr, whose candidate slots are
+// all taken: the first candidate, in way order, whose slot in another
+// way is vacant moves there, keeping its LRU stamp. It returns the slot
+// the move freed, or nil when no candidate can move.
+func (s *setAssoc) displace(addr uint64) *saEntry {
+	for w := 0; w < s.ways; w++ {
+		e := &s.slots[s.slotIdx(w, addr)]
+		for w2 := 0; w2 < s.ways; w2++ {
+			// In way w, e's own slot is alt, which is taken.
+			if alt := &s.slots[s.slotIdx(w2, e.addr)]; !alt.valid {
+				*alt = *e
+				e.valid = false
+				return e
+			}
+		}
+	}
+	return nil
 }
 
 // Read implements Directory.
 func (s *setAssoc) Read(addr uint64, cache int) Op {
 	checkCache(cache, s.numCaches)
 	if e := s.find(addr); e != nil {
-		if e.sharers&bit(cache) == 0 {
-			e.sharers |= bit(cache)
-			s.stats.Events.Inc(core.EvAddSharer)
-		}
+		s.stats.ReadHit(&e.sharers, bit(cache))
 		s.touch(e)
 		return Op{}
 	}
-	op := Op{Attempts: 1}
-	if f := s.insert(addr, bit(cache)); f != nil {
-		op.Forced = append(op.Forced, *f)
-	}
-	return op
+	return s.insert(addr, bit(cache))
 }
 
 // Write implements Directory.
 func (s *setAssoc) Write(addr uint64, cache int) Op {
 	checkCache(cache, s.numCaches)
 	if e := s.find(addr); e != nil {
-		inv := e.sharers &^ bit(cache)
-		if inv != 0 {
-			s.stats.Events.Inc(core.EvInvalidate)
-		} else if e.sharers&bit(cache) == 0 {
-			s.stats.Events.Inc(core.EvAddSharer)
-		}
-		e.sharers = bit(cache)
+		inv := s.stats.WriteHit(&e.sharers, bit(cache))
 		s.touch(e)
 		return Op{Invalidate: inv}
 	}
-	op := Op{Attempts: 1}
-	if f := s.insert(addr, bit(cache)); f != nil {
-		op.Forced = append(op.Forced, *f)
-	}
-	return op
+	return s.insert(addr, bit(cache))
 }
 
 // Evict implements Directory.
@@ -226,12 +265,9 @@ func (s *setAssoc) Evict(addr uint64, cache int) {
 	if e == nil || e.sharers&bit(cache) == 0 {
 		return
 	}
-	e.sharers &^= bit(cache)
-	s.stats.Events.Inc(core.EvRemoveSharer)
-	if e.sharers == 0 {
+	if s.stats.EvictHit(&e.sharers, bit(cache)) {
 		e.valid = false
 		s.used--
-		s.stats.Events.Inc(core.EvRemoveTag)
 	}
 }
 

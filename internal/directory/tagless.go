@@ -178,17 +178,12 @@ func (t *Tagless) Read(addr uint64, cache int) Op {
 		return Op{}
 	}
 	t.filterAdd(cache, addr)
-	var op Op
 	if m == 0 {
-		t.stats.Events.Inc(core.EvInsertTag)
-		t.stats.Attempts.Add(1)
-		t.sampleOccupancy()
-		op.Attempts = 1
-	} else {
-		t.stats.Events.Inc(core.EvAddSharer)
+		return t.insert(addr, cache)
 	}
-	t.shadow[addr] = m | bit(cache)
-	return op
+	t.stats.ReadHit(&m, bit(cache))
+	t.shadow[addr] = m
+	return Op{}
 }
 
 // Write implements Directory. The invalidate mask is computed from the
@@ -196,34 +191,36 @@ func (t *Tagless) Read(addr uint64, cache int) Op {
 // traffic the real design pays.
 func (t *Tagless) Write(addr uint64, cache int) Op {
 	checkCache(cache, t.numCaches)
-	truth := t.shadow[addr]
 	positives, _ := t.Lookup(addr)
 	inv := positives &^ bit(cache)
-	trueInv := truth &^ bit(cache)
-	t.SpuriousInvalidations += uint64(bits.OnesCount64(inv &^ trueInv))
-
-	attempts := 0
-	if truth&bit(cache) == 0 {
+	m := t.shadow[addr]
+	if m&bit(cache) == 0 {
 		t.filterAdd(cache, addr)
-		if truth == 0 {
-			t.stats.Events.Inc(core.EvInsertTag)
-			t.stats.Attempts.Add(1)
-			t.sampleOccupancy()
-			attempts = 1
-		} else {
-			t.stats.Events.Inc(core.EvAddSharer)
+	}
+	var op Op
+	var trueInv uint64
+	if m == 0 {
+		op = t.insert(addr, cache)
+	} else {
+		trueInv = t.stats.WriteHit(&m, bit(cache))
+		// True holders drop their copies (acknowledged invalidations
+		// update the grid).
+		for h := trueInv; h != 0; h &= h - 1 {
+			t.filterRemove(bits.TrailingZeros64(h), addr)
 		}
+		t.shadow[addr] = m
 	}
-	if trueInv != 0 {
-		t.stats.Events.Inc(core.EvInvalidate)
-	}
-	// True holders drop their copies (acknowledged invalidations update
-	// the grid).
-	for m := trueInv; m != 0; m &= m - 1 {
-		t.filterRemove(bits.TrailingZeros64(m), addr)
-	}
+	t.SpuriousInvalidations += uint64(bits.OnesCount64(inv &^ trueInv))
+	op.Invalidate = inv
+	return op
+}
+
+// insert starts tracking addr, held by cache alone, once cache's filter
+// holds it. Occupancy is sampled before addr counts.
+func (t *Tagless) insert(addr uint64, cache int) Op {
+	t.stats.Inserted(1, len(t.shadow), t.Capacity())
 	t.shadow[addr] = bit(cache)
-	return Op{Invalidate: inv, Attempts: attempts}
+	return Op{Attempts: 1}
 }
 
 // Evict implements Directory.
@@ -234,11 +231,8 @@ func (t *Tagless) Evict(addr uint64, cache int) {
 		return
 	}
 	t.filterRemove(cache, addr)
-	m &^= bit(cache)
-	t.stats.Events.Inc(core.EvRemoveSharer)
-	if m == 0 {
+	if t.stats.EvictHit(&m, bit(cache)) {
 		delete(t.shadow, addr)
-		t.stats.Events.Inc(core.EvRemoveTag)
 	} else {
 		t.shadow[addr] = m
 	}
@@ -251,14 +245,6 @@ func (t *Tagless) ForEach(fn func(addr, sharers uint64) bool) {
 		if !fn(a, m) {
 			return
 		}
-	}
-}
-
-func (t *Tagless) sampleOccupancy() {
-	cap := t.Capacity()
-	if cap > 0 {
-		t.stats.OccupancySum += float64(len(t.shadow)) / float64(cap)
-		t.stats.OccupancySamples++
 	}
 }
 
