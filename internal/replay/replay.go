@@ -360,14 +360,15 @@ func (r Result) String() string {
 // batches) are counted in Result.Dropped rather than silently lost.
 //
 // With Options.Via == ViaEngine the same contract holds, but the
-// records flow through an asynchronous DirectoryEngine: see runEngine.
+// records flow through an asynchronous DirectoryEngine: Run is then
+// RunMulti with src as the one source.
 func Run(dir *directory.ShardedDirectory, src Source, o Options) (Result, error) {
+	if o.Via == ViaEngine {
+		return RunMulti(dir, []Source{src}, o)
+	}
 	o = o.withDefaults()
 	if err := o.validateBackground(); err != nil {
 		return Result{}, err
-	}
-	if o.Via == ViaEngine {
-		return runEngine(dir, src, o)
 	}
 	res := Result{Workers: o.Workers, BatchSize: o.BatchSize, Producers: 1}
 
@@ -467,34 +468,6 @@ func finishResult(dir *directory.ShardedDirectory, res *Result) {
 	res.Resizes = dir.ResizeStats()
 }
 
-// runEngine is the ViaEngine body of Run: the producer is a thin engine
-// client — it packs plain fixed-size batches (no shard routing, no
-// worker pool) and fire-and-forget submits them; the engine's drainers
-// do the shard-affine batched applying. Close drains everything before
-// the clock stops, so Throughput covers completion, not just
-// submission.
-func runEngine(dir *directory.ShardedDirectory, src Source, o Options) (Result, error) {
-	eng, err := engine.New(dir, o.Engine)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{
-		Via:       ViaEngine,
-		Producers: 1,
-		Workers:   eng.Options().Drainers,
-		BatchSize: o.BatchSize,
-	}
-	start := time.Now()
-	err = produce(eng, src, dir.NumCaches(), o.BatchSize, o.Background, &res)
-	if cerr := eng.Close(); err == nil {
-		err = cerr
-	}
-	res.Elapsed = time.Since(start)
-	captureEngineHealth(eng, &res)
-	finishResult(dir, &res)
-	return res, err
-}
-
 // captureEngineHealth copies the engine's fault-containment tallies
 // into the Result after the engine has drained (Close has returned, so
 // the counters are final).
@@ -588,14 +561,18 @@ func produce(eng *engine.Engine, src Source, numCaches, batchSize int, backgroun
 	}
 }
 
-// RunMulti is the multi-producer form of the engine path: every source
-// gets its own producing goroutine, all submitting concurrently to one
-// DirectoryEngine over the same directory — the submission-side scaling
-// a single serial producer (either path of Run) cannot express.
-// Options.Via must be ViaEngine (the direct pipeline's producer is
-// inherently serial). Producers run their sources to completion; the
-// first error (with its producer's dropped count) is reported alongside
-// the combined Result.
+// RunMulti is the engine path of the replay: every source gets its own
+// producing goroutine, a thin engine client that packs plain fixed-size
+// batches (no shard routing, no worker pool) and fire-and-forget submits
+// them, all to one DirectoryEngine over the same directory, whose
+// drainers do the shard-affine batched applying. Close drains
+// everything before the clock stops, so Throughput covers completion,
+// not just submission. With several sources it measures the
+// submission-side scaling a single serial producer cannot express; Run
+// with ViaEngine is its one-source form. Options.Via must be ViaEngine
+// (the direct pipeline's producer is inherently serial). Producers run
+// their sources to completion; the first error (with its producer's
+// dropped count) is reported alongside the combined Result.
 func RunMulti(dir *directory.ShardedDirectory, srcs []Source, o Options) (Result, error) {
 	o = o.withDefaults()
 	if o.Via != ViaEngine {
