@@ -7,9 +7,10 @@
 // paper's figures: a FIXED set of named benchmark cases (table
 // find/insert/delete at swept occupancies for each hash family,
 // including the pre-devirtualization interface-dispatch path as a
-// baseline, batch indexing alone, plus sharded replay at swept
-// worker/shard counts and the engine-vs-ApplyShard submission A/B at
-// swept producer counts) whose results append to a stable, diffable
+// baseline, batch indexing alone, sharded replay at swept worker/shard
+// counts, the engine-vs-ApplyShard submission A/B at swept producer
+// counts, and the functional simulator's step on Figure 12's
+// Private-L2 lineup) whose results append to a stable, diffable
 // JSON file, one labeled run per PR. Future PRs extend the trajectory
 // instead of re-measuring ad hoc. Every row also carries the host
 // factor of a calibration kernel timed around it (calib.go) and its

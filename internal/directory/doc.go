@@ -1,15 +1,19 @@
 // Package directory defines the common interface of all coherence
 // directory organizations the paper evaluates (§3, §5.4) and implements
 // every competitor: the Sparse directory (Gupta et al.), the
-// skewed-associative directory (Seznec), the Duplicate-Tag directory
-// (Piranha), the Tagless directory (Zebchuk et al.), the inclusive
-// in-cache directory, and an ideal (unbounded, exact) reference. The
-// Cuckoo directory from internal/core is adapted to the same interface.
+// skewed-associative directory (Seznec), the Elbow directory (Spjuth et
+// al.; the three are one set-associative slice), the Duplicate-Tag
+// directory (Piranha), the Tagless directory (Zebchuk et al.), the
+// inclusive in-cache directory, and an ideal (unbounded, exact)
+// reference. The Cuckoo directory from internal/core is adapted to the
+// same interface.
 //
 // All organizations track sharers exactly or as supersets using uint64
 // masks (at most 64 caches — the functional simulator's regime;
 // compressed per-entry formats are modelled by internal/sharer and
-// costed by internal/energy).
+// costed by internal/energy). They differ only in where an entry lives:
+// the mask's transitions and the event counts they make are
+// core.DirStats's protocol methods, which every organization calls.
 //
 // # Construction
 //
