@@ -285,9 +285,9 @@ func NewEngine(dir *ShardedDirectory, o EngineOptions) (*Engine, error) {
 // QoSClass is a submission's priority class, set on
 // EngineRequest.Class; the zero value is ClassForeground, which
 // SubmitBatch also uses, and SubmitDetachedClass takes it explicitly.
-// Per-class queue depths, drain shares, shed counts and latency
-// percentiles are reported through EngineStats.Classes and
-// EngineHealth.Classes. See DESIGN.md §13.
+// Per-class submission, shed and rejection counts and latency
+// percentiles are reported through EngineStats.Classes, and per-class
+// queue depths through EngineHealth's drainer rows. See DESIGN.md §13.
 type QoSClass = qos.Class
 
 // The engine's priority classes.
@@ -337,16 +337,12 @@ type QoSClassStats = qos.ClassStats
 // (QoSClassStats.Latency) with P50/P99/P999 percentile readout.
 type QoSLatency = qos.Latency
 
-// EngineClassLatency is one class's latency row in an EngineHealth
-// snapshot (samples and p50/p99/p999).
-type EngineClassLatency = engine.ClassLatency
-
 // ---- fault containment & injection ----
 
 // EngineHealth is an Engine's liveness snapshot (Engine.Health):
 // per-drainer progress and stall flags from the engine's watchdog,
-// quarantined shards, contained-panic count and the most recent
-// automatic-grow failure. See DESIGN.md §12 for the fault model.
+// quarantined shards and the most recent automatic-grow failure. See
+// DESIGN.md §12 for the fault model.
 type EngineHealth = engine.Health
 
 // DrainerHealth is one drainer's row in an EngineHealth snapshot.

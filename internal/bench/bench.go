@@ -306,7 +306,7 @@ func engineReplayCase(shards, producers int) func(b *testing.B) {
 			if want := uint64(replayAccesses / producers * producers); res.Accesses != want {
 				b.Fatalf("replayed %d accesses, want %d", res.Accesses, want)
 			}
-			growFails += res.GrowFailures
+			growFails += res.Engine.GrowFailures
 		}
 		b.ReportMetric(float64(replayAccesses/producers*producers)*float64(b.N)/b.Elapsed().Seconds(), "acc/s")
 		// A directory that wanted to grow and couldn't was measured

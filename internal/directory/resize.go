@@ -98,14 +98,18 @@ func (p ResizePolicy) run() int {
 }
 
 // ResizeStats is a lock-free snapshot of a ShardedDirectory's resize
-// activity. It is monitoring output, not a mergeable stats record.
+// activity, whoever drives it (an engine's drainers, FinishResizes or
+// direct MigrateShard calls): the one record of resizes and migration
+// work. It is monitoring output, not a mergeable stats record.
 type ResizeStats struct {
 	// Started and Completed count shard resizes begun and finished.
 	// Started - Completed is NOT InProgress in general (snapshots are
 	// per-field atomic); use InProgress.
 	Started, Completed uint64
-	// MigratedEntries counts tracked blocks moved old -> new table.
-	MigratedEntries uint64
+	// Steps counts background migration steps (MigrateShard calls that
+	// found the shard migrating), and MigratedEntries the tracked blocks
+	// those steps moved old -> new table.
+	Steps, MigratedEntries uint64
 	// MigrationForced counts forced evictions the re-insertions of
 	// BACKGROUND migration steps caused in the new table (access-path
 	// touch migrations report theirs in the access's own Op.Forced and
@@ -296,6 +300,7 @@ func (s *ShardedDirectory) ResizeStats() ResizeStats {
 	return ResizeStats{
 		Started:         s.resizeStarted.Load(),
 		Completed:       s.resizeDone.Load(),
+		Steps:           s.migrationSteps.Load(),
 		MigratedEntries: s.migratedEntries.Load(),
 		MigrationForced: s.migrationForced.Load(),
 		InProgress:      int(s.migCount.Load()),
@@ -398,6 +403,7 @@ func (s *ShardedDirectory) MigrateShard(h, max int) (moved int, done bool) {
 		sh.migrating.Store(false)
 	}
 	sh.mu.Unlock()
+	s.migrationSteps.Add(1)
 	if moved > 0 {
 		s.migratedEntries.Add(uint64(moved))
 	}

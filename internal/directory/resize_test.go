@@ -159,6 +159,9 @@ func TestMigratingDirSemantics(t *testing.T) {
 	if moved, done := d.MigrateShard(0, 16); moved != 0 || !done {
 		t.Errorf("MigrateShard on settled shard = (%d, %v), want (0, true)", moved, done)
 	}
+	if got := d.ResizeStats().Steps; got != uint64(steps) {
+		t.Errorf("ResizeStats.Steps = %d after %d migrating steps", got, steps)
+	}
 }
 
 // TestResizeEmptyShard: an empty shard's resize completes in place.

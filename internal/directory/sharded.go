@@ -2,7 +2,6 @@ package directory
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -120,6 +119,7 @@ type ShardedDirectory struct {
 	migCount        atomic.Int32
 	resizeStarted   atomic.Uint64
 	resizeDone      atomic.Uint64
+	migrationSteps  atomic.Uint64
 	migratedEntries atomic.Uint64
 	migrationForced atomic.Uint64
 }
@@ -142,9 +142,9 @@ type ShardCounters struct {
 	Inserts  uint64
 	Attempts uint64
 	// Forced counts entries the directory discarded on insertion
-	// failure; ForcedBlocks the cache blocks invalidated as a result.
-	Forced       uint64
-	ForcedBlocks uint64
+	// failure (Stats' ForcedBlocks counts the cache blocks invalidated
+	// as a result).
+	Forced uint64
 }
 
 // Ops returns the total operation count.
@@ -176,12 +176,7 @@ func (c *ShardCounters) observe(kind AccessKind, op Op) {
 		c.Inserts++
 		c.Attempts += uint64(op.Attempts)
 	}
-	if len(op.Forced) > 0 {
-		c.Forced += uint64(len(op.Forced))
-		for _, f := range op.Forced {
-			c.ForcedBlocks += uint64(bits.OnesCount64(f.Sharers))
-		}
-	}
+	c.Forced += uint64(len(op.Forced))
 }
 
 // add accumulates another snapshot into c.
@@ -192,12 +187,11 @@ func (c *ShardCounters) add(o ShardCounters) {
 	c.Inserts += o.Inserts
 	c.Attempts += o.Attempts
 	c.Forced += o.Forced
-	c.ForcedBlocks += o.ForcedBlocks
 }
 
 // shardCtr is the atomic backing store of one shard's ShardCounters.
 type shardCtr struct {
-	reads, writes, evicts, inserts, attempts, forced, forcedBlocks atomic.Uint64
+	reads, writes, evicts, inserts, attempts, forced atomic.Uint64
 }
 
 // flush adds a local aggregate into the shard's atomics, skipping
@@ -223,9 +217,6 @@ func (ctr *shardCtr) flush(c ShardCounters) {
 	if c.Forced != 0 {
 		ctr.forced.Add(c.Forced)
 	}
-	if c.ForcedBlocks != 0 {
-		ctr.forcedBlocks.Add(c.ForcedBlocks)
-	}
 }
 
 // snapshot loads the counters. Each field is individually exact;
@@ -233,13 +224,12 @@ func (ctr *shardCtr) flush(c ShardCounters) {
 // Inserts) may be off by one in-flight batch relative to each other.
 func (ctr *shardCtr) snapshot() ShardCounters {
 	return ShardCounters{
-		Reads:        ctr.reads.Load(),
-		Writes:       ctr.writes.Load(),
-		Evicts:       ctr.evicts.Load(),
-		Inserts:      ctr.inserts.Load(),
-		Attempts:     ctr.attempts.Load(),
-		Forced:       ctr.forced.Load(),
-		ForcedBlocks: ctr.forcedBlocks.Load(),
+		Reads:    ctr.reads.Load(),
+		Writes:   ctr.writes.Load(),
+		Evicts:   ctr.evicts.Load(),
+		Inserts:  ctr.inserts.Load(),
+		Attempts: ctr.attempts.Load(),
+		Forced:   ctr.forced.Load(),
 	}
 }
 
@@ -251,7 +241,6 @@ func (ctr *shardCtr) reset() {
 	ctr.inserts.Store(0)
 	ctr.attempts.Store(0)
 	ctr.forced.Store(0)
-	ctr.forcedBlocks.Store(0)
 }
 
 // dirShard pairs one slice with its lock. Shards are individually
@@ -632,7 +621,6 @@ func applyCuckoo(d *core.Directory, accesses []Access, ops []Op, c *ShardCounter
 		}
 		if f != nil {
 			c.Forced++
-			c.ForcedBlocks += uint64(bits.OnesCount64(f.Sharers))
 		}
 		if ops != nil {
 			ops[i] = cuckooOp(inv, f, n)

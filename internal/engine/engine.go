@@ -420,47 +420,37 @@ func (t *Ticket) complete() {
 	}
 }
 
-// Stats is a snapshot of an engine's submission counters.
+// Stats is a snapshot of an engine's submission counters. Resize
+// activity is the directory's to report (ShardedDirectory.ResizeStats).
 //
 //cuckoo:stats merge=Merge
 type Stats struct {
 	// SubmittedAccesses / CompletedAccesses count individual accesses
-	// accepted into queues and applied to the directory.
+	// accepted into queues and applied to the directory: the sums of
+	// the Classes rows.
 	SubmittedAccesses uint64
 	CompletedAccesses uint64
 	// SubmittedRequests / CompletedRequests count queue elements (a
 	// batch contributes one per touched drainer; barriers not counted).
 	SubmittedRequests uint64
 	CompletedRequests uint64
-	// Rejected counts submissions refused with ErrQueueFull.
+	// Rejected counts submissions refused with ErrQueueFull (the sum of
+	// the Classes rows).
 	Rejected uint64
 	// Flushes counts Flush barriers completed.
 	Flushes uint64
-	// MigrationRuns / MigratedEntries count background migration steps
-	// the drainers executed during live resizes and the entries those
-	// steps moved old table -> new table (touch migrations on the access
-	// path are not the drainers' work and are counted by the directory's
-	// own ResizeStats instead).
-	MigrationRuns   uint64
-	MigratedEntries uint64
-	// ResizesStarted counts resizes begun through the engine
-	// (ResizeShardSpec and automatic growth);
-	// ResizesCompleted counts migrations the drainers drove to
-	// completion. An empty-shard resize completes in place without
-	// drainer work, so it is counted started but not completed here
-	// (the directory's ResizeStats counts both sides).
-	ResizesStarted   uint64
-	ResizesCompleted uint64
 	// GrowFailures counts automatic-growth attempts that failed (a
 	// grown geometry exceeding spec bounds, or an injected build
 	// failure). The trigger condition persists, so one overload can count
 	// many failures; Health().LastGrowError keeps the latest cause.
 	GrowFailures uint64
 	// Shed counts submissions refused with ErrDeadlineExceeded before
-	// enqueue (the caller's deadline had already expired).
+	// enqueue (the caller's deadline had already expired; the sum of
+	// the Classes rows).
 	Shed uint64
 	// ContainedPanics counts drainer panics the engine recovered; each
-	// one quarantines the shard it hit.
+	// one quarantines the shard it hit, so it equals the number of
+	// quarantined shards.
 	ContainedPanics uint64
 	// ErredAccesses counts accesses whose requests completed with an
 	// error instead of applying (contained panics, quarantined shards).
@@ -468,9 +458,9 @@ type Stats struct {
 	// Classes splits the traffic by priority class: per-class
 	// submitted/completed/rejected/shed counters plus the
 	// enqueue-to-completion latency distribution each drainer records
-	// (power-of-two ns buckets, merged across drainers). The aggregate
-	// counters above count ALL classes; Classes says who the traffic
-	// was and what tail it saw.
+	// (power-of-two ns buckets, merged across drainers). It is the one
+	// record of class latency; the aggregate counters above sum its
+	// rows.
 	Classes [qos.NumClasses]qos.ClassStats
 }
 
@@ -485,10 +475,6 @@ func (s *Stats) Merge(o Stats) {
 	s.CompletedRequests += o.CompletedRequests
 	s.Rejected += o.Rejected
 	s.Flushes += o.Flushes
-	s.MigrationRuns += o.MigrationRuns
-	s.MigratedEntries += o.MigratedEntries
-	s.ResizesStarted += o.ResizesStarted
-	s.ResizesCompleted += o.ResizesCompleted
 	s.GrowFailures += o.GrowFailures
 	s.Shed += o.Shed
 	s.ContainedPanics += o.ContainedPanics
@@ -551,19 +537,16 @@ type Engine struct {
 	// line away.
 	_ [64]byte
 
-	subAcc, cmpAcc, subReq, cmpReq, rejected, flushes atomic.Uint64
-	migRuns, migrated, rzStarted, rzDone, growFail    atomic.Uint64
-	shed, contained, erredAcc                         atomic.Uint64
-	// Per-class splits of the submission counters above (latency lives
-	// in the per-drainer recorders instead, to keep this block small).
+	subReq, cmpReq, flushes, growFail, erredAcc atomic.Uint64
+	// Per-class access and refusal counters; Stats sums them into the
+	// totals (latency lives in the per-drainer recorders instead, to
+	// keep this block small).
 	clsSubAcc, clsCmpAcc, clsRej, clsShed [qos.NumClasses]atomic.Uint64
-	// quarCount is the fast any-quarantined check the submit path
-	// reads; degraded mirrors "any shard quarantined or any drainer
-	// stalled" (quarantine sets it eagerly, the watchdog recomputes
-	// it); lastGrow keeps the most recent automatic-growth failure for
+	// quarCount is the fast any-quarantined check the submit path reads,
+	// and the contained-panic count (one panic quarantines one shard);
+	// lastGrow keeps the most recent automatic-growth failure for
 	// Health().
 	quarCount atomic.Int64
-	degraded  atomic.Bool
 	lastGrow  atomic.Value
 }
 
@@ -627,29 +610,26 @@ func (e *Engine) Directory() *directory.ShardedDirectory { return e.dir }
 // the drainers' recorders.
 func (e *Engine) Stats() Stats {
 	st := Stats{
-		SubmittedAccesses: e.subAcc.Load(),
-		CompletedAccesses: e.cmpAcc.Load(),
 		SubmittedRequests: e.subReq.Load(),
 		CompletedRequests: e.cmpReq.Load(),
-		Rejected:          e.rejected.Load(),
 		Flushes:           e.flushes.Load(),
-		MigrationRuns:     e.migRuns.Load(),
-		MigratedEntries:   e.migrated.Load(),
-		ResizesStarted:    e.rzStarted.Load(),
-		ResizesCompleted:  e.rzDone.Load(),
 		GrowFailures:      e.growFail.Load(),
-		Shed:              e.shed.Load(),
-		ContainedPanics:   e.contained.Load(),
+		ContainedPanics:   uint64(e.quarCount.Load()),
 		ErredAccesses:     e.erredAcc.Load(),
 	}
 	for c := range st.Classes {
-		st.Classes[c] = qos.ClassStats{
+		cs := qos.ClassStats{
 			SubmittedAccesses: e.clsSubAcc[c].Load(),
 			CompletedAccesses: e.clsCmpAcc[c].Load(),
 			Rejected:          e.clsRej[c].Load(),
 			Shed:              e.clsShed[c].Load(),
 			Latency:           e.classLatency(qos.Class(c)),
 		}
+		st.SubmittedAccesses += cs.SubmittedAccesses
+		st.CompletedAccesses += cs.CompletedAccesses
+		st.Rejected += cs.Rejected
+		st.Shed += cs.Shed
+		st.Classes[c] = cs
 	}
 	return st
 }
@@ -883,7 +863,6 @@ func (e *Engine) enqueue(ctx context.Context, c qos.Class, queues []int, reqs []
 	// is refused before it can occupy queue space — its caller has
 	// stopped waiting, so queueing it only deepens an overload.
 	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
-		e.shed.Add(1)
 		e.clsShed[c].Add(1)
 		return 0, ErrDeadlineExceeded
 	}
@@ -899,7 +878,6 @@ func (e *Engine) enqueue(ctx context.Context, c qos.Class, queues []int, reqs []
 		// having to construct one — and a chaos test can saturate only
 		// the background ring.
 		if ferr := e.faults.Fire(faults.QueueSaturation, int(c)); ferr != nil {
-			e.rejected.Add(1)
 			e.clsRej[c].Add(1)
 			return 0, queueFullErrs[c]
 		}
@@ -913,7 +891,6 @@ func (e *Engine) enqueue(ctx context.Context, c qos.Class, queues []int, reqs []
 	}
 	if e.opt.Policy == RejectWhenFull {
 		if !e.reserve(c, queues) {
-			e.rejected.Add(1)
 			e.clsRej[c].Add(1)
 			return 0, queueFullErrs[c]
 		}
@@ -973,7 +950,6 @@ func (e *Engine) reserve(c qos.Class, queues []int) bool {
 // account tallies an accepted request.
 func (e *Engine) account(r request) {
 	e.subReq.Add(1)
-	e.subAcc.Add(uint64(len(r.accs)))
 	e.clsSubAcc[r.class].Add(uint64(len(r.accs)))
 }
 
@@ -1305,16 +1281,9 @@ func (e *Engine) migrateStep(qi int) bool {
 			// migrates it.
 			continue
 		}
-		moved, done, err := e.migrateShardStep(h)
-		if err != nil {
-			continue
+		if e.migrateShardStep(h) == nil {
+			stepped = true
 		}
-		e.migRuns.Add(1)
-		e.migrated.Add(uint64(moved))
-		if done {
-			e.rzDone.Add(1)
-		}
-		stepped = true
 	}
 	return stepped
 }
@@ -1325,18 +1294,17 @@ func (e *Engine) migrateStep(qi int) bool {
 // instead of killing the drainer.
 //
 //cuckoo:recoverboundary
-func (e *Engine) migrateShardStep(h int) (moved int, done bool, err error) {
+func (e *Engine) migrateShardStep(h int) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			moved, done = 0, false
 			err = e.quarantine(h, p)
 		}
 	}()
 	if e.faults != nil {
 		e.faults.Hit(faults.MigrationPanic, h, e.stopc)
 	}
-	moved, done = e.dir.MigrateShard(h, e.opt.MigrationRun)
-	return moved, done, nil
+	e.dir.MigrateShard(h, e.opt.MigrationRun)
+	return nil
 }
 
 // maybeGrow applies the directory's automatic-growth policy to this
@@ -1352,14 +1320,9 @@ func (e *Engine) maybeGrow(qi int) {
 				continue
 			}
 		}
-		started, err := e.dir.GrowShard(h)
-		if err != nil {
+		if _, err := e.dir.GrowShard(h); err != nil {
 			e.growFail.Add(1)
 			e.noteGrowError(h, err)
-			continue
-		}
-		if started {
-			e.rzStarted.Add(1)
 		}
 	}
 }
@@ -1390,7 +1353,6 @@ func (e *Engine) ResizeShardSpec(h int, slice directory.Spec) error {
 	if err := e.dir.ResizeShardSpec(h, slice); err != nil {
 		return err
 	}
-	e.rzStarted.Add(1)
 	if !e.dir.ShardMigrating(h) {
 		// An empty shard completes its resize in place; no drainer work.
 		return nil
@@ -1539,8 +1501,6 @@ func (e *Engine) quarantine(h int, p any) error {
 		// must also see submissions to it fail fast.
 		e.poison[h].Store(fmt.Errorf("contained panic: %v", p))
 		e.quarCount.Add(1)
-		e.contained.Add(1)
-		e.degraded.Store(true)
 		e.quar[h].Store(true)
 	}
 	return e.quarantinedErr(h)
@@ -1575,7 +1535,6 @@ func (e *Engine) checkQuarantined(accs []directory.Access) error {
 // request has left the queue either way).
 func (e *Engine) finish(qi int, r request, err error) {
 	e.cmpReq.Add(1)
-	e.cmpAcc.Add(uint64(len(r.accs)))
 	e.clsCmpAcc[r.class].Add(uint64(len(r.accs)))
 	e.depth[di(qi, r.class)].Add(-1)
 	if err != nil {

@@ -43,42 +43,19 @@ type Health struct {
 	// Drainers holds one row per drainer queue.
 	Drainers []DrainerHealth
 	// QuarantinedShards lists the shards the engine poisoned after
-	// containing a panic, ascending.
+	// containing a panic, ascending (Stats.ContainedPanics counts them).
 	QuarantinedShards []int
-	// ContainedPanics counts the panics the engine recovered (one per
-	// quarantined shard).
-	ContainedPanics uint64
 	// LastGrowError is the most recent automatic-growth failure (nil if
 	// growth never failed). Stats.GrowFailures counts how often; this
 	// keeps why.
 	LastGrowError error
-	// Classes holds one per-class latency row per priority class: the
-	// enqueue-to-completion percentiles an operator watches to tell a
-	// healthy overload (background shedding, foreground tail flat) from
-	// an unhealthy one.
-	Classes [qos.NumClasses]ClassLatency
-}
-
-// ClassLatency is one priority class's latency row in a Health
-// snapshot, merged across the engine's per-drainer recorders.
-type ClassLatency struct {
-	// Class identifies the row.
-	Class qos.Class
-	// Samples is the number of completions recorded.
-	Samples uint64
-	// P50/P99/P999 are the enqueue-to-completion percentiles at
-	// power-of-two resolution (each reported at its bucket's inclusive
-	// upper bound).
-	P50, P99, P999 time.Duration
 }
 
 // Health returns the engine's current health snapshot. It is safe to
-// call concurrently with submissions and after Close.
+// call concurrently with submissions and after Close. Class latency is
+// in Stats (Stats.Classes[c].Latency).
 func (e *Engine) Health() Health {
-	h := Health{
-		Drainers:        make([]DrainerHealth, len(e.queues)),
-		ContainedPanics: e.contained.Load(),
-	}
+	h := Health{Drainers: make([]DrainerHealth, len(e.queues))}
 	e.healthMu.Lock()
 	for i := range h.Drainers {
 		d := DrainerHealth{
@@ -92,19 +69,9 @@ func (e *Engine) Health() Health {
 			d.Depth += d.ClassDepth[c]
 		}
 		h.Drainers[i] = d
+		h.Degraded = h.Degraded || d.Stalled
 	}
 	e.healthMu.Unlock()
-	for c := 0; c < qos.NumClasses; c++ {
-		l := e.classLatency(qos.Class(c))
-		p50, p99, p999 := l.Percentiles()
-		h.Classes[c] = ClassLatency{
-			Class:   qos.Class(c),
-			Samples: l.Count(),
-			P50:     p50,
-			P99:     p99,
-			P999:    p999,
-		}
-	}
 	for s := range e.quar {
 		if e.quar[s].Load() {
 			h.QuarantinedShards = append(h.QuarantinedShards, s)
@@ -113,7 +80,7 @@ func (e *Engine) Health() Health {
 	if v := e.lastGrow.Load(); v != nil {
 		h.LastGrowError = v.(error)
 	}
-	h.Degraded = e.degraded.Load() || len(h.QuarantinedShards) > 0
+	h.Degraded = h.Degraded || len(h.QuarantinedShards) > 0
 	return h
 }
 
@@ -157,7 +124,6 @@ func (e *Engine) watchdog() {
 		case <-ticker.C:
 		}
 		now := time.Now()
-		anyStalled := false
 		e.healthMu.Lock()
 		for i := range e.beats {
 			if b := e.beats[i].Load(); b != last[i] || e.drainerDepth(i) == 0 {
@@ -168,10 +134,8 @@ func (e *Engine) watchdog() {
 			}
 			if now.Sub(e.obs[i].lastProgress) > threshold {
 				e.obs[i].stalled = true
-				anyStalled = true
 			}
 		}
 		e.healthMu.Unlock()
-		e.degraded.Store(anyStalled || e.quarCount.Load() > 0)
 	}
 }

@@ -357,10 +357,10 @@ func TestFlushAndCloseCoverBothClasses(t *testing.T) {
 	}
 }
 
-// TestHealthReportsClassLatency: Health carries each class's sample
+// TestStatsReportsClassLatency: Stats carries each class's sample
 // count and ordered p50/p99/p999 trio, merged across drainers — the
 // rows an operator reads during an overload.
-func TestHealthReportsClassLatency(t *testing.T) {
+func TestStatsReportsClassLatency(t *testing.T) {
 	eng, err := New(testDir(t, 4), Options{Drainers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -379,26 +379,16 @@ func TestHealthReportsClassLatency(t *testing.T) {
 	if err := eng.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	h := eng.Health()
-	for c := 0; c < qos.NumClasses; c++ {
-		cl := h.Classes[c]
-		if cl.Class != qos.Class(c) {
-			t.Errorf("Classes[%d].Class = %v", c, cl.Class)
-		}
-		if cl.Samples == 0 {
-			t.Errorf("class %v: no latency samples in Health", qos.Class(c))
-		}
-		if cl.P50 <= 0 || cl.P50 > cl.P99 || cl.P99 > cl.P999 {
-			t.Errorf("class %v: percentiles not ordered: p50=%v p99=%v p999=%v",
-				qos.Class(c), cl.P50, cl.P99, cl.P999)
-		}
-	}
-	// Health percentiles agree with the Stats-side histograms.
 	s := eng.Stats()
 	for c := 0; c < qos.NumClasses; c++ {
-		if s.Classes[c].Latency.Count() != h.Classes[c].Samples {
-			t.Errorf("class %v: Stats latency count %d != Health samples %d",
-				qos.Class(c), s.Classes[c].Latency.Count(), h.Classes[c].Samples)
+		l := s.Classes[c].Latency
+		if l.Count() == 0 {
+			t.Errorf("class %v: no latency samples in Stats", qos.Class(c))
+		}
+		p50, p99, p999 := l.Percentiles()
+		if p50 <= 0 || p50 > p99 || p99 > p999 {
+			t.Errorf("class %v: percentiles not ordered: p50=%v p99=%v p999=%v",
+				qos.Class(c), p50, p99, p999)
 		}
 	}
 }

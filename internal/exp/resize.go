@@ -109,7 +109,7 @@ func resizeExp() Experiment {
 				fmt.Sprintf("Online resize under load (%d shards, %d producers, %d accesses/phase; shard 0 grows 4x mid-run)",
 					shards, producers, perPhase),
 				"Phase", "kacc/s", "Shard0 kacc/s", "Others kacc/s", "Migrated", "Mig runs")
-			prevEng := eng.Stats()
+			prevRs := dir.ResizeStats()
 			snap := dir.CountersByShard()
 			for phase, name := range []string{"before", "during", "after"} {
 				if name == "during" {
@@ -140,14 +140,14 @@ func resizeExp() Experiment {
 					}
 				}
 				snap = now
-				es := eng.Stats()
+				rs := dir.ResizeStats()
 				t.AddRow(name,
 					fmt.Sprintf("%.0f", float64(perPhase)/elapsed.Seconds()/1e3),
 					fmt.Sprintf("%.0f", shard0),
 					fmt.Sprintf("%.0f", others/(shards-1)),
-					fmt.Sprintf("%d", es.MigratedEntries-prevEng.MigratedEntries),
-					fmt.Sprintf("%d", es.MigrationRuns-prevEng.MigrationRuns))
-				prevEng = es
+					fmt.Sprintf("%d", rs.MigratedEntries-prevRs.MigratedEntries),
+					fmt.Sprintf("%d", rs.Steps-prevRs.Steps))
+				prevRs = rs
 			}
 			health := eng.Health()
 			if err := eng.Close(); err != nil {

@@ -214,7 +214,7 @@ func TestBackgroundMix(t *testing.T) {
 	if res.Accesses != n {
 		t.Fatalf("applied %d, want %d", res.Accesses, n)
 	}
-	fg, bg := res.Classes[qos.Foreground], res.Classes[qos.Background]
+	fg, bg := res.Engine.Classes[qos.Foreground], res.Engine.Classes[qos.Background]
 	if fg.SubmittedAccesses+bg.SubmittedAccesses != n {
 		t.Fatalf("class submissions %d+%d != %d", fg.SubmittedAccesses, bg.SubmittedAccesses, n)
 	}
@@ -227,7 +227,7 @@ func TestBackgroundMix(t *testing.T) {
 		t.Fatalf("classes not fully drained: fg %d/%d bg %d/%d",
 			fg.CompletedAccesses, fg.SubmittedAccesses, bg.CompletedAccesses, bg.SubmittedAccesses)
 	}
-	if fg.Samples == 0 || bg.Samples == 0 || fg.P50 <= 0 || bg.P50 <= 0 {
+	if fg.Latency.Count() == 0 || bg.Latency.Count() == 0 || fg.Latency.Percentile(0.5) <= 0 || bg.Latency.Percentile(0.5) <= 0 {
 		t.Fatalf("per-class latency missing: fg %+v bg %+v", fg, bg)
 	}
 	s := res.String()
@@ -254,9 +254,9 @@ func TestBackgroundValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Classes[qos.Background].SubmittedAccesses != 100 {
+	if res.Engine.Classes[qos.Background].SubmittedAccesses != 100 {
 		t.Fatalf("all-background run submitted %d bg accesses, want 100",
-			res.Classes[qos.Background].SubmittedAccesses)
+			res.Engine.Classes[qos.Background].SubmittedAccesses)
 	}
 }
 

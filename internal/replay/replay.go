@@ -214,42 +214,14 @@ type Result struct {
 	// drainers trigger and execute the migrations) or the caller resized
 	// shards explicitly while the run was in flight.
 	Resizes directory.ResizeStats
-	// Engine-path fault-containment fields (always zero on the direct
-	// path): Shed counts submissions refused because their deadline had
-	// already expired, Erred counts accesses whose run completed with a
-	// contained-fault error instead of applying, and GrowFailures counts
-	// automatic-grow attempts the directory rejected — GrowError carries
-	// the most recent cause so a silent capacity plateau is explainable
-	// from the run report alone.
-	Shed         uint64
-	Erred        uint64
-	GrowFailures uint64
-	GrowError    string
-	// Classes holds one per-class QoS report per priority class on the
-	// engine path (all-zero on the direct path): what each class
-	// submitted and completed, what the engine refused, and the
-	// enqueue-to-completion percentiles its drainers recorded.
-	Classes [qos.NumClasses]ClassReport
-}
-
-// ClassReport is one priority class's row in an engine-path Result.
-type ClassReport struct {
-	// Class identifies the row.
-	Class qos.Class
-	// SubmittedAccesses / CompletedAccesses count the class's accesses
-	// accepted into the engine and applied to the directory.
-	SubmittedAccesses uint64
-	CompletedAccesses uint64
-	// Rejected counts queue-full refusals, Shed pre-enqueue deadline
-	// refusals — per-class backpressure made visible.
-	Rejected uint64
-	Shed     uint64
-	// Samples counts the latency samples behind the percentiles below
-	// (one per completed request).
-	Samples uint64
-	// P50/P99/P999 are enqueue-to-completion percentiles at power-of-two
-	// resolution.
-	P50, P99, P999 time.Duration
+	// Engine is the engine's final Stats on the engine path (all zero
+	// on the direct path): shed, rejected and erred work, grow failures,
+	// and each class's submitted and completed accesses and
+	// enqueue-to-completion latency. GrowError is the most recent
+	// automatic-grow failure ("" if none), so a silent capacity plateau
+	// is explainable from the run report alone.
+	Engine    engine.Stats
+	GrowError string
 }
 
 // Throughput returns replayed accesses per second.
@@ -312,20 +284,21 @@ func (r Result) String() string {
 		s += fmt.Sprintf("; %d/%d online resizes completed (%d entries migrated)",
 			r.Resizes.Completed, r.Resizes.Started, r.Resizes.MigratedEntries)
 	}
-	if r.GrowFailures > 0 {
-		s += fmt.Sprintf("; %d grow FAILURES (last: %s)", r.GrowFailures, r.GrowError)
+	if es := r.Engine; es.GrowFailures > 0 {
+		s += fmt.Sprintf("; %d grow FAILURES (last: %s)", es.GrowFailures, r.GrowError)
 	}
-	if r.Shed > 0 || r.Erred > 0 {
-		s += fmt.Sprintf("; %d submissions shed, %d accesses erred", r.Shed, r.Erred)
+	if es := r.Engine; es.Shed > 0 || es.ErredAccesses > 0 {
+		s += fmt.Sprintf("; %d submissions shed, %d accesses erred", es.Shed, es.ErredAccesses)
 	}
 	// Per-class QoS rows (engine path): latency percentiles per class,
 	// plus what the class-aware backpressure refused. A class that saw no
 	// traffic prints nothing.
-	for _, c := range r.Classes {
-		if c.Samples == 0 && c.SubmittedAccesses == 0 && c.Rejected == 0 && c.Shed == 0 {
+	for class, c := range r.Engine.Classes {
+		if c.Latency.Count() == 0 && c.SubmittedAccesses == 0 && c.Rejected == 0 && c.Shed == 0 {
 			continue
 		}
-		s += fmt.Sprintf("; %s p50=%v p99=%v p999=%v (%d samples", c.Class, c.P50, c.P99, c.P999, c.Samples)
+		p50, p99, p999 := c.Latency.Percentiles()
+		s += fmt.Sprintf("; %s p50=%v p99=%v p999=%v (%d samples", qos.Class(class), p50, p99, p999, c.Latency.Count())
 		if c.Rejected > 0 {
 			s += fmt.Sprintf(", %d rejected", c.Rejected)
 		}
@@ -468,34 +441,6 @@ func finishResult(dir *directory.ShardedDirectory, res *Result) {
 	res.Resizes = dir.ResizeStats()
 }
 
-// captureEngineHealth copies the engine's fault-containment tallies
-// into the Result after the engine has drained (Close has returned, so
-// the counters are final).
-func captureEngineHealth(eng *engine.Engine, res *Result) {
-	st := eng.Stats()
-	res.Shed = st.Shed
-	res.Erred = st.ErredAccesses
-	res.GrowFailures = st.GrowFailures
-	if h := eng.Health(); h.LastGrowError != nil {
-		res.GrowError = h.LastGrowError.Error()
-	}
-	for c := range st.Classes {
-		cs := st.Classes[c]
-		p50, p99, p999 := cs.Latency.Percentiles()
-		res.Classes[c] = ClassReport{
-			Class:             qos.Class(c),
-			SubmittedAccesses: cs.SubmittedAccesses,
-			CompletedAccesses: cs.CompletedAccesses,
-			Rejected:          cs.Rejected,
-			Shed:              cs.Shed,
-			Samples:           cs.Latency.Count(),
-			P50:               p50,
-			P99:               p99,
-			P999:              p999,
-		}
-	}
-}
-
 // recordAccess converts one trace record to the directory access both
 // submission paths apply, rejecting out-of-range cores — the shared
 // conversion that keeps the direct and engine pipelines applying
@@ -619,7 +564,11 @@ func RunMulti(dir *directory.ShardedDirectory, srcs []Source, o Options) (Result
 		}
 	}
 	res.Elapsed = time.Since(start)
-	captureEngineHealth(eng, &res)
+	// Close has returned, so the engine's counters are final.
+	res.Engine = eng.Stats()
+	if gerr := eng.Health().LastGrowError; gerr != nil {
+		res.GrowError = gerr.Error()
+	}
 	finishResult(dir, &res)
 	return res, err
 }
