@@ -352,6 +352,7 @@ func (s *ShardedDirectory) ResizeShardSpec(h int, slice Spec) error {
 	sh.spec = slice
 	if old.Len() == 0 {
 		// Nothing to migrate: complete the resize in place.
+		sh.retire(old)
 		sh.dir = nd
 		sh.mu.Unlock()
 		s.resizeStarted.Add(1)
@@ -376,8 +377,8 @@ func (s *ShardedDirectory) ResizeShardSpec(h int, slice Spec) error {
 // policy's run length, or DefaultMigrationRun) and any still tracked by
 // the old table move to the new one. It returns how many entries moved
 // and whether the shard's migration is complete — on completion the
-// shard unwraps to the bare new slice. A shard that is not migrating
-// returns (0, true).
+// shard unwraps to the bare new slice, and the old slice's statistics
+// stay in Stats. A shard that is not migrating returns (0, true).
 //
 // The engine's drainers call this between request runs; callers without
 // an engine can drive it directly (see FinishResize).
@@ -399,6 +400,7 @@ func (s *ShardedDirectory) MigrateShard(h, max int) (moved int, done bool) {
 	}
 	moved, forcedBlocks, done := m.step(max)
 	if done {
+		sh.retire(m.from)
 		sh.dir = m.to
 		sh.migrating.Store(false)
 	}

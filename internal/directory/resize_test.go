@@ -10,8 +10,11 @@ package directory
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"testing"
+
+	"cuckoodir/internal/core"
 )
 
 // resizeSpec is the small cuckoo slice the resize tests grow from.
@@ -176,6 +179,66 @@ func TestResizeEmptyShard(t *testing.T) {
 	rs := d.ResizeStats()
 	if rs.Started != 1 || rs.Completed != 1 {
 		t.Errorf("ResizeStats = %+v, want started=completed=1", rs)
+	}
+}
+
+// TestResizeKeepsStats: a resize replaces a shard's slice, and Stats
+// keeps the replaced slice's counts whether the shard migrates or
+// resizes in place; ResetStats clears them.
+func TestResizeKeepsStats(t *testing.T) {
+	d := buildResizable(t, 1, 64) // 256 entries for 300 blocks
+	for a := uint64(1); a <= 300; a++ {
+		d.Read(a, 0)
+		d.Read(a, 1)
+	}
+	for a := uint64(1); a <= 50; a++ {
+		d.Evict(a, 0)
+		d.Evict(a, 1)
+	}
+	atLeast := func(stage string, prev *Stats) {
+		t.Helper()
+		st := d.Stats()
+		for ev, n := range st.Events {
+			if n < prev.Events[ev] {
+				t.Errorf("%s: %v = %d, below the %d before", stage, core.Event(ev), n, prev.Events[ev])
+			}
+		}
+		if st.ForcedEvictions < prev.ForcedEvictions || st.Attempts.Count() < prev.Attempts.Count() {
+			t.Errorf("%s: forced %d, attempts %d; below the %d and %d before",
+				stage, st.ForcedEvictions, st.Attempts.Count(), prev.ForcedEvictions, prev.Attempts.Count())
+		}
+	}
+	before := d.Stats()
+	if before.ForcedEvictions == 0 {
+		t.Fatal("the fill forced no evictions")
+	}
+	if err := d.ResizeShardSpec(0, resizeSpec(256)); err != nil {
+		t.Fatal(err)
+	}
+	if !d.ShardMigrating(0) {
+		t.Fatal("a non-empty shard resized in place")
+	}
+	d.FinishResizes()
+	atLeast("after a migrating resize", before)
+
+	for addr, sharers := range census(t, d) {
+		for s := sharers; s != 0; s &= s - 1 {
+			d.Evict(addr, bits.TrailingZeros64(s))
+		}
+	}
+	emptied := d.Stats()
+	if err := d.ResizeShardSpec(0, resizeSpec(64)); err != nil {
+		t.Fatal(err)
+	}
+	if d.ShardMigrating(0) {
+		t.Fatal("an empty shard is migrating")
+	}
+	atLeast("after an in-place resize", emptied)
+
+	d.ResetStats()
+	if st := d.Stats(); st.Events != (core.EventCounts{}) || st.ForcedEvictions != 0 || st.Attempts.Count() != 0 {
+		t.Errorf("after ResetStats: events %v, forced %d, attempts %d; want zeros",
+			st.Events, st.ForcedEvictions, st.Attempts.Count())
 	}
 }
 

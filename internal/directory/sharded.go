@@ -253,8 +253,12 @@ type dirShard struct {
 	// spec is the slice's current build spec, the geometry automatic
 	// growth (GrowShard) scales from. Guarded by mu, like dir.
 	spec Spec
-	_    [64]byte
-	ctr  shardCtr
+	// retired holds the statistics of the slices resizes have replaced
+	// (nil until the first), so Stats keeps the shard's whole history.
+	// Guarded by mu.
+	retired *Stats
+	_       [64]byte
+	ctr     shardCtr
 	// migrating mirrors "dir is a *migratingDir", readable without the
 	// lock (ShardMigrating); flipped only under mu.
 	migrating atomic.Bool
@@ -693,7 +697,9 @@ func applyOne(d Directory, a Access) Op {
 
 // Stats implements Directory, returning a merged SNAPSHOT of the
 // per-shard statistics (not a live record: mutating it does not affect
-// the shards, and later operations do not update it). Each shard is
+// the shards, and later operations do not update it). A resized shard
+// contributes its current slice and every slice its resizes replaced,
+// so a resize loses no count; ResetStats clears both. Each shard is
 // locked once; heterogeneous shards with different attempt-histogram
 // ranges merge fine (the merge grows the aggregate's range).
 func (s *ShardedDirectory) Stats() *Stats {
@@ -701,9 +707,23 @@ func (s *ShardedDirectory) Stats() *Stats {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		agg.Merge(sh.dir.Stats())
+		if sh.retired != nil {
+			agg.Merge(sh.retired)
+		}
 		sh.mu.Unlock()
 	}
 	return agg
+}
+
+// retire folds the statistics of d, a slice a resize is replacing, into
+// the shard's retired record. Callers hold sh.mu.
+//
+//cuckoo:cold
+func (sh *dirShard) retire(d Directory) {
+	if sh.retired == nil {
+		sh.retired = core.MergeDirStats()
+	}
+	sh.retired.Merge(d.Stats())
 }
 
 // Counters returns the merged lock-free snapshot of the per-shard
@@ -734,6 +754,7 @@ func (s *ShardedDirectory) ResetStats() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sh.dir.ResetStats()
+		sh.retired = nil
 		sh.ctr.reset()
 		sh.mu.Unlock()
 	}
