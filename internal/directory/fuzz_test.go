@@ -73,21 +73,31 @@ func (fd *fuzzDriver) apply(kind int, addr uint64, cache int) {
 	case 0:
 		op := fd.d.Read(addr, cache)
 		fd.truth[addr] |= bit(cache)
-		for _, f := range op.Forced {
-			delete(fd.truth, f.Addr)
-		}
+		fd.forget(op.Forced)
 	case 1:
 		op := fd.d.Write(addr, cache)
 		fd.truth[addr] = bit(cache)
-		for _, f := range op.Forced {
-			delete(fd.truth, f.Addr)
-		}
+		fd.forget(op.Forced)
 	case 2:
 		fd.d.Evict(addr, cache)
 		if m := fd.truth[addr] &^ bit(cache); m == 0 {
 			delete(fd.truth, addr)
 		} else {
 			fd.truth[addr] = m
+		}
+	}
+}
+
+// forget drops forced entries' sharers from the oracle: the directory
+// no longer tracks those copies. Clearing the mask, not the address,
+// keeps a block a migration re-inserted for its other sharers after
+// forcing it out.
+func (fd *fuzzDriver) forget(forced []Forced) {
+	for _, f := range forced {
+		if m := fd.truth[f.Addr] &^ f.Sharers; m == 0 {
+			delete(fd.truth, f.Addr)
+		} else {
+			fd.truth[f.Addr] = m
 		}
 	}
 }
@@ -223,18 +233,20 @@ func FuzzDirectoryOps(f *testing.F) {
 		}
 		drivers := make([]*fuzzDriver, 0, len(fuzzOrgs))
 		var sharded *ShardedDirectory
+		var shardedDriver *fuzzDriver
 		for _, o := range fuzzOrgs {
 			d, err := BuildNamed(o.name, fuzzCaches)
 			if err != nil {
 				t.Fatalf("BuildNamed(%q): %v", o.name, err)
 			}
-			if sd, ok := d.(*ShardedDirectory); ok {
-				sharded = sd
-			}
-			drivers = append(drivers, &fuzzDriver{
+			fd := &fuzzDriver{
 				name: o.name, d: d, exactLookup: o.exactLookup,
 				truth: map[uint64]uint64{},
-			})
+			}
+			if sd, ok := d.(*ShardedDirectory); ok {
+				sharded, shardedDriver = sd, fd
+			}
+			drivers = append(drivers, fd)
 		}
 		mirror := &dupMirror{truth: map[uint64]uint64{}, load: map[dupKey]int{}}
 
@@ -251,7 +263,8 @@ func FuzzDirectoryOps(f *testing.F) {
 				// advance one by a bounded run. Plain organizations skip.
 				h := sharded.ShardOf(addr)
 				if sharded.ShardMigrating(h) {
-					sharded.MigrateShard(h, 1+int(b1&7))
+					forced, _ := sharded.MigrateShard(h, 1+int(b1&7))
+					shardedDriver.forget(forced)
 				} else {
 					sets := 64 << (b1 & 1) // same-size rehash or 2x grow
 					_ = sharded.ResizeShardSpec(h, Spec{
@@ -275,7 +288,7 @@ func FuzzDirectoryOps(f *testing.F) {
 			}
 		}
 		// Settle any live migration, then final audit.
-		sharded.FinishResizes()
+		shardedDriver.forget(sharded.FinishResizes())
 		for _, fd := range drivers {
 			fd.audit(t, nops)
 		}

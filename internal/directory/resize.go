@@ -110,13 +110,14 @@ type ResizeStats struct {
 	// found the shard migrating), and MigratedEntries the tracked blocks
 	// those steps moved old -> new table.
 	Steps, MigratedEntries uint64
-	// MigrationForced counts forced evictions the re-insertions of
-	// BACKGROUND migration steps caused in the new table (access-path
-	// touch migrations report theirs in the access's own Op.Forced and
-	// the shard counters instead). With headroom in the new geometry —
-	// the entire point of growing — this stays 0; a victim stash
-	// (CuckooParams.StashSize) absorbs displacement failures the same
-	// way it does for ordinary insertions.
+	// MigrationForced counts the entries the re-insertions of
+	// BACKGROUND migration steps forced out of the new table; MigrateShard
+	// returns their Forced records (access-path touch migrations report
+	// theirs in the access's own Op.Forced and the shard counters
+	// instead). With headroom in the new geometry — the entire point of
+	// growing — this stays 0; a victim stash (CuckooParams.StashSize)
+	// absorbs displacement failures the same way it does for ordinary
+	// insertions.
 	MigrationForced uint64
 	// InProgress is the number of shards currently migrating.
 	InProgress int
@@ -177,19 +178,18 @@ func (m *migratingDir) move(addr uint64) (forced []Forced, moved bool) {
 
 // step runs one bounded background migration step: up to max pending
 // addresses are examined (already-migrated ones are cheap Lookup
-// misses) and moved if still owned by the old table.
-func (m *migratingDir) step(max int) (moved, forcedBlocks int, done bool) {
+// misses) and moved if still owned by the old table. It returns the
+// Forced records of the entries the moves forced out of the new table.
+func (m *migratingDir) step(max int) (moved int, forced []Forced, done bool) {
 	for n := 0; n < max && m.next < len(m.pending); n++ {
-		forced, ok := m.move(m.pending[m.next])
+		f, ok := m.move(m.pending[m.next])
 		m.next++
 		if ok {
 			moved++
 		}
-		for _, f := range forced {
-			forcedBlocks += bits.OnesCount64(f.Sharers)
-		}
+		forced = append(forced, f...)
 	}
-	return moved, forcedBlocks, m.done()
+	return moved, forced, m.done()
 }
 
 // Name implements Directory (the target slice names the shard).
@@ -375,16 +375,18 @@ func (s *ShardedDirectory) ResizeShardSpec(h int, slice Spec) error {
 // MigrateShard runs one bounded background migration step on shard h:
 // up to max pending addresses are examined (max <= 0 selects the
 // policy's run length, or DefaultMigrationRun) and any still tracked by
-// the old table move to the new one. It returns how many entries moved
-// and whether the shard's migration is complete — on completion the
-// shard unwraps to the bare new slice, and the old slice's statistics
-// stay in Stats. A shard that is not migrating returns (0, true).
+// the old table move to the new one. It returns the Forced records of
+// the entries those re-insertions forced out of the new table, which
+// the caller must invalidate like any access's Op.Forced, and whether
+// the shard's migration is complete — on completion the shard unwraps
+// to the bare new slice, and the old slice's statistics stay in Stats.
+// A shard that is not migrating returns (nil, true).
 //
 // The engine's drainers call this between request runs; callers without
 // an engine can drive it directly (see FinishResize).
 //
 //cuckoo:cold
-func (s *ShardedDirectory) MigrateShard(h, max int) (moved int, done bool) {
+func (s *ShardedDirectory) MigrateShard(h, max int) (forced []Forced, done bool) {
 	if h < 0 || h >= len(s.shards) {
 		badShard(h, len(s.shards))
 	}
@@ -396,9 +398,9 @@ func (s *ShardedDirectory) MigrateShard(h, max int) (moved int, done bool) {
 	m, ok := sh.dir.(*migratingDir)
 	if !ok {
 		sh.mu.Unlock()
-		return 0, true
+		return nil, true
 	}
-	moved, forcedBlocks, done := m.step(max)
+	moved, forced, done := m.step(max)
 	if done {
 		sh.retire(m.from)
 		sh.dir = m.to
@@ -409,21 +411,25 @@ func (s *ShardedDirectory) MigrateShard(h, max int) (moved int, done bool) {
 	if moved > 0 {
 		s.migratedEntries.Add(uint64(moved))
 	}
-	if forcedBlocks > 0 {
-		s.migrationForced.Add(uint64(forcedBlocks))
+	if len(forced) > 0 {
+		s.migrationForced.Add(uint64(len(forced)))
 	}
 	if done {
 		s.migCount.Add(-1)
 		s.resizeDone.Add(1)
 	}
-	return moved, done
+	return forced, done
 }
 
-// FinishResize drives shard h's migration to completion synchronously.
-func (s *ShardedDirectory) FinishResize(h int) {
+// FinishResize drives shard h's migration to completion synchronously,
+// returning the Forced records of its steps (see MigrateShard).
+func (s *ShardedDirectory) FinishResize(h int) []Forced {
+	var forced []Forced
 	for {
-		if _, done := s.MigrateShard(h, 0); done {
-			return
+		f, done := s.MigrateShard(h, 0)
+		forced = append(forced, f...)
+		if done {
+			return forced
 		}
 	}
 }
@@ -431,11 +437,14 @@ func (s *ShardedDirectory) FinishResize(h int) {
 // FinishResizes drives every in-progress migration to completion
 // synchronously — the stop-the-world fallback for callers without an
 // engine, and the cleanup path after Engine.Close left migrations
-// parked (the union view stays fully correct in the meantime).
-func (s *ShardedDirectory) FinishResizes() {
+// parked (the union view stays fully correct in the meantime). It
+// returns the Forced records of every step it ran (see MigrateShard).
+func (s *ShardedDirectory) FinishResizes() []Forced {
+	var forced []Forced
 	for h := range s.shards {
-		s.FinishResize(h)
+		forced = append(forced, s.FinishResize(h)...)
 	}
+	return forced
 }
 
 // GrowShard applies the directory's ResizePolicy to shard h: when the

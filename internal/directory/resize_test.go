@@ -159,8 +159,8 @@ func TestMigratingDirSemantics(t *testing.T) {
 	}
 
 	// A further MigrateShard on a settled shard is a no-op.
-	if moved, done := d.MigrateShard(0, 16); moved != 0 || !done {
-		t.Errorf("MigrateShard on settled shard = (%d, %v), want (0, true)", moved, done)
+	if forced, done := d.MigrateShard(0, 16); forced != nil || !done {
+		t.Errorf("MigrateShard on settled shard = (%v, %v), want (nil, true)", forced, done)
 	}
 	if got := d.ResizeStats().Steps; got != uint64(steps) {
 		t.Errorf("ResizeStats.Steps = %d after %d migrating steps", got, steps)
@@ -239,6 +239,51 @@ func TestResizeKeepsStats(t *testing.T) {
 	if st := d.Stats(); st.Events != (core.EventCounts{}) || st.ForcedEvictions != 0 || st.Attempts.Count() != 0 {
 		t.Errorf("after ResetStats: events %v, forced %d, attempts %d; want zeros",
 			st.Events, st.ForcedEvictions, st.Attempts.Count())
+	}
+}
+
+// TestShrinkReportsForced: a migration into a table too small for the
+// shard's blocks forces entries out, and the background steps return a
+// Forced record for exactly each block the census lost, so a caller
+// can invalidate every cached copy the directory dropped.
+func TestShrinkReportsForced(t *testing.T) {
+	d := buildResizable(t, 1, 128) // 512 entries
+	const n = 400
+	for a := uint64(1); a <= n; a++ {
+		d.Read(a, 0)
+		d.Read(a, 1)
+	}
+	if c := d.Counters(); c.Forced != 0 {
+		t.Fatalf("the fill forced %d evictions at 78%% load", c.Forced)
+	}
+	if err := d.ResizeShardSpec(0, resizeSpec(64)); err != nil { // 256 entries
+		t.Fatal(err)
+	}
+	forced := d.FinishResizes()
+	got := census(t, d)
+	reported := map[uint64]bool{}
+	for _, f := range forced {
+		if reported[f.Addr] {
+			t.Errorf("address %#x reported forced twice", f.Addr)
+		}
+		reported[f.Addr] = true
+		if f.Sharers != 0b11 {
+			t.Errorf("address %#x forced with sharers %#b, want 0b11", f.Addr, f.Sharers)
+		}
+		if _, ok := got[f.Addr]; ok {
+			t.Errorf("address %#x reported forced but still tracked", f.Addr)
+		}
+	}
+	for a := uint64(1); a <= n; a++ {
+		if _, ok := got[a]; !ok && !reported[a] {
+			t.Errorf("address %#x lost without a Forced record", a)
+		}
+	}
+	if len(forced) < n-4*64 {
+		t.Errorf("%d entries forced out; %d blocks cannot fit in 256 entries", len(forced), n)
+	}
+	if rs := d.ResizeStats(); rs.MigrationForced != uint64(len(forced)) {
+		t.Errorf("ResizeStats.MigrationForced = %d, want the %d entries forced", rs.MigrationForced, len(forced))
 	}
 }
 

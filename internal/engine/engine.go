@@ -1291,7 +1291,10 @@ func (e *Engine) migrateStep(qi int) bool {
 // migrateShardStep runs one bounded migration step inside the panic-
 // containment boundary: a panic mid-migration (injected or real)
 // quarantines the shard — the union view it leaves behind is suspect —
-// instead of killing the drainer.
+// instead of killing the drainer. The step's Forced records are
+// dropped: a background step has no requester to invalidate them, so
+// the caches keep those blocks untracked, and only
+// ResizeStats.MigrationForced counts them (DESIGN.md §11).
 //
 //cuckoo:recoverboundary
 func (e *Engine) migrateShardStep(h int) (err error) {
