@@ -226,6 +226,50 @@ func FuzzDirectoryOps(f *testing.F) {
 	}
 	f.Add(seed3)
 
+	// Seed 4: one shard grown to 128 sets and stepped to completion,
+	// filled with 300 blocks, then shrunk back to 64 sets (256 entries):
+	// the shrink's migration steps force entries out, and their Forced
+	// records must reach the oracle.
+	grown, err := BuildNamed("sharded-2^grow=0.9(cuckoo-4x64)", fuzzCaches)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var shard0 []uint64 // shard 0's addresses, ascending
+	for a := uint64(0); a < fuzzAddrSpace; a++ {
+		if grown.(*ShardedDirectory).ShardOf(a) == 0 {
+			shard0 = append(shard0, a)
+		}
+	}
+	// on returns a shard-0 address whose bits 8-9 are hi: a kind-3 op on
+	// it resizes to 64<<(hi&1) sets, or steps 1+(hi|4) addresses when
+	// its second byte carries the extra 4.
+	on := func(hi uint64) uint64 {
+		for _, a := range shard0 {
+			if a>>8 == hi {
+				return a
+			}
+		}
+		panic("no shard-0 address")
+	}
+	write := func(a uint64) []byte { return []byte{1 | byte(a>>6&7)<<2, byte(a >> 8), byte(a)} }
+	resize := func(a uint64) []byte { return []byte{3, byte(a >> 8), byte(a)} }
+	step := []byte{3, byte(on(3)>>8) | 4, byte(on(3))} // 8 pending addresses
+	var seed4 []byte
+	for _, a := range shard0[:16] {
+		seed4 = append(seed4, write(a)...)
+	}
+	seed4 = append(seed4, resize(on(1))...) // 128 sets, 16 pending
+	seed4 = append(seed4, step...)
+	seed4 = append(seed4, step...)
+	for _, a := range shard0[16:300] {
+		seed4 = append(seed4, write(a)...)
+	}
+	seed4 = append(seed4, resize(on(0))...) // 64 sets, 300 pending
+	for range 4 {
+		seed4 = append(seed4, step...)
+	}
+	f.Add(seed4)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		nops := len(data) / 3
 		if nops > fuzzMaxOps {
