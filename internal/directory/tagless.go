@@ -216,10 +216,11 @@ func (t *Tagless) Write(addr uint64, cache int) Op {
 }
 
 // insert starts tracking addr, held by cache alone, once cache's filter
-// holds it. Occupancy is sampled before addr counts.
+// holds it. Occupancy is sampled after addr counts, as every other
+// organization samples it.
 func (t *Tagless) insert(addr uint64, cache int) Op {
-	t.stats.Inserted(1, len(t.shadow), t.Capacity())
 	t.shadow[addr] = bit(cache)
+	t.stats.Inserted(1, len(t.shadow), t.Capacity())
 	return Op{Attempts: 1}
 }
 
