@@ -205,8 +205,8 @@ type ResizeStats = directory.ResizeStats
 
 // Online-resize defaults.
 const (
-	// DefaultMigrationRun is the number of entries one migration step
-	// moves (ResizePolicy.Run = 0).
+	// DefaultMigrationRun is the number of pending entries one background
+	// migration step examines (EngineOptions.MigrationRun = 0).
 	DefaultMigrationRun = directory.DefaultMigrationRun
 	// DefaultGrowthFactor is the capacity multiplier of an automatic
 	// grow (ResizePolicy.Factor = 0).

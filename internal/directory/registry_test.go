@@ -462,7 +462,6 @@ func TestSpecValidateResizePolicy(t *testing.T) {
 		{func(s *Spec) { s.Shard = ShardSpec{Count: 2, Resize: ResizePolicy{MaxLoad: 2}} }, "need 0 < MaxLoad <= 1"},
 		{func(s *Spec) { s.Shard = ShardSpec{Count: 2, Resize: ResizePolicy{Factor: 2}} }, "MaxLoad = 0"},
 		{func(s *Spec) { s.Shard = ShardSpec{Count: 2, Resize: ResizePolicy{MaxLoad: 0.9, Factor: 6}} }, "power of two"},
-		{func(s *Spec) { s.Shard = ShardSpec{Count: 2, Resize: ResizePolicy{MaxLoad: 0.9, Run: -1}} }, "Run = -1"},
 	}
 	for i, c := range cases {
 		s := base

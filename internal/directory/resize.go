@@ -27,8 +27,8 @@ import (
 )
 
 // DefaultMigrationRun is the number of pending addresses one background
-// migration step examines when neither the caller nor the shard's
-// ResizePolicy picks a run length. Small enough that a step never
+// migration step examines when the caller picks no run length. Small
+// enough that a step never
 // holds a shard lock for long next to a drained request run, large
 // enough that a few thousand entries migrate in tens of steps.
 const DefaultMigrationRun = 64
@@ -54,29 +54,23 @@ type ResizePolicy struct {
 	// geometric organizations, capacity for in-cache/ideal). Must be a
 	// power of two >= 2, or 0 for DefaultGrowthFactor.
 	Factor int
-	// Run is the number of pending addresses one background migration
-	// step examines (0 = DefaultMigrationRun).
-	Run int
 }
 
 // validate reports whether the policy is well-formed. The zero policy
-// is valid (disabled); a non-trigger field without MaxLoad is rejected
-// as a likely mistake.
+// is valid (disabled); a Factor without MaxLoad is rejected as a likely
+// mistake.
 func (p ResizePolicy) validate() error {
 	if p == (ResizePolicy{}) {
 		return nil
 	}
 	if p.MaxLoad == 0 {
-		return fmt.Errorf("directory: resize policy: Factor/Run set but MaxLoad = 0 (the growth trigger; set it in (0,1])")
+		return fmt.Errorf("directory: resize policy: Factor set but MaxLoad = 0 (the growth trigger; set it in (0,1])")
 	}
 	if p.MaxLoad < 0 || p.MaxLoad > 1 {
 		return fmt.Errorf("directory: resize policy: MaxLoad = %v, need 0 < MaxLoad <= 1 (a per-shard load factor)", p.MaxLoad)
 	}
 	if f := p.Factor; f != 0 && (f < 2 || f&(f-1) != 0) {
 		return fmt.Errorf("directory: resize policy: Factor = %d, need a power of two >= 2 (or 0 for the default %d)", f, DefaultGrowthFactor)
-	}
-	if p.Run < 0 {
-		return fmt.Errorf("directory: resize policy: Run = %d, need >= 0 (0 = default %d)", p.Run, DefaultMigrationRun)
 	}
 	return nil
 }
@@ -87,14 +81,6 @@ func (p ResizePolicy) factor() int {
 		return DefaultGrowthFactor
 	}
 	return p.Factor
-}
-
-// run returns the effective migration run length.
-func (p ResizePolicy) run() int {
-	if p.Run == 0 {
-		return DefaultMigrationRun
-	}
-	return p.Run
 }
 
 // ResizeStats is a lock-free snapshot of a ShardedDirectory's resize
@@ -373,14 +359,14 @@ func (s *ShardedDirectory) ResizeShardSpec(h int, slice Spec) error {
 }
 
 // MigrateShard runs one bounded background migration step on shard h:
-// up to max pending addresses are examined (max <= 0 selects the
-// policy's run length, or DefaultMigrationRun) and any still tracked by
-// the old table move to the new one. It returns the Forced records of
-// the entries those re-insertions forced out of the new table, which
-// the caller must invalidate like any access's Op.Forced, and whether
-// the shard's migration is complete — on completion the shard unwraps
-// to the bare new slice, and the old slice's statistics stay in Stats.
-// A shard that is not migrating returns (nil, true).
+// up to max pending addresses are examined (max <= 0 selects
+// DefaultMigrationRun) and any still tracked by the old table move to
+// the new one. It returns the Forced records of the entries those
+// re-insertions forced out of the new table, which the caller must
+// invalidate like any access's Op.Forced, and whether the shard's
+// migration is complete — on completion the shard unwraps to the bare
+// new slice, and the old slice's statistics stay in Stats. A shard that
+// is not migrating returns (nil, true).
 //
 // The engine's drainers call this between request runs; callers without
 // an engine can drive it directly (see FinishResize).
@@ -391,7 +377,7 @@ func (s *ShardedDirectory) MigrateShard(h, max int) (forced []Forced, done bool)
 		badShard(h, len(s.shards))
 	}
 	if max <= 0 {
-		max = s.policy.run()
+		max = DefaultMigrationRun
 	}
 	sh := s.shards[h]
 	sh.mu.Lock()

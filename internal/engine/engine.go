@@ -182,8 +182,8 @@ type Options struct {
 	// round-robin with per-class weights. See qos.Sched.
 	Sched qos.Sched
 	// MigrationRun bounds the pending addresses one background migration
-	// step examines during a live resize (0 = the directory policy's
-	// run length, or directory.DefaultMigrationRun).
+	// step examines during a live resize (0 =
+	// directory.DefaultMigrationRun).
 	MigrationRun int
 	// Faults optionally installs a fault injector (internal/faults).
 	// nil — the default — disables injection entirely: the drain path

@@ -57,7 +57,7 @@ func resizeExp() Experiment {
 			if err != nil {
 				panic(fmt.Sprintf("exp: resize: %v", err))
 			}
-			eng, err := engine.New(dir, engine.Options{MigrationRun: 64})
+			eng, err := engine.New(dir, engine.Options{})
 			if err != nil {
 				panic(fmt.Sprintf("exp: resize: %v", err))
 			}
