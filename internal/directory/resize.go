@@ -28,9 +28,9 @@ import (
 
 // DefaultMigrationRun is the number of pending addresses one background
 // migration step examines when the caller picks no run length. Small
-// enough that a step never
-// holds a shard lock for long next to a drained request run, large
-// enough that a few thousand entries migrate in tens of steps.
+// enough that a step never holds a shard lock for long next to a
+// drained request run, large enough that a few thousand entries migrate
+// in tens of steps.
 const DefaultMigrationRun = 64
 
 // DefaultGrowthFactor is the capacity multiplier an auto-grow resize

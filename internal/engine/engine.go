@@ -420,22 +420,21 @@ func (t *Ticket) complete() {
 	}
 }
 
-// Stats is a snapshot of an engine's submission counters. Resize
-// activity is the directory's to report (ShardedDirectory.ResizeStats).
+// Stats is a snapshot of an engine's submission counters. The access,
+// Rejected and Shed totals are the sums of the Classes rows; resizes
+// are the directory's to report (ShardedDirectory.ResizeStats).
 //
 //cuckoo:stats merge=Merge
 type Stats struct {
 	// SubmittedAccesses / CompletedAccesses count individual accesses
-	// accepted into queues and applied to the directory: the sums of
-	// the Classes rows.
+	// accepted into queues and applied to the directory.
 	SubmittedAccesses uint64
 	CompletedAccesses uint64
 	// SubmittedRequests / CompletedRequests count queue elements (a
 	// batch contributes one per touched drainer; barriers not counted).
 	SubmittedRequests uint64
 	CompletedRequests uint64
-	// Rejected counts submissions refused with ErrQueueFull (the sum of
-	// the Classes rows).
+	// Rejected counts submissions refused with ErrQueueFull.
 	Rejected uint64
 	// Flushes counts Flush barriers completed.
 	Flushes uint64
@@ -445,8 +444,7 @@ type Stats struct {
 	// many failures; Health().LastGrowError keeps the latest cause.
 	GrowFailures uint64
 	// Shed counts submissions refused with ErrDeadlineExceeded before
-	// enqueue (the caller's deadline had already expired; the sum of
-	// the Classes rows).
+	// enqueue (the caller's deadline had already expired).
 	Shed uint64
 	// ContainedPanics counts drainer panics the engine recovered; each
 	// one quarantines the shard it hit, so it equals the number of
@@ -458,9 +456,8 @@ type Stats struct {
 	// Classes splits the traffic by priority class: per-class
 	// submitted/completed/rejected/shed counters plus the
 	// enqueue-to-completion latency distribution each drainer records
-	// (power-of-two ns buckets, merged across drainers). It is the one
-	// record of class latency; the aggregate counters above sum its
-	// rows.
+	// (power-of-two ns buckets, merged across drainers): the engine's
+	// one record of class latency.
 	Classes [qos.NumClasses]qos.ClassStats
 }
 

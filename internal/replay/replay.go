@@ -284,11 +284,11 @@ func (r Result) String() string {
 		s += fmt.Sprintf("; %d/%d online resizes completed (%d entries migrated)",
 			r.Resizes.Completed, r.Resizes.Started, r.Resizes.MigratedEntries)
 	}
-	if es := r.Engine; es.GrowFailures > 0 {
-		s += fmt.Sprintf("; %d grow FAILURES (last: %s)", es.GrowFailures, r.GrowError)
+	if r.Engine.GrowFailures > 0 {
+		s += fmt.Sprintf("; %d grow FAILURES (last: %s)", r.Engine.GrowFailures, r.GrowError)
 	}
-	if es := r.Engine; es.Shed > 0 || es.ErredAccesses > 0 {
-		s += fmt.Sprintf("; %d submissions shed, %d accesses erred", es.Shed, es.ErredAccesses)
+	if r.Engine.Shed > 0 || r.Engine.ErredAccesses > 0 {
+		s += fmt.Sprintf("; %d submissions shed, %d accesses erred", r.Engine.Shed, r.Engine.ErredAccesses)
 	}
 	// Per-class QoS rows (engine path): latency percentiles per class,
 	// plus what the class-aware backpressure refused. A class that saw no
