@@ -241,8 +241,8 @@ func FuzzDirectoryOps(f *testing.F) {
 		}
 	}
 	// on returns a shard-0 address whose bits 8-9 are hi: a kind-3 op on
-	// it resizes to 64<<(hi&1) sets, or steps 1+(hi|4) addresses when
-	// its second byte carries the extra 4.
+	// it resizes the shard to 64<<(hi&1) sets or, with 4 added to its
+	// second byte, steps 1+(hi|4) pending addresses.
 	on := func(hi uint64) uint64 {
 		for _, a := range shard0 {
 			if a>>8 == hi {
