@@ -38,7 +38,7 @@ func (c *Cuckoo) Write(addr uint64, cache int) Op {
 func cuckooOp(inv uint64, f *Forced, attempts int) Op {
 	op := Op{Invalidate: inv, Attempts: attempts}
 	if f != nil {
-		op.Forced = append(op.Forced, *f)
+		op.Forced = forcedList(f)
 	}
 	return op
 }

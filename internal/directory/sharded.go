@@ -422,14 +422,9 @@ func (s *ShardedDirectory) Apply(accesses []Access) []Op {
 			largest = h
 		}
 	}
-	// A batch homing onto one shard applies in place: no gather, no spawn.
-	if len(groups[largest]) == len(accesses) {
-		s.ApplyShardOps(largest, accesses, ops)
-		return ops
-	}
 	// The largest group runs inline on the calling goroutine, so on
 	// spread batches the caller's core does the most work instead of
-	// blocking in Wait.
+	// blocking in Wait, and a batch homing onto one shard spawns nothing.
 	var wg sync.WaitGroup
 	for h, idxs := range groups {
 		if len(idxs) == 0 || h == largest {
@@ -447,18 +442,15 @@ func (s *ShardedDirectory) Apply(accesses []Access) []Op {
 }
 
 // applyGroup gathers the accesses at idxs — all homing onto shard h —
-// into a contiguous batch, applies it through ApplyShardOps, and
-// scatters the Ops back to their input positions.
+// into a contiguous batch and applies it through ApplyShardOps, each
+// access's Op going straight to its input position in ops.
 func (s *ShardedDirectory) applyGroup(h int, accesses []Access, idxs []int32, ops []Op) {
 	accs := make([]Access, len(idxs))
+	dst := make([]*Op, len(idxs))
 	for k, i := range idxs {
-		accs[k] = accesses[i]
+		accs[k], dst[k] = accesses[i], &ops[i]
 	}
-	gops := make([]Op, len(idxs))
-	s.ApplyShardOps(h, accs, gops)
-	for k, i := range idxs {
-		ops[i] = gops[k]
-	}
+	s.ApplyShardOps(h, accs, dst)
 }
 
 // ApplyShard executes a batch whose accesses ALL home onto shard h —
@@ -474,27 +466,27 @@ func (s *ShardedDirectory) ApplyShard(h int, accesses []Access) {
 	s.ApplyShardOps(h, accesses, nil)
 }
 
-// ApplyShardOps is ApplyShard with Op recording: ops, when non-nil,
-// must have len(accesses) and receives each access's Op at the matching
-// index (Evicts yield zero Ops). It is the entry point the asynchronous
-// engine's drainers use — one lock acquisition per call, results
-// written into caller-owned storage so ticket slots can be filled
-// without an intermediate Op slice allocation. A nil ops is exactly
-// ApplyShard. Under the lock the shard's slice is inspected once per
-// batch: a plain *Cuckoo runs the typed loop applyCuckoo, and any other
-// slice runs applyOne and observe per access. Validation failures
-// panic out of line (the cold helpers below) so the hot body carries
-// no formatting machinery; the lock is released explicitly rather than
-// deferred — nothing between Lock and Unlock can fail once the batch
-// has validated.
+// ApplyShardOps is ApplyShard with Op recording, the one entry point
+// that records: dst, when non-nil, must have len(accesses), and access
+// k's Op is written field by field into *dst[k], overwriting whatever
+// the slot held, a stale Forced included (Evicts write the zero Op). A
+// nil entry records nothing, and a nil dst is exactly ApplyShard. The
+// asynchronous engine's drainers pass their tickets' slots, so each Op
+// is written once, in the slot that owns it. Under the lock the shard's
+// slice is inspected once per batch: a plain *Cuckoo runs the typed
+// loop applyCuckoo, and any other slice runs applyOne and observe per
+// access. Validation failures panic out of line (the cold helpers
+// below) so the hot body carries no formatting machinery; the lock is
+// released explicitly rather than deferred — nothing between Lock and
+// Unlock can fail once the batch has validated.
 //
 //cuckoo:hotpath
-func (s *ShardedDirectory) ApplyShardOps(h int, accesses []Access, ops []Op) {
+func (s *ShardedDirectory) ApplyShardOps(h int, accesses []Access, dst []*Op) {
 	if h < 0 || h >= len(s.shards) {
 		badShard(h, len(s.shards))
 	}
-	if ops != nil && len(ops) != len(accesses) {
-		badOpsLen(len(ops), len(accesses))
+	if dst != nil && len(dst) != len(accesses) {
+		badOpsLen(len(dst), len(accesses))
 	}
 	for _, a := range accesses {
 		if a.Kind > AccessEvict {
@@ -511,15 +503,14 @@ func (s *ShardedDirectory) ApplyShardOps(h int, accesses []Access, ops []Op) {
 	sh.mu.Lock()
 	var c ShardCounters
 	if cd, ok := sh.dir.(*Cuckoo); ok {
-		applyCuckoo(cd.d, accesses, ops, &c, s.fills(cd.d))
-	} else if ops == nil {
-		for _, a := range accesses {
-			c.observe(a.Kind, applyOne(sh.dir, a))
-		}
+		applyCuckoo(cd.d, accesses, dst, &c, s.fills(cd.d))
 	} else {
 		for i, a := range accesses {
-			ops[i] = applyOne(sh.dir, a)
-			c.observe(a.Kind, ops[i])
+			op := applyOne(sh.dir, a)
+			c.observe(a.Kind, op)
+			if dst != nil && dst[i] != nil {
+				*dst[i] = op
+			}
 		}
 	}
 	sh.ctr.flush(c)
@@ -577,15 +568,16 @@ func (s *ShardedDirectory) fills(d *core.Directory) bool {
 // applyCuckoo is ApplyShardOps' loop for a plain *Cuckoo slice, which
 // is what every benchmark shard holds: it calls core.Directory
 // directly, counts into c from the returned *Forced and LastAttempts
-// instead of from an Op, and builds an Op only when ops is non-nil. It
-// writes exactly the Ops and counts that applyOne and observe would.
+// instead of from an Op, and writes an access's Op field by field into
+// its destination slot, when it has one. It writes exactly the Ops and
+// counts that applyOne and observe would.
 //
 // Access i probes with the indices put in ring slot i%prefetchDepth
 // prefetchDepth accesses earlier: by Prefetch, which also starts the
 // probe lines' fills, when fill is set, else by Index (DESIGN.md §8).
 //
 //cuckoo:hotpath
-func applyCuckoo(d *core.Directory, accesses []Access, ops []Op, c *ShardCounters, fill bool) {
+func applyCuckoo(d *core.Directory, accesses []Access, dst []*Op, c *ShardCounters, fill bool) {
 	var ring [prefetchDepth][hashfn.MaxWays]uint64
 	for i := range min(prefetchDepth, len(accesses)) {
 		if fill {
@@ -626,11 +618,22 @@ func applyCuckoo(d *core.Directory, accesses []Access, ops []Op, c *ShardCounter
 		if f != nil {
 			c.Forced++
 		}
-		if ops != nil {
-			ops[i] = cuckooOp(inv, f, n)
+		if dst != nil && dst[i] != nil {
+			op := dst[i]
+			op.Invalidate, op.Attempts, op.Forced = inv, n, nil
+			if f != nil {
+				op.Forced = forcedList(f)
+			}
 		}
 	}
 }
+
+// forcedList is the Op.Forced of one forced eviction, the one
+// allocation an Op carries, kept out of line off the typed loop.
+//
+//cuckoo:cold
+//go:noinline
+func forcedList(f *Forced) []Forced { return []Forced{*f} }
 
 // Out-of-line validation failures: each is a separate noinline function
 // so its fmt call and panic frame stay off the applier's hot path.

@@ -2,6 +2,7 @@ package directory
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"strings"
 	"sync"
@@ -454,48 +455,98 @@ func TestApplyShardMatchesApply(t *testing.T) {
 	}
 }
 
-// TestApplyShardOpsMatchesApply: ApplyShardOps records, per access,
-// exactly the Op that Apply reports for the same stream, and rejects a
-// mis-sized ops slice before touching the directory.
+// TestApplyShardOpsMatchesApply pins ApplyShardOps' destination
+// contract on the typed cuckoo loop and on the interface loop (a sparse
+// slice): each non-nil slot ends holding exactly the Op Apply reports
+// for the same stream, though it starts with a stale Op whose Forced is
+// set; a nil slot is left untouched; a mis-sized dst is rejected before
+// the directory is touched; and a hit-only batch with destinations
+// allocates nothing. The slices are small enough that the stream forces
+// evictions, so fresh Forced lists replace stale ones as well as nil
+// ones.
 func TestApplyShardOpsMatchesApply(t *testing.T) {
-	mk := func() *ShardedDirectory {
-		s, err := BuildSharded(shardedSpec(), 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	a, b := mk(), mk()
-	r := rng.New(23)
-	groups := make([][]Access, 4)
-	for i := 0; i < 4000; i++ {
-		acc := Access{Kind: AccessKind(r.Uint64() % 3), Addr: r.Uint64() % 4096, Cache: int(r.Uint64() % 16)}
-		groups[a.ShardOf(acc.Addr)] = append(groups[a.ShardOf(acc.Addr)], acc)
-	}
-	for h, g := range groups {
-		ops := make([]Op, len(g))
-		a.ApplyShardOps(h, g, ops)
-		want := b.Apply(g)
-		if !reflect.DeepEqual(ops, want) {
-			t.Fatalf("shard %d: ApplyShardOps ops differ from Apply ops", h)
-		}
-	}
-	if a.Len() != b.Len() {
-		t.Fatalf("ApplyShardOps len %d != Apply len %d", a.Len(), b.Len())
-	}
-
-	before := a.Len()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("mis-sized ops slice: no panic")
+	stale := Op{Invalidate: ^uint64(0), Attempts: -1, Forced: []Forced{{Addr: 7, Sharers: 3}}}
+	for _, slice := range []string{"cuckoo-4x32", "sparse-8x16"} {
+		t.Run(slice, func(t *testing.T) {
+			mk := func() *ShardedDirectory {
+				d, err := BuildNamed(fmt.Sprintf("sharded-4(%s)", slice), 16)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d.(*ShardedDirectory)
 			}
-		}()
-		addr := uint64(1)
-		a.ApplyShardOps(a.ShardOf(addr), []Access{{Kind: AccessRead, Addr: addr, Cache: 0}}, make([]Op, 2))
-	}()
-	if a.Len() != before {
-		t.Error("mis-sized ops slice: batch partially applied")
+			a, b := mk(), mk()
+			r := rng.New(23)
+			groups := make([][]Access, 4)
+			for i := 0; i < 4000; i++ {
+				acc := Access{Kind: AccessKind(r.Uint64() % 3), Addr: r.Uint64() % 4096, Cache: int(r.Uint64() % 16)}
+				groups[a.ShardOf(acc.Addr)] = append(groups[a.ShardOf(acc.Addr)], acc)
+			}
+			forced := 0
+			for h, g := range groups {
+				ops := make([]Op, len(g))
+				dst := make([]*Op, len(g))
+				for i := range ops {
+					ops[i] = stale
+					if i%3 != 2 {
+						dst[i] = &ops[i]
+					}
+				}
+				a.ApplyShardOps(h, g, dst)
+				want := b.Apply(g)
+				for i := range want {
+					if dst[i] == nil {
+						want[i] = stale
+					} else if want[i].Forced != nil {
+						forced++
+					}
+				}
+				if !reflect.DeepEqual(ops, want) {
+					t.Fatalf("shard %d: ApplyShardOps slots differ from Apply ops", h)
+				}
+			}
+			if forced == 0 {
+				t.Fatal("no recorded access forced an eviction")
+			}
+			if a.Len() != b.Len() {
+				t.Fatalf("ApplyShardOps len %d != Apply len %d", a.Len(), b.Len())
+			}
+
+			before := a.Len()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("mis-sized dst: no panic")
+					}
+				}()
+				addr := uint64(1)
+				a.ApplyShardOps(a.ShardOf(addr), []Access{{Kind: AccessRead, Addr: addr, Cache: 0}}, make([]*Op, 2))
+			}()
+			if a.Len() != before {
+				t.Error("mis-sized dst: batch partially applied")
+			}
+
+			var hits []Access
+			a.ForEach(func(addr, sharers uint64) bool {
+				if a.ShardOf(addr) == 0 {
+					hits = append(hits, Access{Kind: AccessRead, Addr: addr, Cache: bits.TrailingZeros64(sharers)})
+				}
+				return true
+			})
+			ops := make([]Op, len(hits))
+			dst := make([]*Op, len(hits))
+			for i := range ops {
+				ops[i], dst[i] = stale, &ops[i]
+			}
+			if n := testing.AllocsPerRun(20, func() { a.ApplyShardOps(0, hits, dst) }); n != 0 {
+				t.Errorf("hit-only batch of %d with destinations: %v allocations, want 0", len(hits), n)
+			}
+			for i, op := range ops {
+				if !reflect.DeepEqual(op, Op{}) {
+					t.Fatalf("hit %d: slot holds %+v, want the zero Op", i, op)
+				}
+			}
+		})
 	}
 }
 
@@ -616,19 +667,22 @@ func TestApplyCuckooMatchesInterfacePath(t *testing.T) {
 							batch := rest[:min(n, len(rest))]
 							rest = rest[len(batch):]
 							var ops []Op
+							var dst []*Op
 							if withOps {
-								// Stale slot contents, as in reused engine
-								// ticket slots: every slot must be overwritten.
+								// Stale slot contents: every slot must be
+								// overwritten.
 								ops = make([]Op, len(batch))
+								dst = make([]*Op, len(batch))
 								for i := range ops {
-									ops[i] = Op{Invalidate: ^uint64(0), Attempts: -1}
+									ops[i] = Op{Invalidate: ^uint64(0), Attempts: -1, Forced: []Forced{{Addr: 1}}}
+									dst[i] = &ops[i]
 								}
 							}
 							switch {
 							case mode.fill:
-								applyFilling(typed, h, batch, ops)
+								applyFilling(typed, h, batch, dst)
 							case withOps:
-								typed.ApplyShardOps(h, batch, ops)
+								typed.ApplyShardOps(h, batch, dst)
 							default:
 								typed.ApplyShard(h, batch)
 							}
@@ -684,17 +738,17 @@ func TestApplyCuckooMatchesInterfacePath(t *testing.T) {
 // applyFilling is ApplyShardOps with line fills forced on: a plain
 // cuckoo shard runs applyCuckoo with fills whatever the directory's
 // size, and any other shard takes ApplyShardOps.
-func applyFilling(s *ShardedDirectory, h int, batch []Access, ops []Op) {
+func applyFilling(s *ShardedDirectory, h int, batch []Access, dst []*Op) {
 	sh := s.shards[h]
 	sh.mu.Lock()
 	cd, ok := sh.dir.(*Cuckoo)
 	if !ok {
 		sh.mu.Unlock()
-		s.ApplyShardOps(h, batch, ops)
+		s.ApplyShardOps(h, batch, dst)
 		return
 	}
 	var c ShardCounters
-	applyCuckoo(cd.d, batch, ops, &c, true)
+	applyCuckoo(cd.d, batch, dst, &c, true)
 	sh.ctr.flush(c)
 	sh.mu.Unlock()
 }

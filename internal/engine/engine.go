@@ -489,6 +489,9 @@ type Engine struct {
 	// queues[qi] is drainer qi's per-class ring set; the drain policy
 	// (Options.Sched) arbitrates between the rings.
 	queues []classRings
+	// gather[h] is shard h's index among its drainer's gathers (see
+	// drain), looked up once per drained access.
+	gather []int
 	// depth tracks each ring's outstanding requests for the
 	// RejectWhenFull reservation protocol (see reserve), indexed
 	// qi*qos.NumClasses+class — backpressure is per class.
@@ -583,6 +586,10 @@ func New(dir *directory.ShardedDirectory, o Options) (*Engine, error) {
 		for c := range e.queues[i] {
 			e.queues[i][c] = make(chan request, o.QueueDepth)
 		}
+	}
+	e.gather = make([]int, dir.ShardCount())
+	for h := range e.gather {
+		e.gather[h] = h / o.Drainers
 	}
 	e.auto = dir.ResizePolicy().MaxLoad > 0
 	e.wg.Add(o.Drainers)
@@ -898,12 +905,19 @@ func (e *Engine) enqueue(ctx context.Context, c qos.Class, queues []int, reqs []
 		}
 		return len(reqs), nil
 	}
+	done := ctx.Done()
 	for i, q := range queues {
 		e.depth[di(q, c)].Add(1)
+		if done == nil {
+			// A context that is never cancelled leaves nothing to select.
+			e.queues[q][c] <- reqs[i]
+			e.account(reqs[i])
+			continue
+		}
 		select {
 		case e.queues[q][c] <- reqs[i]:
 			e.account(reqs[i])
-		case <-ctx.Done():
+		case <-done:
 			e.depth[di(q, c)].Add(-1)
 			// Earlier sub-batches are already enqueued and will apply.
 			// The caller only sees the ctx error (never the ticket), so
@@ -1192,7 +1206,6 @@ func (s *drainSched) popBlocking(rings classRings) request {
 //cuckoo:hotpath
 func (e *Engine) drainLoop(qi int, rings classRings, gathers []shardGather) {
 	var run []request
-	var ops []directory.Op // one shard's Ops, before they reach their slots
 	sched := newDrainSched(e.opt.Sched)
 	for {
 		r, ok := sched.popNB(rings, true)
@@ -1232,7 +1245,7 @@ func (e *Engine) drainLoop(qi int, rings classRings, gathers []shardGather) {
 			}
 		}
 		if len(run) > 0 {
-			e.applyRun(qi, run, gathers, &ops)
+			e.applyRun(qi, run, gathers)
 			// One bounded migration step per applied run keeps a rehash
 			// progressing under sustained traffic; the load check may
 			// START one when the directory has an automatic-growth
@@ -1369,16 +1382,16 @@ func (e *Engine) ResizeShardSpec(h int, slice directory.Spec) error {
 	return nil
 }
 
-// applyRun applies one popped run in one gather–apply–scatter pass.
-// Each access joins, in pop order, the gather of its home shard (one of
-// this drainer's), so a shard applies the WHOLE run's accesses through
-// one ApplyShardOps call, not one per request, and per-shard FIFO
-// holds. When any request of the run records Ops, each access also
-// carries its ticket slot; a shard's Ops land in the reused scratch and
-// are copied to their slots only once that shard has applied, so a
-// failed shard's slots keep the zero Ops Submit allocated. A run
-// without any recording request skips Op storage entirely.
-func (e *Engine) applyRun(qi int, run []request, gathers []shardGather, scratch *[]directory.Op) {
+// applyRun applies one popped run in one gather–apply pass. Each
+// access joins, in pop order, the gather of its home shard (one of this
+// drainer's), so a shard applies the WHOLE run's accesses through one
+// ApplyShardOps call, not one per request, and per-shard FIFO holds.
+// When any request of the run records Ops, each access also carries its
+// ticket slot, and ApplyShardOps writes the access's Op straight into
+// it. A failed shard's slots are zeroed, so an erred ticket's failed
+// span reads zero Ops even when a panic stopped the apply partway. A run
+// without any recording request passes no slots at all.
+func (e *Engine) applyRun(qi int, run []request, gathers []shardGather) {
 	recording := false
 	for i := range run {
 		recording = recording || run[i].t != nil
@@ -1390,7 +1403,7 @@ func (e *Engine) applyRun(qi int, run []request, gathers []shardGather, scratch 
 	for i := range run {
 		r := &run[i]
 		for k, a := range r.accs {
-			g := &gathers[e.dir.ShardOf(a.Addr)/e.opt.Drainers]
+			g := &gathers[e.gather[e.dir.ShardOf(a.Addr)]]
 			g.accs = append(g.accs, a)
 			if !recording {
 				continue
@@ -1414,21 +1427,17 @@ func (e *Engine) applyRun(qi int, run []request, gathers []shardGather, scratch 
 		if len(g.accs) == 0 {
 			continue
 		}
-		var ops []directory.Op
+		var dst []*directory.Op
 		if recording {
-			if cap(*scratch) < len(g.accs) {
-				*scratch = make([]directory.Op, len(g.accs))
-			}
-			ops = (*scratch)[:len(g.accs)]
+			dst = g.slots
 		}
-		if err := e.applyShard(qi+b*e.opt.Drainers, g.accs, ops); err != nil {
+		if err := e.applyShard(qi+b*e.opt.Drainers, g.accs, dst); err != nil {
 			if runErr == nil {
 				runErr = err
 			}
-		} else {
-			for k, slot := range g.slots {
+			for _, slot := range dst {
 				if slot != nil {
-					*slot = ops[k]
+					*slot = directory.Op{}
 				}
 			}
 		}
@@ -1470,7 +1479,7 @@ func (e *Engine) applyRun(qi int, run []request, gathers []shardGather, scratch 
 // is suspect); its requests fail fast with ErrShardQuarantined.
 //
 //cuckoo:recoverboundary
-func (e *Engine) applyShard(h int, accs []directory.Access, ops []directory.Op) (err error) {
+func (e *Engine) applyShard(h int, accs []directory.Access, dst []*directory.Op) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = e.quarantine(h, p)
@@ -1484,7 +1493,7 @@ func (e *Engine) applyShard(h int, accs []directory.Access, ops []directory.Op) 
 		e.faults.Hit(faults.DrainerStall, h, e.stopc)
 		e.faults.Hit(faults.ApplyPanic, h, e.stopc)
 	}
-	e.dir.ApplyShardOps(h, accs, ops)
+	e.dir.ApplyShardOps(h, accs, dst)
 	return nil
 }
 

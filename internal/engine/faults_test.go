@@ -712,3 +712,38 @@ func TestDrainerDelayInjection(t *testing.T) {
 		t.Error("delay never fired")
 	}
 }
+
+// TestMidApplyPanicZeroesSlots: a panic out of the directory itself,
+// partway through a shard's batch, is contained like an injected one,
+// and the erred ticket reads zero Ops for its whole failed span, though
+// ApplyShardOps had already written the slot of the access before the
+// panic. A one-way duplicate-tag slice panics on a fill its mirrored
+// cache set cannot hold.
+func TestMidApplyPanicZeroesSlots(t *testing.T) {
+	defer goroutineCensus(t)()
+	d, err := directory.BuildNamed("sharded-1(dup-tag-1x64)", testCores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(d.(*directory.ShardedDirectory), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	tk, err := eng.SubmitBatch(ctx, []directory.Access{
+		{Kind: directory.AccessRead, Addr: 1, Cache: 0},      // a fresh insert: Attempts 1
+		{Kind: directory.AccessRead, Addr: 1 + 64, Cache: 0}, // the same cache set: overflow
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if werr := tk.Wait(ctx); !errors.Is(werr, ErrShardQuarantined) {
+		t.Fatalf("Wait after a mid-batch panic = %v, want ErrShardQuarantined", werr)
+	}
+	for i, op := range tk.Ops() {
+		if !reflect.DeepEqual(op, directory.Op{}) {
+			t.Errorf("erred ticket Ops[%d] = %+v, want the zero Op", i, op)
+		}
+	}
+}
