@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"cuckoodir/internal/core"
 )
@@ -94,7 +95,8 @@ type ResizeStats struct {
 	Started, Completed uint64
 	// Steps counts background migration steps (MigrateShard calls that
 	// found the shard migrating), and MigratedEntries the tracked blocks
-	// those steps moved old -> new table.
+	// moved old -> new table, by those steps or by the accesses that
+	// touched them first.
 	Steps, MigratedEntries uint64
 	// MigrationForced counts the entries the re-insertions of
 	// BACKGROUND migration steps forced out of the new table; MigrateShard
@@ -128,6 +130,9 @@ type migratingDir struct {
 	// by then — the cursor never moves an address twice.
 	pending []uint64
 	next    int
+	// migrated counts every entry moved, by a step or by a touch: the
+	// directory's ResizeStats.MigratedEntries.
+	migrated *atomic.Uint64
 }
 
 // done reports whether the background cursor has exhausted the pending
@@ -135,16 +140,17 @@ type migratingDir struct {
 func (m *migratingDir) done() bool { return m.next >= len(m.pending) }
 
 // move migrates addr's entry from the old table into the new one if the
-// old table still tracks it, returning any forced evictions the
-// re-insertion caused and whether an entry actually moved. Inexact
+// old table still tracks it, counting the move and returning any forced
+// evictions the re-insertion caused. Inexact
 // organizations (Tagless, coarse formats) surface superset sharer
 // masks; re-inserting the superset keeps the union view in the same
 // conservative-correctness class as the organization itself.
-func (m *migratingDir) move(addr uint64) (forced []Forced, moved bool) {
+func (m *migratingDir) move(addr uint64) (forced []Forced) {
 	sharers, ok := m.from.Lookup(addr)
 	if !ok || sharers == 0 {
-		return nil, false
+		return nil
 	}
+	m.migrated.Add(1)
 	// Evict every sharer from the old table first (the last eviction
 	// drops the tag), then rebuild the mask in the new table. The shard
 	// lock is held throughout, so the entry is never visible twice.
@@ -159,23 +165,19 @@ func (m *migratingDir) move(addr uint64) (forced []Forced, moved bool) {
 		op := m.to.Read(addr, c)
 		forced = append(forced, op.Forced...)
 	}
-	return forced, true
+	return forced
 }
 
 // step runs one bounded background migration step: up to max pending
 // addresses are examined (already-migrated ones are cheap Lookup
 // misses) and moved if still owned by the old table. It returns the
 // Forced records of the entries the moves forced out of the new table.
-func (m *migratingDir) step(max int) (moved int, forced []Forced, done bool) {
+func (m *migratingDir) step(max int) (forced []Forced, done bool) {
 	for n := 0; n < max && m.next < len(m.pending); n++ {
-		f, ok := m.move(m.pending[m.next])
+		forced = append(forced, m.move(m.pending[m.next])...)
 		m.next++
-		if ok {
-			moved++
-		}
-		forced = append(forced, f...)
 	}
-	return moved, forced, m.done()
+	return forced, m.done()
 }
 
 // Name implements Directory (the target slice names the shard).
@@ -188,7 +190,7 @@ func (m *migratingDir) NumCaches() int { return m.to.NumCaches() }
 // Forced evictions the migration itself caused are merged into the
 // returned Op so the caller invalidates them like any others.
 func (m *migratingDir) Read(addr uint64, cache int) Op {
-	forced, _ := m.move(addr)
+	forced := m.move(addr)
 	op := m.to.Read(addr, cache)
 	op.Forced = append(forced, op.Forced...)
 	return op
@@ -196,7 +198,7 @@ func (m *migratingDir) Read(addr uint64, cache int) Op {
 
 // Write implements Directory: touch-migrate, then write the new table.
 func (m *migratingDir) Write(addr uint64, cache int) Op {
-	forced, _ := m.move(addr)
+	forced := m.move(addr)
 	op := m.to.Write(addr, cache)
 	op.Forced = append(forced, op.Forced...)
 	return op
@@ -345,7 +347,7 @@ func (s *ShardedDirectory) ResizeShardSpec(h int, slice Spec) error {
 		s.resizeDone.Add(1)
 		return nil
 	}
-	m := &migratingDir{from: old, to: nd, pending: make([]uint64, 0, old.Len())}
+	m := &migratingDir{from: old, to: nd, pending: make([]uint64, 0, old.Len()), migrated: &s.migratedEntries}
 	old.ForEach(func(addr, _ uint64) bool {
 		m.pending = append(m.pending, addr)
 		return true
@@ -386,7 +388,7 @@ func (s *ShardedDirectory) MigrateShard(h, max int) (forced []Forced, done bool)
 		sh.mu.Unlock()
 		return nil, true
 	}
-	moved, forced, done := m.step(max)
+	forced, done = m.step(max)
 	if done {
 		sh.retire(m.from)
 		sh.dir = m.to
@@ -394,9 +396,6 @@ func (s *ShardedDirectory) MigrateShard(h, max int) (forced []Forced, done bool)
 	}
 	sh.mu.Unlock()
 	s.migrationSteps.Add(1)
-	if moved > 0 {
-		s.migratedEntries.Add(uint64(moved))
-	}
 	if len(forced) > 0 {
 		s.migrationForced.Add(uint64(len(forced)))
 	}

@@ -167,6 +167,38 @@ func TestMigratingDirSemantics(t *testing.T) {
 	}
 }
 
+// TestMigratedEntriesCountsTouches: MigratedEntries counts every entry
+// a resize moves, whether a background step moved it or an access
+// touched it first. A shard holds n blocks; k of them are read or
+// written mid-migration, which moves them ahead of the cursor, and
+// FinishResizes moves the rest: the count reads n, not n-k.
+func TestMigratedEntriesCountsTouches(t *testing.T) {
+	const n, k = 200, 37
+	d := buildResizable(t, 1, 128)
+	for a := uint64(1); a <= n; a++ {
+		d.Write(a, 0)
+	}
+	if d.Len() != n {
+		t.Fatalf("Len = %d after %d fills, want no forced eviction", d.Len(), n)
+	}
+	if err := d.ResizeShardSpec(0, resizeSpec(256)); err != nil {
+		t.Fatal(err)
+	}
+	for a := uint64(1); a <= k; a++ {
+		if a%2 == 0 {
+			d.Write(a, 1)
+		} else {
+			d.Read(a, 1)
+		}
+	}
+	if forced := d.FinishResizes(); len(forced) != 0 {
+		t.Fatalf("FinishResizes forced %d entries out of a table twice the size", len(forced))
+	}
+	if got := d.ResizeStats().MigratedEntries; got != n {
+		t.Errorf("MigratedEntries = %d after %d touches and FinishResizes, want %d", got, k, n)
+	}
+}
+
 // TestResizeEmptyShard: an empty shard's resize completes in place.
 func TestResizeEmptyShard(t *testing.T) {
 	d := buildResizable(t, 2, 64)
