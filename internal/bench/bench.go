@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"os"
 	"runtime"
@@ -39,6 +40,7 @@ import (
 	"cuckoodir/internal/core"
 	"cuckoodir/internal/directory"
 	"cuckoodir/internal/engine"
+	"cuckoodir/internal/faults"
 	"cuckoodir/internal/hashfn"
 	"cuckoodir/internal/qos"
 	"cuckoodir/internal/replay"
@@ -328,14 +330,15 @@ const (
 	submitCycle   = submitFg*submitFgBatch + submitBgBatch
 )
 
-// engineSubmitCase times that cycle on an engine with the given drainer
-// count over 8 shards of a cuckoo-4x8192 directory already warmed with
-// the cycled stream, so every access hits and the directory allocates
-// nothing. One op is one cycle: the four tickets are waited, the
-// detached batch is covered by a Flush after the loop. The accesses are
-// generated before the timer starts, so the allocation columns read
-// what the engine leaves per cycle.
-func engineSubmitCase(drainers int) func(b *testing.B) {
+// engineSubmitCase times that cycle on an engine with the options o
+// (weighted-deficit drain) over 8 shards of a cuckoo-4x8192 directory
+// already warmed with the cycled stream, so every access hits and the
+// directory allocates nothing. The detached batch rides class bg. One
+// op is one cycle: the four tickets are waited, the detached batch is
+// covered by a Flush after the loop. The accesses are generated before
+// the timer starts, so the allocation columns read what the engine
+// leaves per cycle.
+func engineSubmitCase(o engine.Options, bg qos.Class) func(b *testing.B) {
 	return func(b *testing.B) {
 		accs := make([]directory.Access, 0, 128*submitCycle)
 		for _, rec := range records(b, 11, cap(accs)) {
@@ -347,7 +350,8 @@ func engineSubmitCase(drainers int) func(b *testing.B) {
 		}
 		d := benchDir(b, 8, 8192)
 		d.Apply(accs)
-		eng, err := engine.New(d, engine.Options{Drainers: drainers, Sched: qos.Sched{Policy: qos.WeightedDeficit}})
+		o.Sched = qos.Sched{Policy: qos.WeightedDeficit}
+		eng, err := engine.New(d, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -362,7 +366,7 @@ func engineSubmitCase(drainers int) func(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if err := eng.SubmitDetachedClass(ctx, qos.Background, cycle[submitFg*submitFgBatch:]); err != nil {
+			if err := eng.SubmitDetachedClass(ctx, bg, cycle[submitFg*submitFgBatch:]); err != nil {
 				b.Fatal(err)
 			}
 			for _, t := range tickets {
@@ -544,8 +548,14 @@ func Cases() []Case {
 		cases = append(cases, Case{fmt.Sprintf("apply/hits/sets=%d", sets), applyHitsCase(sets)})
 	}
 	for _, drainers := range []int{1, 8} {
-		cases = append(cases, Case{fmt.Sprintf("engine/submit/drainers=%d", drainers), engineSubmitCase(drainers)})
+		cases = append(cases, Case{fmt.Sprintf("engine/submit/drainers=%d", drainers), engineSubmitCase(engine.Options{Drainers: drainers}, qos.Background)})
 	}
+	// Two pieces of the submit and drain path, each against drainers=1:
+	// an injector armed with a trigger that never fires, and one class.
+	idle := faults.New()
+	idle.Arm(faults.ApplyPanic, faults.Trigger{Key: faults.AnyKey, After: math.MaxUint64})
+	cases = append(cases, Case{"engine/submit/faults=idle", engineSubmitCase(engine.Options{Drainers: 1, Faults: idle}, qos.Background)},
+		Case{"engine/submit/classes=1", engineSubmitCase(engine.Options{Drainers: 1}, qos.Foreground)})
 	for _, sets := range []int{512, 16384} { // as apply/hits, at 85% load and every read a miss
 		cases = append(cases, Case{fmt.Sprintf("apply/churn/sets=%d", sets), applyChurnCase(sets)})
 	}

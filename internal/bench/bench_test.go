@@ -65,6 +65,8 @@ func TestCasesFixed(t *testing.T) {
 		"apply/churn/sets=16384",
 		"engine/submit/drainers=1",
 		"engine/submit/drainers=8",
+		"engine/submit/faults=idle",
+		"engine/submit/classes=1",
 		"index/skew/sets=512",
 		"index/skew/sets=16384",
 		"index/strong/sets=16384",
