@@ -20,28 +20,36 @@ func (c *Cuckoo) Name() string { return "cuckoo" }
 func (c *Cuckoo) NumCaches() int { return c.d.NumCaches() }
 
 // Read implements Directory.
-func (c *Cuckoo) Read(addr uint64, cache int) Op {
+func (c *Cuckoo) Read(addr uint64, cache int) (op Op) {
 	f := c.d.Read(addr, cache)
-	return cuckooOp(0, f, c.d.LastAttempts())
+	setCuckooOp(&op, 0, f, c.d.LastAttempts())
+	return op
 }
 
 // Write implements Directory.
-func (c *Cuckoo) Write(addr uint64, cache int) Op {
+func (c *Cuckoo) Write(addr uint64, cache int) (op Op) {
 	inv, f := c.d.Write(addr, cache)
-	return cuckooOp(inv, f, c.d.LastAttempts())
+	setCuckooOp(&op, inv, f, c.d.LastAttempts())
+	return op
 }
 
-// cuckooOp is the Op of a core.Directory Read or Write that returned
-// the invalidate mask inv and the forced eviction f after attempts
-// insertion writes. Op.Forced is a slice, so a forced eviction
-// allocates.
-func cuckooOp(inv uint64, f *Forced, attempts int) Op {
-	op := Op{Invalidate: inv, Attempts: attempts}
+// setCuckooOp writes into *op, field by field and over whatever it
+// held, the Op of a core.Directory Read or Write that returned the
+// invalidate mask inv and the forced eviction f after attempts
+// insertion writes.
+func setCuckooOp(op *Op, inv uint64, f *Forced, attempts int) {
+	op.Invalidate, op.Attempts, op.Forced = inv, attempts, nil
 	if f != nil {
 		op.Forced = forcedList(f)
 	}
-	return op
 }
+
+// forcedList is the Op.Forced of one forced eviction: a slice, so the
+// one allocation an Op carries, kept out of line off the typed loop.
+//
+//cuckoo:cold
+//go:noinline
+func forcedList(f *Forced) []Forced { return []Forced{*f} }
 
 // Evict implements Directory.
 func (c *Cuckoo) Evict(addr uint64, cache int) { c.d.Evict(addr, cache) }

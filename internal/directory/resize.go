@@ -141,10 +141,10 @@ func (m *migratingDir) done() bool { return m.next >= len(m.pending) }
 
 // move migrates addr's entry from the old table into the new one if the
 // old table still tracks it, counting the move and returning any forced
-// evictions the re-insertion caused. Inexact
-// organizations (Tagless, coarse formats) surface superset sharer
-// masks; re-inserting the superset keeps the union view in the same
-// conservative-correctness class as the organization itself.
+// evictions the re-insertion caused. Inexact organizations (Tagless,
+// coarse formats) surface superset sharer masks; re-inserting the
+// superset keeps the union view in the same conservative-correctness
+// class as the organization itself.
 func (m *migratingDir) move(addr uint64) (forced []Forced) {
 	sharers, ok := m.from.Lookup(addr)
 	if !ok || sharers == 0 {

@@ -568,9 +568,9 @@ func (s *ShardedDirectory) fills(d *core.Directory) bool {
 // applyCuckoo is ApplyShardOps' loop for a plain *Cuckoo slice, which
 // is what every benchmark shard holds: it calls core.Directory
 // directly, counts into c from the returned *Forced and LastAttempts
-// instead of from an Op, and writes an access's Op field by field into
-// its destination slot, when it has one. It writes exactly the Ops and
-// counts that applyOne and observe would.
+// instead of from an Op, and writes an access's Op into its destination
+// slot, when it has one, as Cuckoo.Read and Write build theirs. It
+// writes exactly the Ops and counts that applyOne and observe would.
 //
 // Access i probes with the indices put in ring slot i%prefetchDepth
 // prefetchDepth accesses earlier: by Prefetch, which also starts the
@@ -619,21 +619,10 @@ func applyCuckoo(d *core.Directory, accesses []Access, dst []*Op, c *ShardCounte
 			c.Forced++
 		}
 		if dst != nil && dst[i] != nil {
-			op := dst[i]
-			op.Invalidate, op.Attempts, op.Forced = inv, n, nil
-			if f != nil {
-				op.Forced = forcedList(f)
-			}
+			setCuckooOp(dst[i], inv, f, n)
 		}
 	}
 }
-
-// forcedList is the Op.Forced of one forced eviction, the one
-// allocation an Op carries, kept out of line off the typed loop.
-//
-//cuckoo:cold
-//go:noinline
-func forcedList(f *Forced) []Forced { return []Forced{*f} }
 
 // Out-of-line validation failures: each is a separate noinline function
 // so its fmt call and panic frame stay off the applier's hot path.

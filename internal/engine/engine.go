@@ -489,8 +489,7 @@ type Engine struct {
 	// queues[qi] is drainer qi's per-class ring set; the drain policy
 	// (Options.Sched) arbitrates between the rings.
 	queues []classRings
-	// gather[h] is shard h's index among its drainer's gathers (see
-	// drain), looked up once per drained access.
+	// gather[h] is shard h's index among its drainer's gathers (drain).
 	gather []int
 	// depth tracks each ring's outstanding requests for the
 	// RejectWhenFull reservation protocol (see reserve), indexed
