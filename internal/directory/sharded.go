@@ -317,9 +317,10 @@ func (s *ShardedDirectory) Home() Home { return s.homeKind }
 
 // ShardOf returns the shard index addr homes onto. Batching front-ends
 // (internal/replay) use it to partition work shard-affinely: a batch
-// whose accesses all share one home shard takes Apply's inline
-// single-lock fast path, so parallelism can come from concurrent
-// callers instead of Apply's internal fan-out.
+// whose accesses all share one home shard goes straight to ApplyShard
+// under one lock (Apply, given such a batch, applies it inline without
+// copying it), so parallelism can come from concurrent callers instead
+// of Apply's internal fan-out.
 //
 //cuckoo:hotpath
 func (s *ShardedDirectory) ShardOf(addr uint64) int { return s.home(addr) }
@@ -443,12 +444,19 @@ func (s *ShardedDirectory) Apply(accesses []Access) []Op {
 
 // applyGroup gathers the accesses at idxs — all homing onto shard h —
 // into a contiguous batch and applies it through ApplyShardOps, each
-// access's Op going straight to its input position in ops.
+// access's Op going straight to its input position in ops. A group
+// that is the whole batch applies the batch in place.
 func (s *ShardedDirectory) applyGroup(h int, accesses []Access, idxs []int32, ops []Op) {
-	accs := make([]Access, len(idxs))
 	dst := make([]*Op, len(idxs))
 	for k, i := range idxs {
-		accs[k], dst[k] = accesses[i], &ops[i]
+		dst[k] = &ops[i]
+	}
+	accs := accesses
+	if len(idxs) < len(accesses) {
+		accs = make([]Access, len(idxs))
+		for k, i := range idxs {
+			accs[k] = accesses[i]
+		}
 	}
 	s.ApplyShardOps(h, accs, dst)
 }

@@ -904,19 +904,12 @@ func (e *Engine) enqueue(ctx context.Context, c qos.Class, queues []int, reqs []
 		}
 		return len(reqs), nil
 	}
-	done := ctx.Done()
 	for i, q := range queues {
 		e.depth[di(q, c)].Add(1)
-		if done == nil {
-			// A context that is never cancelled leaves nothing to select.
-			e.queues[q][c] <- reqs[i]
-			e.account(reqs[i])
-			continue
-		}
 		select {
 		case e.queues[q][c] <- reqs[i]:
 			e.account(reqs[i])
-		case <-done:
+		case <-ctx.Done():
 			e.depth[di(q, c)].Add(-1)
 			// Earlier sub-batches are already enqueued and will apply.
 			// The caller only sees the ctx error (never the ticket), so

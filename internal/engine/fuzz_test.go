@@ -8,8 +8,10 @@
 //     model that replays each class's accepted submissions in order
 //     (a clean completion equals the model on every shard, and an erred
 //     one reads the model's Op or the zero Op on a quarantined shard);
-//  3. per class, submitted = completed + erred + shed + rejected, and
-//     the engine's class counters agree with the fuzz's tally;
+//  3. per class, the engine counts every refusal as the fuzz saw it
+//     (shed or queue-full), and submits and completes exactly the
+//     accesses and requests of the accepted submissions, erred ones
+//     included;
 //  4. no goroutine outlives Close.
 //
 // Ideal slices are exact and unbounded, so a block's state depends only
@@ -78,12 +80,11 @@ type fuzzSub struct {
 	err   error
 }
 
-// fuzzTally is one class's submission outcomes as the fuzz saw them.
-// Detached submissions report no completion, so an accepted one counts
-// as completed here; the engine's erred-access count covers them.
+// fuzzTally is one class's submissions as the fuzz saw them: the
+// refusals the engine counts, and the accesses and requests (queue
+// elements, one per drainer a batch touches) it accepted.
 type fuzzTally struct {
-	submitted, completed, erred, shed, rejected, queueFull int
-	acceptedAccs                                           uint64
+	shed, queueFull, accs, reqs uint64
 }
 
 // modelApply applies one access to the sequential model.
@@ -239,7 +240,6 @@ func FuzzEngine(f *testing.F) {
 				}
 				tk, err := eng.Submit(sctx, r)
 				tl := &tally[c]
-				tl.submitted++
 				switch {
 				case err == nil:
 					if code == fzExpired {
@@ -249,10 +249,17 @@ func FuzzEngine(f *testing.F) {
 						t.Fatalf("op %d: Submit returned ticket %v for callback=%v detached=%v", i, tk, s.callback, s.detached)
 					}
 					s.accepted, s.t = true, tk
-					tl.acceptedAccs += uint64(len(s.accs))
+					var drainers [fuzzDrainers]bool
 					s.want = make([]directory.Op, len(s.accs))
 					for k, a := range s.accs {
 						s.want[k] = modelApply(model, a)
+						drainers[dir.ShardOf(a.Addr)%fuzzDrainers] = true
+					}
+					tl.accs += uint64(len(s.accs))
+					for _, touched := range drainers {
+						if touched {
+							tl.reqs++
+						}
 					}
 				case errors.Is(err, ErrDeadlineExceeded):
 					if code != fzExpired {
@@ -263,10 +270,9 @@ func FuzzEngine(f *testing.F) {
 					if opts.Policy != RejectWhenFull {
 						t.Fatalf("op %d: queue-full refusal under BlockWhenFull: %v", i, err)
 					}
-					tl.rejected++
 					tl.queueFull++
 				case errors.Is(err, ErrShardQuarantined):
-					tl.rejected++
+					// A fail-fast refusal, which the engine does not count.
 				default:
 					t.Fatalf("op %d: Submit: %v", i, err)
 				}
@@ -322,7 +328,6 @@ func FuzzEngine(f *testing.F) {
 			var err error
 			switch {
 			case s.detached:
-				tally[s.class].completed++
 				continue
 			case s.callback:
 				if n := s.calls.Load(); n != 1 {
@@ -341,10 +346,7 @@ func FuzzEngine(f *testing.F) {
 				if !errors.Is(err, ErrShardQuarantined) || !touchesQuar {
 					t.Fatalf("submission %d: erred with %v, touching a quarantined shard = %v", i, err, touchesQuar)
 				}
-				tally[s.class].erred++
 				erredMin++
-			} else {
-				tally[s.class].completed++
 			}
 			if len(ops) != len(s.accs) {
 				t.Fatalf("submission %d: %d Ops for %d accesses", i, len(ops), len(s.accs))
@@ -378,21 +380,26 @@ func FuzzEngine(f *testing.F) {
 		if got, want := census(dir), census(model); !reflect.DeepEqual(got, want) {
 			t.Fatalf("census of healthy shards: %d entries, model %d", len(got), len(want))
 		}
-		// Oracle 3, per class.
+		// Oracle 3, per class. A drainer records one latency sample per
+		// request it completes, erred ones included.
 		st := eng.Stats()
+		var reqs uint64
 		for c, tl := range tally {
 			cs := st.Classes[c]
-			if tl.submitted != tl.completed+tl.erred+tl.shed+tl.rejected {
-				t.Fatalf("class %d: submitted %d != completed %d + erred %d + shed %d + rejected %d",
-					c, tl.submitted, tl.completed, tl.erred, tl.shed, tl.rejected)
-			}
-			if cs.Shed != uint64(tl.shed) || cs.Rejected != uint64(tl.queueFull) {
+			if cs.Shed != tl.shed || cs.Rejected != tl.queueFull {
 				t.Fatalf("class %d: engine shed/rejected %d/%d, fuzz %d/%d", c, cs.Shed, cs.Rejected, tl.shed, tl.queueFull)
 			}
-			if cs.SubmittedAccesses != tl.acceptedAccs || cs.CompletedAccesses != tl.acceptedAccs {
+			if cs.SubmittedAccesses != tl.accs || cs.CompletedAccesses != tl.accs {
 				t.Fatalf("class %d: engine submitted/completed accesses %d/%d, fuzz accepted %d",
-					c, cs.SubmittedAccesses, cs.CompletedAccesses, tl.acceptedAccs)
+					c, cs.SubmittedAccesses, cs.CompletedAccesses, tl.accs)
 			}
+			if n := cs.Latency.Count(); n != tl.reqs {
+				t.Fatalf("class %d: engine completed %d requests, fuzz accepted %d", c, n, tl.reqs)
+			}
+			reqs += tl.reqs
+		}
+		if st.SubmittedRequests != reqs || st.CompletedRequests != reqs {
+			t.Fatalf("engine submitted/completed requests %d/%d, fuzz accepted %d", st.SubmittedRequests, st.CompletedRequests, reqs)
 		}
 		if st.ErredAccesses < erredMin || st.ErredAccesses > erredMax {
 			t.Fatalf("ErredAccesses %d outside [%d, %d]: at least one per erred completion, at most the accesses of submissions touching a quarantined shard",
